@@ -2,9 +2,11 @@
 """Walk through the morpheme-boundary sound rules.
 
 Shows stem mutations before the m-causative, their lexical exceptions,
-epenthesis on compound members, and the fused agreement endings.
+epenthesis on compound members, the fused agreement endings, and how the
+analyser recovers a mutated stem.
 """
-from mapumorph import Piece, default_lexicon, default_rules, realize, unrealize
+from mapumorph import (Piece, analyse, default_lexicon, default_rules,
+                       gloss_render, realize)
 
 lexicon = default_lexicon()
 rules = default_rules()
@@ -50,12 +52,13 @@ show(["aye", "nie", "a", fu, e, "y", "u"], "(-fu + -e contract to fe)")
 
 print()
 print("=" * 60)
-print("Undoing a boundary: candidate underlying pairs")
+print("Analysis: searching forward through the same rules")
 print("=" * 60)
-for window in (3,):
-    print(f"  naküm split at {window}:")
-    for left, right in unrealize("naküm", window, rules):
-        print(f"    {left!r} + {right!r}")
+print("  naküm:")
+for analysis in analyse("naküm", lexicon, rules):
+    print(f"    {gloss_render(analysis)}   "
+          f"({' + '.join(p.morph for p in analysis.pieces)})")
 print()
-print("The (nag, üm) candidate lets the analyser recover the adverb")
-print("'down' behind the hardened stem.")
+print("The analyser tries the adverb nag before the m-causative, the g")
+print("rule gives naküm, and so the adverb 'down' comes back from the")
+print("hardened stem.")

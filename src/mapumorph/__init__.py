@@ -13,11 +13,9 @@ from .lexicon import (Allomorph, Diagnostic, Lexicon, LexiconError, RootEntry,
                       Sense, SuffixEntry, load_lexicon, lookup_roots,
                       validate_lexicon)
 from .morphotactics import (RootUse, Violation, compound_valency,
-                            fal_segmentations, valency_step,
-                            validate_sequence)
+                            valency_step, validate_sequence)
 from .phonology import (BoundaryRule, PhonologyError, Piece, RuleTable,
-                        fuse_agreement, load_rules, realize, select_allomorph,
-                        unrealize)
+                        load_rules, realize, select_allomorph)
 
 __version__ = "0.1.0"
 
@@ -30,8 +28,8 @@ __all__ = [
     "default_lexicon", "default_rules",
     "Allomorph", "Diagnostic", "Lexicon", "LexiconError", "RootEntry",
     "Sense", "SuffixEntry", "load_lexicon", "lookup_roots", "validate_lexicon",
-    "RootUse", "Violation", "compound_valency", "fal_segmentations",
-    "valency_step", "validate_sequence",
-    "BoundaryRule", "PhonologyError", "Piece", "RuleTable", "fuse_agreement",
-    "load_rules", "realize", "select_allomorph", "unrealize",
+    "RootUse", "Violation", "compound_valency", "valency_step",
+    "validate_sequence",
+    "BoundaryRule", "PhonologyError", "Piece", "RuleTable", "load_rules",
+    "realize", "select_allomorph",
 ]

@@ -180,12 +180,11 @@ class _Searcher:
         self.suffixes = {kind: [] for kind in ("V", "C")}
         for entry in sorted(lexicon.suffixes.values(), key=lambda s: s.id):
             next_floor = 3 if entry.tag == "IND1SG" else entry.slot
-            for a in entry.allomorphs:
-                option = morph(a.surface, "suffix", suffix_id=entry.id) + (
-                    entry.slot, next_floor, entry.slot >= 33)
-                for kind in self.suffixes:
-                    if a.matches(kind):
-                        self.suffixes[kind].append(option)
+            for kind, options in self.suffixes.items():
+                for a in entry.allomorphs_after(kind):
+                    options.append(
+                        morph(a.surface, "suffix", suffix_id=entry.id)
+                        + (entry.slot, next_floor, entry.slot >= 33))
         self.roots = [morph(e.form, "root", e.category)
                       for e in lexicon.iter_roots() if e.form]
         self._options: dict[tuple, list] = {}
@@ -269,8 +268,7 @@ class _Searcher:
 
 
 def _build_analysis(word: str, pieces: tuple[Piece, ...],
-                    parts: tuple[str, ...], items: list,
-                    lexicon: Lexicon) -> Analysis:
+                    parts: tuple[str, ...], items: list) -> Analysis:
     offsets = []
     pos = 0
     for part in parts:
@@ -336,7 +334,7 @@ def _expand_senses(pieces: tuple[Piece, ...], parts: tuple[str, ...],
                  else lexicon.suffixes[p.suffix_id] for p in pieces]
         if validate_plan(items, lexicon):
             continue
-        analyses.append(_build_analysis(word, pieces, parts, items, lexicon))
+        analyses.append(_build_analysis(word, pieces, parts, items))
     return analyses
 
 
@@ -403,8 +401,7 @@ def generate(root, sense_context: str, suffix_ids,
                                      category=entry.category),
                                rules, lexicon)
     for suffix in suffix_entries:
-        chosen = (select_allomorph(suffix, state.final)
-                  if state.surface else suffix.allomorphs[0].surface)
+        chosen = select_allomorph(suffix, state.final)
         state = extend_realization(
             state, Piece(chosen, "suffix", suffix_id=suffix.id),
             rules, lexicon)

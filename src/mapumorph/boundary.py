@@ -31,7 +31,7 @@ class Piece:
     kind: str                      # "root" or "suffix"
     category: str | None = None    # lexical category, for roots
     suffix_id: str | None = None   # suffix entry id, when known
-    fused: bool = False            # surface suppressed by agreement fusion
+    fused: bool = False            # set by extend on the piece a fusion ate
 
     @property
     def is_root(self) -> bool:
@@ -296,7 +296,7 @@ class CompiledRules:
             return Realization((piece,), (piece.form,), piece.form,
                                alphabet.final_segment(piece.form)
                                if piece.form else "")
-        surface = "" if piece.fused else piece.form
+        surface = piece.form
         candidates = self.candidates(piece)
         if not candidates:
             joined = state.surface + surface
@@ -312,6 +312,8 @@ class CompiledRules:
             if not (_matches(rule.left, prev, state.final, lexicon)
                     and _matches(rule.right, piece, state.final, lexicon)):
                 continue
+            if rule.left_final is not None and not left:
+                continue  # no final segment to rewrite
             if rule.fuse is not None:
                 left, surface = rule.fuse, ""
                 piece = replace(piece, fused=True)
@@ -320,11 +322,10 @@ class CompiledRules:
                 left = left + rule.left_append
             if rule.left_final is not None:
                 left = replace_final(left, rule.left_final)
-            if not piece.fused:
-                if rule.right_set is not None:
-                    surface = rule.right_set
-                if rule.right_prefix is not None:
-                    surface = rule.right_prefix + surface
+            if rule.right_set is not None:
+                surface = rule.right_set
+            if rule.right_prefix is not None:
+                surface = rule.right_prefix + surface
             break  # at most one rule per boundary
         head = state.surface[:len(state.surface) - len(state.parts[-1])]
         joined = head + left + surface

@@ -79,16 +79,22 @@ def _load_tables(args, strict=True):
 
 
 def _cross_check_slots(path, lexicon):
-    for lineno, raw in enumerate(open(path, encoding="utf-8"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        sid, slot = line.split("\t")[:2]
-        entry = lexicon.suffixes.get(sid)
-        if entry is not None and entry.slot != int(slot):
-            raise LexiconError(
-                f"slot table disagrees with suffix inventory for {sid}",
-                path, lineno)
+    with open(path, encoding="utf-8") as lines:
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            try:
+                sid, slot = cols[0], int(cols[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 "suffix-id<TAB>integer slot") from None
+            entry = lexicon.suffixes.get(sid)
+            if entry is not None and entry.slot != slot:
+                raise LexiconError(
+                    f"slot table disagrees with suffix inventory for {sid}",
+                    path, lineno)
 
 
 def _cmd_analyse(args, stdin, stdout, stderr) -> int:
@@ -165,17 +171,28 @@ def _cmd_validate(args, stdin, stdout, stderr) -> int:
 def _cmd_classify(args, stdin, stdout, stderr) -> int:
     lexicon, _ = _load_tables(args)
     corpus = []
-    for raw in stdin:
+    for lineno, raw in enumerate(stdin, 1):
         line = raw.strip()
         if not line:
             continue
-        data = json.loads(line)
-        if "analyses" in data:  # output of `analyse --format json-lines`
-            for item in data["analyses"]:
-                item.setdefault("source", data.get("source"))
-                corpus.append(Analysis.from_json(item))
+        try:
+            data = json.loads(line)
+            if "analyses" in data:  # output of `analyse --format json-lines`
+                for item in data["analyses"]:
+                    item.setdefault("source", data.get("source"))
+                    corpus.append(Analysis.from_json(item))
+            else:
+                corpus.append(Analysis.from_json(data))
+        except json.JSONDecodeError as err:
+            problem = f"invalid JSON: {err.msg} at column {err.colno}"
+        except KeyError as err:
+            problem = f"analysis lacks {err}"
+        except (AttributeError, IndexError, TypeError, ValueError) as err:
+            problem = f"malformed analysis: {err}"
         else:
-            corpus.append(Analysis.from_json(data))
+            continue
+        print(f"<stdin>:{lineno}: {problem}", file=stderr)
+        return EXIT_CONFIG
     table = classify_corpus(corpus, lexicon, threshold=args.threshold,
                             soft=not args.no_soft)
     stdout.write(render_table(table))

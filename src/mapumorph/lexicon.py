@@ -25,7 +25,7 @@ A lexicon is immutable after loading and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import alphabet, tags
@@ -68,18 +68,11 @@ class RootEntry:
     def senses_for(self, context: str) -> tuple[Sense, ...]:
         return tuple(s for s in self.senses if s.context == context)
 
-    @property
-    def is_labile(self) -> bool:
-        return self.valency == "labile"
-
 
 @dataclass(frozen=True)
 class Allomorph:
     surface: str  # may be "" for zero morphs
     requires: str  # V, C or any
-
-    def matches(self, preceding_kind: str) -> bool:
-        return self.requires == "any" or self.requires == preceding_kind
 
 
 @dataclass(frozen=True)
@@ -93,6 +86,12 @@ class SuffixEntry:
 
     def surfaces(self) -> tuple[str, ...]:
         return tuple(a.surface for a in self.allomorphs)
+
+    def allomorphs_after(self, kind: str | None) -> list[Allomorph]:
+        """Allomorphs usable after a vowel (*kind* "V") or a consonant
+        ("C"), in listed order; all of them when nothing precedes (None)."""
+        return [a for a in self.allomorphs
+                if kind is None or a.requires in ("any", kind)]
 
 
 @dataclass(frozen=True)
@@ -126,24 +125,11 @@ class Lexicon:
     def iter_suffixes(self) -> list[SuffixEntry]:
         return [self.suffixes[k] for k in sorted(self.suffixes)]
 
-    def suffixes_by_tag(self, tag: str) -> list[SuffixEntry]:
-        return [s for s in self.iter_suffixes() if s.tag == tag]
-
     def with_root(self, entry: RootEntry) -> "Lexicon":
         """New lexicon with *entry* added or replaced (self unchanged)."""
         roots = dict(self.roots)
         roots[(entry.form, entry.category)] = entry
         return Lexicon(roots, dict(self.suffixes))
-
-    def with_root_valency(self, form: str, category: str, valency: str,
-                          gloss: str | None = None) -> "Lexicon":
-        """New lexicon with one root forced to a single valency."""
-        entry = self.roots[(form, category)]
-        senses = entry.senses_for(valency)
-        if not senses:
-            senses = (Sense(valency, gloss or entry.senses[0].gloss),)
-        forced = replace(entry, valency=valency, senses=senses)
-        return self.with_root(forced)
 
 
 def _check_root(entry: RootEntry) -> list[Diagnostic]:

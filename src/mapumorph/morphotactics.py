@@ -121,6 +121,21 @@ def _member_effective_valency(root: RootEntry) -> str:
 
 def validate_plan(items: list, lexicon: Lexicon | None = None) -> list[Violation]:
     """Validate a mixed sequence of RootUse and SuffixEntry items."""
+    return _fold(items, None)
+
+
+def plan_trace(items: list) -> tuple[tuple[str, str], ...]:
+    """Stepwise transitivity states of a sequence: (root form or suffix
+    id, state after it) per item, from the fold that validates it."""
+    steps: list[tuple[str, str]] = []
+    _fold(items, steps)
+    return tuple(steps)
+
+
+def _fold(items: list, steps: list | None) -> list[Violation]:
+    """Walk *items* once, folding the transitivity state and collecting
+    violations; each (label, state) step is appended to *steps* unless
+    it is None."""
     violations: list[Violation] = []
     if not items or not isinstance(items[0], RootUse):
         raise ValueError("sequence must start with a root")
@@ -169,6 +184,8 @@ def validate_plan(items: list, lexicon: Lexicon | None = None) -> list[Violation
             slot_floor = 37
             since_root_min_slot = 37
             prev_item = item
+            if steps is not None:
+                steps.append((item.entry.form, state))
             continue
 
         entry: SuffixEntry = item
@@ -249,6 +266,8 @@ def validate_plan(items: list, lexicon: Lexicon | None = None) -> list[Violation
             if not prev_is_ca:
                 violations.append(Violation("nom_requires_causative", i))
         prev_item = item
+        if steps is not None:
+            steps.append((entry.id, state))
 
     if pending_member is not None:
         code = ("dp_member_context" if pending_member == "dp"
@@ -292,35 +311,6 @@ def validate_plan(items: list, lexicon: Lexicon | None = None) -> list[Violation
     return violations
 
 
-def plan_trace(items: list) -> tuple[tuple[str, str], ...]:
-    """Stepwise transitivity states of a (valid or not) sequence."""
-    steps: list[tuple[str, str]] = []
-    state = "IV"
-    first = True
-    prev_item = None
-    for item in items:
-        if isinstance(item, RootUse):
-            if first:
-                state = item.base_state
-                first = False
-            else:
-                category = item.entry.category
-                if category == "verb":
-                    state = _member_effective_valency(item.entry)
-                elif category == "noun" and state in ("TV", "TV2"):
-                    state = valency_step(state, "decrease")
-            steps.append((item.entry.form, state))
-        else:
-            effect = item.valency_effect
-            if item.tag == "CA":
-                state = valency_step(state, "increase")
-            else:
-                state = valency_step(state, effect)
-            steps.append((item.id, state))
-        prev_item = item
-    return tuple(steps)
-
-
 def validate_sequence(root_sense: tuple[RootEntry, str],
                       suffixes: list[SuffixEntry | str],
                       lexicon: Lexicon | None = None) -> list[Violation]:
@@ -345,37 +335,3 @@ def validate_sequence(root_sense: tuple[RootEntry, str],
             suffix = lexicon.suffixes[suffix]
         items.append(suffix)
     return validate_plan(items, lexicon)
-
-
-def fal_segmentations(stem_state: str, tail: str,
-                      lexicon: Lexicon | None = None) -> list[tuple[str, list, str]]:
-    """Candidate readings of a -fal tail on a stem in the given state.
-
-    Returns up to three (label, pieces, remainder) candidates: the
-    force/adjectiviser suffix reading, which needs a transitive stem; the
-    incorporated demonstrative fa- plus l-causative, open to transitive
-    stems because the causative attaches to the fa member itself; and,
-    when the surface supports it, fa- plus the stative.  Word-final tails
-    surface as the doable-adjective and the zero-nominalised causative.
-    """
-    if lexicon is None:
-        from .defaults import default_lexicon
-        lexicon = default_lexicon()
-    if not (tail.startswith("fal") or tail.startswith("fa")):
-        raise ValueError("tail must start with fa/fal")
-    out: list[tuple[str, list, str]] = []
-    fa = ("fa", "demonstrative")
-    if tail.startswith("fal"):
-        rest = tail[3:]
-        if stem_state in ("TV", "TV2"):
-            if rest:
-                out.append(("FORCE", ["FORCE.fal"], rest))
-            else:
-                out.append(("ADJDO", ["ADJDO.fal"], ""))
-        if rest:
-            out.append(("DP+CA", [fa, "CA.l"], rest))
-        else:
-            out.append(("DP+CA+NOM", [fa, "CA.l", "NOM.0"], ""))
-    if tail.startswith("fale"):
-        out.append(("DP+ST", [fa, "ST.le"], tail[4:]))
-    return out

@@ -1,5 +1,5 @@
-"""Morpheme-boundary sound rules: apply them in generation, undo them in
-analysis.
+"""Morpheme-boundary sound rules, their table format, and the one path
+that applies them.
 
 Rules live in a TSV table (``id kind left right rewrite exceptions``):
 
@@ -15,21 +15,22 @@ Rules live in a TSV table (``id kind left right rewrite exceptions``):
 
 Application is single pass, one rule per boundary, in table order; a
 table is applied through its compiled form (:mod:`mapumorph.boundary`).
+Generation applies the rules forward, and the analyser searches forward
+through the same compiled rules rather than undoing them.
 All functions here are pure; tables are immutable after loading.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from . import alphabet
-from .boundary import (CompiledRules, PhonologyError, Piece, Realization,
-                       replace_final)
+from .boundary import CompiledRules, PhonologyError, Piece, Realization
 from .lexicon import Lexicon, SuffixEntry
 
-RULE_KINDS = ("prothesis", "sandhi", "allomorph_selection", "epenthesis", "fusion")
+RULE_KINDS = ("prothesis", "sandhi", "epenthesis", "fusion")
 
 
 @dataclass(frozen=True)
@@ -56,18 +57,6 @@ class RuleTable:
     def compiled(self) -> CompiledRules:
         """The table compiled for lookup, built on first use."""
         return CompiledRules(self)
-
-    def of_kind(self, kind: str) -> tuple[BoundaryRule, ...]:
-        return tuple(r for r in self.rules if r.kind == kind)
-
-    def with_exception(self, rule_id: str, lexeme: str) -> "RuleTable":
-        """Copy of the table with one more exception lexeme on a rule."""
-        out = []
-        for rule in self.rules:
-            if rule.id == rule_id:
-                rule = replace(rule, exceptions=rule.exceptions + (lexeme,))
-            out.append(rule)
-        return RuleTable(tuple(out))
 
 
 def parse_rule_line(line: str) -> BoundaryRule:
@@ -124,33 +113,35 @@ def normalize_piece(item, first: bool, lexicon: Lexicon | None) -> Piece:
     return Piece(form, "suffix")
 
 
-def select_allomorph(suffix: SuffixEntry, stem_final: str,
-                     generation: bool = True) -> str:
-    """Pick the allomorph for a suffix after the given stem-final segment.
-
-    Generation returns the first context match (V after vowel, C after
-    consonant, 'any' as fallback); analysis callers set
-    ``generation=False`` to get every matching surface instead.
-    """
-    kind = "V" if alphabet.is_vowel(stem_final) else "C"
-    matches = [a.surface for a in suffix.allomorphs if a.matches(kind)]
-    if not matches:
+def select_allomorph(suffix: SuffixEntry, stem_final: str) -> str:
+    """The allomorph generation uses after the given stem-final segment
+    ("" when nothing is realised): the first context match."""
+    kind = None
+    if stem_final:
+        kind = "V" if alphabet.is_vowel(stem_final) else "C"
+    fits = suffix.allomorphs_after(kind)
+    if not fits:
         raise PhonologyError(
             f"no allomorph of {suffix.id} fits after {stem_final!r}")
-    return matches[0] if generation else matches
+    return fits[0].surface
 
 
 def matching_allomorphs(suffix: SuffixEntry, preceding_surface: str) -> list[str]:
     """All allomorph surfaces usable after the given realised surface."""
-    if not preceding_surface:
-        return [a.surface for a in suffix.allomorphs]
-    kind = alphabet.final_kind(preceding_surface)
-    return [a.surface for a in suffix.allomorphs if a.matches(kind)]
+    kind = alphabet.final_kind(preceding_surface) if preceding_surface else None
+    return [a.surface for a in suffix.allomorphs_after(kind)]
 
 
-def realize_parts(seq, lexicon: Lexicon | None = None,
-                  rules: RuleTable | None = None) -> list[str]:
-    """Per-piece surfaces of a morph sequence after rule application."""
+def realize(seq, lexicon: Lexicon | None = None,
+            rules: RuleTable | None = None) -> str:
+    """Surface form of an underlying morph sequence.
+
+    Deterministic: rules apply left to right, one pass, at most one rule
+    per boundary.  Pieces may be given as plain strings, as
+    ``(form, category)`` pairs (needed when homographs differ in their
+    rule behaviour, e.g. nag 'down' vs nag- 'go down'), or as
+    :class:`Piece` objects.
+    """
     if rules is None:
         from .defaults import default_rules
         rules = default_rules()
@@ -167,20 +158,7 @@ def realize_parts(seq, lexicon: Lexicon | None = None,
             state = extend_realization(state, piece, rules, lexicon)
         except alphabet.AlphabetError as err:
             raise PhonologyError(f"boundary {i}: {err}") from None
-    return list(state.parts)
-
-
-def realize(seq, lexicon: Lexicon | None = None,
-            rules: RuleTable | None = None) -> str:
-    """Surface form of an underlying morph sequence.
-
-    Deterministic: rules apply left to right, one pass, at most one rule
-    per boundary.  Pieces may be given as plain strings, as
-    ``(form, category)`` pairs (needed when homographs differ in their
-    rule behaviour, e.g. nag 'down' vs nag- 'go down'), or as
-    :class:`Piece` objects.
-    """
-    return "".join(realize_parts(seq, lexicon, rules))
+    return state.surface
 
 
 def extend_realization(state: Realization, piece: Piece, rules: RuleTable,
@@ -192,69 +170,3 @@ def extend_realization(state: Realization, piece: Piece, rules: RuleTable,
 
 def new_realization() -> Realization:
     return Realization()
-
-
-def fuse_agreement(seq, lexicon: Lexicon | None = None) -> list[Piece]:
-    """Mark indicative pieces that fuse into a preceding agreement -fi.
-
-    The printed analyses keep both gloss tags while the two underlying
-    pieces share one surface span; here that is modelled by keeping both
-    pieces and silencing the indicative one, not by a null morpheme.
-    Identity when the pattern is absent.
-    """
-    if lexicon is None:
-        from .defaults import default_lexicon
-        lexicon = default_lexicon()
-    pieces = [normalize_piece(p, i == 0, lexicon) for i, p in enumerate(seq)]
-    out: list[Piece] = []
-    for piece in pieces:
-        prev = out[-1] if out else None
-        if (prev is not None and prev.kind == "suffix" and prev.form == "fi"
-                and piece.kind == "suffix" and not piece.is_root
-                and piece.form in ("i", "y")
-                and (piece.suffix_id or "IND").startswith("IND")):
-            out.append(replace(piece, suffix_id=piece.suffix_id or "IND.y",
-                               fused=True))
-            continue
-        out.append(piece)
-    return out
-
-
-def unrealize(surface: str, window: int,
-              rules: RuleTable | None = None) -> list[tuple[str, str]]:
-    """Underlying (left, right) candidates for a boundary in *surface*.
-
-    Superset-correct: includes the identity split and every inverse of
-    the segmental rules (prothesis, sandhi, epenthesis) that could have
-    produced the observed surface, so it may overgenerate but never
-    undergenerates.  Fusion spans are recovered by the analyser's edge
-    machinery, not here.
-    """
-    if rules is None:
-        from .defaults import default_rules
-        rules = default_rules()
-    if not 0 <= window <= len(surface):
-        raise ValueError(f"window {window} outside surface bounds")
-    left, right = surface[:window], surface[window:]
-    candidates = [(left, right)]
-    for rule in rules.rules:
-        append = rule.rewrite_op("left:append:")
-        if append is not None and left.endswith(append) and len(left) > len(append):
-            candidates.append((left[:-len(append)], right))
-        final = rule.rewrite_op("left:final:")
-        if final is not None and left:
-            try:
-                if alphabet.final_segment(left) == final and not rule.left.startswith("="):
-                    candidates.append((replace_final(left, rule.left), right))
-            except alphabet.AlphabetError:
-                pass
-        prefix = rule.rewrite_op("right:prefix:")
-        if prefix is not None and right.startswith(prefix):
-            candidates.append((left, right[len(prefix):]))
-    seen = set()
-    out = []
-    for cand in candidates:
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-    return out

@@ -90,10 +90,7 @@ MOOD_TAGS = FINITE_MOOD_TAGS | VERBAL_NOUN_TAGS
 PORTMANTEAU_MOOD_TAGS = frozenset({"IND1SG"})
 
 PERSON_TAGS = frozenset({"1", "2", "3"})
-NUMBER_TAGS = frozenset({"SG", "DL", "PL"})
 AGENT_TAGS = frozenset({"1t2A", "3A"})
-AGREEMENT_TAGS = frozenset({"3P", "INV"})
-CAUSATIVE_TAGS = frozenset({"CA"})
 
 
 def is_registered(code: str) -> bool:

@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+
+from mapumorph import cli
 from mapumorph.cli import run
 
 from helpers import classifier_corpus
@@ -119,6 +122,19 @@ class TestClassify:
         assert code == 0
         assert any(line.startswith("aye\t") for line in out.splitlines())
 
+    def test_analysis_without_pieces_is_located(self):
+        code, out, err = invoke(["classify"], '{"word":"x"}\n')
+        assert code == 1 and out == ""
+        assert err == "<stdin>:1: analysis lacks 'pieces'\n"
+
+    def test_malformed_json_names_its_stdin_line(self):
+        _, analysed, _ = invoke(["analyse", "--format", "json-lines"],
+                                "ayekafiñ\n")
+        code, out, err = invoke(["classify"], analysed + "\n{oops\n")
+        assert code == 1 and out == ""
+        assert err.startswith("<stdin>:3: invalid JSON: ")
+        assert "Traceback" not in err
+
 
 def test_slot_table_cross_check(tmp_path):
     bad = tmp_path / "slots.tsv"
@@ -126,3 +142,29 @@ def test_slot_table_cross_check(tmp_path):
     code, _, err = invoke(["analyse", "--slots", str(bad)], "küpan\n")
     assert code == 2
     assert "disagrees" in err
+
+
+@pytest.mark.parametrize("text,line", [("CA.l\n", 1),
+                                       ("# comment\nCA.l\tx\n", 2)])
+def test_slot_table_line_errors_are_located(tmp_path, text, line):
+    bad = tmp_path / "slots.tsv"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = invoke(["analyse", "--slots", str(bad)], "küpan\n")
+    assert code == 1 and out == ""
+    assert err == (f"error: {bad}:{line}: expected suffix-id<TAB>integer "
+                   "slot\n")
+
+
+def test_slot_table_file_is_closed(tmp_path, monkeypatch):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+    good = tmp_path / "slots.tsv"
+    good.write_text("CA.l\t34\n", encoding="utf-8")
+    code, _, _ = invoke(["analyse", "--slots", str(good)], "küpan\n")
+    assert code == 0
+    assert len(opened) == 1 and opened[0].closed

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapumorph.morphotactics import (RootUse, compound_valency,
-                                     fal_segmentations, valency_step,
+from mapumorph.morphotactics import (RootUse, compound_valency, valency_step,
                                      validate_plan, validate_sequence)
 
 
@@ -162,26 +161,6 @@ class TestCompoundValency:
     def test_needs_two_members(self, lexicon):
         with pytest.raises(ValueError):
             compound_valency([(lexicon.roots[("elu", "verb")], None)])
-
-
-class TestFalSegmentations:
-    def test_transitive_stem_gets_three_readings(self, lexicon):
-        found = fal_segmentations("TV", "faleymün", lexicon)
-        assert [label for label, _, _ in found] == ["FORCE", "DP+CA", "DP+ST"]
-        force = found[0]
-        assert force[1] == ["FORCE.fal"] and force[2] == "eymün"
-
-    def test_word_final_tail(self, lexicon):
-        found = fal_segmentations("TV", "fal", lexicon)
-        assert [label for label, _, _ in found] == ["ADJDO", "DP+CA+NOM"]
-
-    def test_intransitive_stem_drops_force_reading(self, lexicon):
-        found = fal_segmentations("IV", "fal", lexicon)
-        assert [label for label, _, _ in found] == ["DP+CA+NOM"]
-
-    def test_rejects_other_tails(self, lexicon):
-        with pytest.raises(ValueError):
-            fal_segmentations("TV", "leymün", lexicon)
 
 
 class TestMemberLicensing:

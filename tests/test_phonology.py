@@ -1,9 +1,14 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from mapumorph.phonology import (PhonologyError, Piece, fuse_agreement,
-                                 realize, select_allomorph, unrealize)
+from mapumorph.analyzer import analyse, generate
+from mapumorph.phonology import (PhonologyError, Piece, load_rules, realize,
+                                 select_allomorph)
+
+
+def one_table(tmp_path, *lines):
+    path = tmp_path / "rules.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return load_rules(path)
 
 
 class TestRealize:
@@ -51,6 +56,54 @@ class TestRealize:
         seq = ["monge", "l", "ke"]
         assert realize(seq, lexicon, rules) == realize(seq, lexicon, rules)
 
+    def test_rewritten_boundaries_analyse_back(self, lexicon, rules):
+        """Every segmental rule's output analyses back to its first root."""
+        cases = [
+            (["la", "üm"], "la"),
+            (["af", "üm"], "af"),
+            (["nag", "üm"], "nag"),
+            (["üta", ("tüku", "verb")], "üta"),
+            (["watro", ("tu", "verb")], "watro"),
+            (["tofkü", ("püra", "verb")], "tofkü"),
+        ]
+        for seq, root in cases:
+            surface = realize(seq, lexicon, rules)
+            firsts = {a.root_pieces[0].morph
+                      for a in analyse(surface, lexicon, rules)}
+            assert root in firsts, (seq, surface)
+
+    def test_final_rewrite_skips_an_empty_left_part(self, lexicon, tmp_path):
+        # IND.y is zero here, so the IND1SG.n boundary has no final
+        # segment on its left; the rule does not apply and the next
+        # candidate in table order does
+        table = one_table(tmp_path, "x\tsandhi\ta\tsuffix:IND1SG.n\t"
+                          "left:final:e\t-")
+        seq = ["küpa", Piece("", "suffix", suffix_id="IND.y"),
+               Piece("n", "suffix", suffix_id="IND1SG.n")]
+        assert realize(seq, lexicon, table) == "küpan"
+        table = one_table(tmp_path,
+                          "x\tsandhi\ta\tsuffix:IND1SG.n\tleft:final:e\t-",
+                          "y\tprothesis\tany\tsuffix:IND1SG.n\t"
+                          "right:prefix:ü\t-")
+        assert realize(seq, lexicon, table) == "küpaün"
+
+    def test_final_rewrite_after_a_zero_allomorph(self, lexicon, tmp_path):
+        table = one_table(tmp_path, "x\tsandhi\tany\tsuffix:DL.u\t"
+                          "left:final:e\t-")
+        seq = ["IND.y", "P3.ng", "DL.u"]
+        word = generate("küpa", "IV", seq, lexicon, table)
+        assert word == "küpayu"
+        assert any(a.matches("küpa", "IV", seq)
+                   for a in analyse(word, lexicon, table))
+
+    def test_unknown_rule_kind_is_located(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text("# old kind\nx\tallomorph_selection\tV\t"
+                        "suffix:CA.m\tright:set:m\t-\n", encoding="utf-8")
+        with pytest.raises(PhonologyError, match=r"rules\.tsv:2: unknown "
+                           "rule kind 'allomorph_selection'"):
+            load_rules(path)
+
     def test_must_start_with_root(self, lexicon, rules):
         with pytest.raises(PhonologyError):
             realize([Piece("nie", "suffix", suffix_id="PRPS.nie"), "y"],
@@ -67,10 +120,9 @@ class TestSelectAllomorph:
     def test_m_causative_after_vowel(self, lexicon):
         assert select_allomorph(lexicon.suffixes["CA.m"], "ü") == "m"
 
-    def test_analysis_mode_returns_every_match(self, lexicon):
-        surfaces = select_allomorph(lexicon.suffixes["IND.y"], "a",
-                                    generation=False)
-        assert "y" in surfaces and "i" in surfaces and "" in surfaces
+    def test_first_allomorph_after_nothing(self, lexicon):
+        assert select_allomorph(lexicon.suffixes["ST.le"], "") == "le"
+        assert select_allomorph(lexicon.suffixes["PL.un"], "") == "ün"
 
     def test_no_match_raises(self, lexicon):
         from mapumorph.lexicon import Allomorph, SuffixEntry
@@ -78,67 +130,3 @@ class TestSelectAllomorph:
                              (Allomorph("t", "C"),))
         with pytest.raises(PhonologyError):
             select_allomorph(only_c, "a")
-
-
-class TestUnrealize:
-    def test_recovers_hardened_stem(self, rules):
-        assert ("nag", "üm") in unrealize("naküm", 3, rules)
-
-    def test_identity_always_present(self, rules):
-        for window in range(len("küpan") + 1):
-            left, right = "küpan"[:window], "küpan"[window:]
-            assert (left, right) in unrealize("küpan", window, rules)
-
-    def test_prothesis_inverse(self, rules):
-        assert ("la", "üm") in unrealize("langüm", 4, rules)
-
-    def test_epenthesis_inverse(self, rules):
-        assert ("püna", "tükuley") in unrealize("pünantükuley", 4, rules)
-
-    def test_window_bounds(self, rules):
-        with pytest.raises(ValueError):
-            unrealize("küpan", 9, rules)
-
-    def test_exhaustive_inverse_soundness(self, lexicon, rules):
-        """Every rule-table mutation is recoverable from its surface."""
-        cases = [
-            (["la", "üm"], "la"),
-            (["af", "üm"], "af"),
-            (["nag", "üm"], "nag"),
-            (["üta", ("tüku", "verb")], "üta"),
-            (["watro", ("tu", "verb")], "watro"),
-            (["tofkü", ("püra", "verb")], "tofkü"),
-        ]
-        for seq, left_form in cases:
-            surface = realize(seq, lexicon, rules)
-            right_form = seq[1] if isinstance(seq[1], str) else seq[1][0]
-            spotted = False
-            for window in range(len(surface) + 1):
-                if (left_form, right_form) in unrealize(surface, window, rules):
-                    spotted = True
-            assert spotted, (seq, surface)
-
-
-@given(st.sampled_from(["küpan", "naküm", "langüm", "apüm", "pünantükuley",
-                        "mongelkefiiñ"]),
-       st.integers(min_value=0, max_value=12))
-def test_unrealize_is_superset_of_identity(word, window):
-    window = min(window, len(word))
-    assert (word[:window], word[window:]) in unrealize(word, window)
-
-
-class TestFuseAgreement:
-    def test_fi_plus_indicative_fuses(self, lexicon, rules):
-        seq = fuse_agreement(["llüka", "fi", "i", "ø"], lexicon)
-        assert realize(seq, lexicon, rules) == "llükafi"
-        fused = [p for p in seq if p.fused]
-        assert len(fused) == 1 and fused[0].suffix_id.startswith("IND")
-
-    def test_identity_without_adjacency(self, lexicon, rules):
-        seq = fuse_agreement(["kewa", "fi", "ñ"], lexicon)
-        assert not any(p.fused for p in seq)
-        assert realize(seq, lexicon, rules) == "kewafiñ"
-
-    def test_third_person_zero(self, lexicon, rules):
-        seq = fuse_agreement(["meke", "fi", "i", "ø"], lexicon)
-        assert realize(seq, lexicon, rules) == "mekefi"
