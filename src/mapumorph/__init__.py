@@ -10,8 +10,7 @@ from .classifier import (Evidence, Verdict, classify, classify_corpus,
                          collect_evidence, reconcile, render_table)
 from .defaults import default_lexicon, default_rules
 from .lexicon import (Allomorph, Diagnostic, Lexicon, LexiconError, RootEntry,
-                      Sense, SuffixEntry, load_lexicon, lookup_roots,
-                      validate_lexicon)
+                      Sense, SuffixEntry, load_lexicon, validate_lexicon)
 from .morphotactics import (RootUse, Violation, compound_valency,
                             valency_step, validate_sequence)
 from .phonology import (BoundaryRule, PhonologyError, Piece, RuleTable,
@@ -27,7 +26,7 @@ __all__ = [
     "reconcile", "render_table",
     "default_lexicon", "default_rules",
     "Allomorph", "Diagnostic", "Lexicon", "LexiconError", "RootEntry",
-    "Sense", "SuffixEntry", "load_lexicon", "lookup_roots", "validate_lexicon",
+    "Sense", "SuffixEntry", "load_lexicon", "validate_lexicon",
     "RootUse", "Violation", "compound_valency", "valency_step",
     "validate_sequence",
     "BoundaryRule", "PhonologyError", "Piece", "RuleTable", "load_rules",

@@ -15,8 +15,6 @@ VOWELS = frozenset("aeiouü")
 
 SINGLE_LETTERS = frozenset("adefgiklmnñoprstuüwy")
 
-SEGMENTS = frozenset(DIGRAPHS) | SINGLE_LETTERS
-
 _DIGRAPH_INITIALS = frozenset(d[0] for d in DIGRAPHS)
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from . import alphabet, tags
 from .lexicon import Lexicon, RootEntry, SuffixEntry
-from .morphotactics import (RootUse, compound_valency, plan_trace,
-                            validate_plan, validate_sequence)
+from .morphotactics import (RootUse, compound_valency, validate_plan,
+                            validate_sequence)
 from .phonology import (Piece, RuleTable, extend_realization,
                         new_realization, select_allomorph)
 
@@ -115,16 +115,36 @@ class Analysis:
 
     @classmethod
     def from_json(cls, data: dict) -> "Analysis":
+        """Inverse of :meth:`to_json`; a field of the wrong JSON type
+        raises TypeError."""
         pieces = tuple(
-            AnalysisPiece(p["span"][0], p["span"][1], p["kind"], p["morph"],
-                          p.get("surface", ""), tuple(p.get("tags", ())),
-                          p.get("gloss"), p.get("category"),
-                          p.get("sense_context"), p.get("effect"),
-                          p.get("slot"), p.get("fused_with_prev", False))
+            AnalysisPiece(p["span"][0], p["span"][1], _text(p, "kind"),
+                          _text(p, "morph"), p.get("surface", ""),
+                          _tags(p.get("tags", [])), p.get("gloss"),
+                          p.get("category"), p.get("sense_context"),
+                          p.get("effect"), p.get("slot"),
+                          p.get("fused_with_prev", False))
             for p in data["pieces"])
         trace = tuple((m, s) for m, s in data.get("trace", ()))
-        return cls(data["word"], pieces, trace, data.get("stem_valency"),
-                   data.get("source"))
+        source = data.get("source")
+        return cls(_text(data, "word"), pieces, trace,
+                   data.get("stem_valency"),
+                   None if source is None else _text(data, "source"))
+
+
+def _text(data: dict, name: str) -> str:
+    value = data[name]
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, not "
+                        f"{type(value).__name__}")
+    return value
+
+
+def _tags(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(t, str)
+                                              for t in value):
+        raise TypeError(f"tags must be a list of strings, not {value!r}")
+    return tuple(value)
 
 
 def surface_licensing_ok(shaped: list[tuple[tuple[str, ...], str]]) -> bool:
@@ -268,7 +288,8 @@ class _Searcher:
 
 
 def _build_analysis(word: str, pieces: tuple[Piece, ...],
-                    parts: tuple[str, ...], items: list) -> Analysis:
+                    parts: tuple[str, ...], items: list,
+                    trace: list) -> Analysis:
     offsets = []
     pos = 0
     for part in parts:
@@ -298,7 +319,7 @@ def _build_analysis(word: str, pieces: tuple[Piece, ...],
                 fused_with_prev=piece.fused))
 
     stem_valency = compound_valency(members) if len(members) >= 2 else None
-    return Analysis(word, tuple(out_pieces), plan_trace(items), stem_valency)
+    return Analysis(word, tuple(out_pieces), tuple(trace), stem_valency)
 
 
 def _expand_senses(pieces: tuple[Piece, ...], parts: tuple[str, ...],
@@ -332,9 +353,10 @@ def _expand_senses(pieces: tuple[Piece, ...], parts: tuple[str, ...],
         combo_iter = iter(combo)
         items = [next(combo_iter) if p.is_root
                  else lexicon.suffixes[p.suffix_id] for p in pieces]
-        if validate_plan(items, lexicon):
+        trace: list = []
+        if validate_plan(items, lexicon, trace):
             continue
-        analyses.append(_build_analysis(word, pieces, parts, items))
+        analyses.append(_build_analysis(word, pieces, parts, items, trace))
     return analyses
 
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from .analyzer import Analysis
 from .lexicon import Lexicon
 
-LABELS = ("TV", "IV", "labile", "undetermined")
-
 
 @dataclass
 class Evidence:
@@ -51,40 +49,27 @@ class Verdict:
 
 
 def _analysis_hits(analysis: Analysis) -> tuple[bool, bool, bool, bool]:
-    """(iv, tv, kle, ke_tv) hit flags for one analysis."""
-    pieces = analysis.pieces
-    root_count = sum(1 for p in pieces if p.kind == "root")
-    if root_count != 1:
-        return (False, False, False, False)
-
-    iv_hit = tv_hit = False
-    if len(pieces) > 1 and pieces[1].kind == "suffix" \
-            and "CA" in pieces[1].tags:
-        state_at_root = analysis.trace[0][1] if analysis.trace else "IV"
-        iv_hit = state_at_root == "IV"
-
-    increased = False
-    agreement_seen = False
-    for piece in pieces[1:]:
+    """(iv, tv, kle, ke_tv) hit flags for one single-root analysis."""
+    iv_hit = tv_hit = decided = increased = False
+    agreement = stative = habitual = False
+    for i, piece in enumerate(analysis.pieces):
         if piece.kind != "suffix":
             continue
+        if i == 1 and "CA" in piece.tags:
+            state_at_root = analysis.trace[0][1] if analysis.trace else "IV"
+            iv_hit = state_at_root == "IV"
         if "3P" in piece.tags or "INV" in piece.tags:
-            agreement_seen = True
-            if not increased:
-                tv_hit = True
-            break
-        if piece.effect == "increase":
+            agreement = True
+            if i and not decided:  # first agreement after the root
+                tv_hit, decided = not increased, True
+        elif i and piece.effect == "increase":
             increased = True
-    kle_hit = any("ST" in p.tags for p in pieces if p.kind == "suffix")
-    has_agreement = any(("3P" in p.tags or "INV" in p.tags)
-                        for p in pieces if p.kind == "suffix")
-    ke_tv_hit = has_agreement and any("HAB" in p.tags for p in pieces
-                                      if p.kind == "suffix")
-    return (iv_hit, tv_hit, kle_hit, ke_tv_hit)
+        stative = stative or "ST" in piece.tags
+        habitual = habitual or "HAB" in piece.tags
+    return (iv_hit, tv_hit, stative, agreement and habitual)
 
 
-def collect_evidence(root: str, corpus: list[Analysis],
-                     soft: bool = True) -> Evidence:
+def collect_evidence(root: str, corpus: list[Analysis]) -> Evidence:
     """Tally diagnostic hits for one root over analysed forms.
 
     An analysis contributes at most one hit per category; compound forms
@@ -98,9 +83,8 @@ def collect_evidence(root: str, corpus: list[Analysis],
         iv_hit, tv_hit, kle_hit, ke_tv_hit = _analysis_hits(analysis)
         evidence.iv_hits += int(iv_hit)
         evidence.tv_hits += int(tv_hit)
-        if soft:
-            evidence.kle_hits += int(kle_hit)
-            evidence.ke_tv_hits += int(ke_tv_hit)
+        evidence.kle_hits += int(kle_hit)
+        evidence.ke_tv_hits += int(ke_tv_hit)
         evidence.sources[analysis.source or "unknown"] += 1
     return evidence
 
@@ -157,8 +141,7 @@ def reconcile(a: tuple[str, Verdict], b: tuple[str, Verdict]) -> Verdict:
 
 
 def classify_corpus(corpus: list[Analysis], lexicon: Lexicon | None = None,
-                    threshold: int = 1, soft: bool = True
-                    ) -> dict[str, tuple[Verdict, Evidence]]:
+                    threshold: int = 1) -> dict[str, tuple[Verdict, Evidence]]:
     """Full pipeline: per-source evidence, reconciliation, assertions.
 
     Verdicts are reconciled across corpus sources in sorted source order,
@@ -166,31 +149,29 @@ def classify_corpus(corpus: list[Analysis], lexicon: Lexicon | None = None,
     no corpus attestation still get a row; unknown-valency entries assert
     nothing).
     """
-    by_source: dict[str, list[Analysis]] = {}
-    roots = set()
+    # root -> source -> its single-root analyses, grouped in one pass
+    groups: dict[str, dict[str, list[Analysis]]] = {}
     for analysis in corpus:
         pieces = analysis.root_pieces
         if len(pieces) == 1:
-            roots.add(pieces[0].morph)
-        by_source.setdefault(analysis.source or "unknown", []).append(analysis)
+            groups.setdefault(pieces[0].morph, {}).setdefault(
+                analysis.source or "unknown", []).append(analysis)
 
     asserted: dict[str, str] = {}
     if lexicon is not None:
         for entry in lexicon.iter_roots():
             if entry.category == "verb" and entry.valency == "labile":
                 asserted.setdefault(entry.form, "labile")
-                roots.add(entry.form)
+                groups.setdefault(entry.form, {})
             elif entry.category == "verb" and entry.valency in ("TV", "IV"):
                 asserted.setdefault(entry.form, entry.valency)
 
     table: dict[str, tuple[Verdict, Evidence]] = {}
-    for root in sorted(roots):
+    for root in sorted(groups):
         total = Evidence(root)
         verdict: tuple[str, Verdict] | None = None
-        for source in sorted(by_source):
-            evidence = collect_evidence(root, by_source[source], soft=soft)
-            if not evidence.sources:
-                continue
+        for source, group in sorted(groups[root].items()):
+            evidence = collect_evidence(root, group)
             total = total.add(evidence)
             per_source = (source, classify(evidence, threshold))
             verdict = per_source if verdict is None \

@@ -41,10 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--format", choices=["gloss-text", "json-lines"],
                    default="gloss-text")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--all-analyses", action="store_true", default=True)
-    group.add_argument("--best", action="store_true",
-                       help="print only the top-ranked analysis per word")
+    p.add_argument("--best", action="store_true",
+                   help="print only the top-ranked analysis per word")
     p.add_argument("--source", default=None,
                    help="corpus id recorded on JSON output")
 
@@ -60,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--threshold", type=int, default=1,
                    help="diagnostic hits needed per class (>= 1)")
-    p.add_argument("--no-soft", action="store_true",
-                   help="ignore soft stative/habitual tallies")
     return parser
 
 
@@ -193,8 +189,7 @@ def _cmd_classify(args, stdin, stdout, stderr) -> int:
             continue
         print(f"<stdin>:{lineno}: {problem}", file=stderr)
         return EXIT_CONFIG
-    table = classify_corpus(corpus, lexicon, threshold=args.threshold,
-                            soft=not args.no_soft)
+    table = classify_corpus(corpus, lexicon, threshold=args.threshold)
     stdout.write(render_table(table))
     return EXIT_OK
 

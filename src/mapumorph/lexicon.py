@@ -319,18 +319,6 @@ def validate_lexicon(lex: Lexicon) -> list[Diagnostic]:
     return found
 
 
-def lookup_roots(lex: Lexicon, prefix: str) -> list[RootEntry]:
-    """All roots whose form is a prefix of *prefix*, longest first.
-
-    Ties are broken by category so the result is deterministic.  Surface
-    mutations are not undone here; that is the phonology's job.
-    """
-    if not prefix:
-        raise ValueError("prefix must be non-empty")
-    hits = [r for r in lex.roots.values() if prefix.startswith(r.form)]
-    return sorted(hits, key=lambda r: (-len(r.form), r.form, r.category))
-
-
 def _root_line(entry: RootEntry) -> str:
     senses = "|".join(f"{s.context}:{s.gloss}" for s in entry.senses)
     flags = "loan" if entry.loan else "-"

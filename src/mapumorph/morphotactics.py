@@ -119,23 +119,14 @@ def _member_effective_valency(root: RootEntry) -> str:
     return "TV" if root.valency == "TV" else "IV"
 
 
-def validate_plan(items: list, lexicon: Lexicon | None = None) -> list[Violation]:
-    """Validate a mixed sequence of RootUse and SuffixEntry items."""
-    return _fold(items, None)
+def validate_plan(items: list, lexicon: Lexicon | None = None,
+                  trace: list | None = None) -> list[Violation]:
+    """Validate a mixed sequence of RootUse and SuffixEntry items.
 
-
-def plan_trace(items: list) -> tuple[tuple[str, str], ...]:
-    """Stepwise transitivity states of a sequence: (root form or suffix
-    id, state after it) per item, from the fold that validates it."""
-    steps: list[tuple[str, str]] = []
-    _fold(items, steps)
-    return tuple(steps)
-
-
-def _fold(items: list, steps: list | None) -> list[Violation]:
-    """Walk *items* once, folding the transitivity state and collecting
-    violations; each (label, state) step is appended to *steps* unless
-    it is None."""
+    Walks *items* once, folding the transitivity state and collecting
+    violations.  When *trace* is a list, each step's (root form or
+    suffix id, state after it) is appended to it.
+    """
     violations: list[Violation] = []
     if not items or not isinstance(items[0], RootUse):
         raise ValueError("sequence must start with a root")
@@ -184,8 +175,8 @@ def _fold(items: list, steps: list | None) -> list[Violation]:
             slot_floor = 37
             since_root_min_slot = 37
             prev_item = item
-            if steps is not None:
-                steps.append((item.entry.form, state))
+            if trace is not None:
+                trace.append((item.entry.form, state))
             continue
 
         entry: SuffixEntry = item
@@ -266,8 +257,8 @@ def _fold(items: list, steps: list | None) -> list[Violation]:
             if not prev_is_ca:
                 violations.append(Violation("nom_requires_causative", i))
         prev_item = item
-        if steps is not None:
-            steps.append((entry.id, state))
+        if trace is not None:
+            trace.append((entry.id, state))
 
     if pending_member is not None:
         code = ("dp_member_context" if pending_member == "dp"

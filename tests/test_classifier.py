@@ -1,14 +1,18 @@
+import dataclasses
 import itertools
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mapumorph import classifier
 from mapumorph.classifier import (Evidence, Verdict, classify,
                                   classify_corpus, collect_evidence,
                                   reconcile, render_table)
 
-from helpers import classifier_corpus
+from helpers import CLASSIFIER_FORMS, classifier_corpus
 
 
 @pytest.fixture(scope="module")
@@ -154,13 +158,71 @@ class TestClassifyCorpus:
         verdict = classify(collect_evidence("püna", e8))
         assert verdict.label == "IV"
 
-    def test_soft_features_change_no_verdict(self, corpus, lexicon):
-        with_soft = classify_corpus(corpus, lexicon, soft=True)
-        without = classify_corpus(corpus, lexicon, soft=False)
-        assert {r: v.label for r, (v, _) in with_soft.items()} \
-            == {r: v.label for r, (v, _) in without.items()}
-
     def test_render_table_is_deterministic(self, corpus, lexicon):
         first = render_table(classify_corpus(corpus, lexicon))
         second = render_table(classify_corpus(corpus, lexicon))
         assert first == second
+
+
+def reference_classify_corpus(corpus, lexicon=None, threshold=1):
+    """classify_corpus as a nested root x source loop: every source's
+    analyses are rescanned for every root, and sources without a hit on
+    the root are skipped."""
+    by_source, roots = {}, set()
+    for analysis in corpus:
+        pieces = analysis.root_pieces
+        if len(pieces) == 1:
+            roots.add(pieces[0].morph)
+        by_source.setdefault(analysis.source or "unknown", []).append(analysis)
+    asserted = {}
+    if lexicon is not None:
+        for entry in lexicon.iter_roots():
+            if entry.category == "verb" and entry.valency == "labile":
+                asserted.setdefault(entry.form, "labile")
+                roots.add(entry.form)
+            elif entry.category == "verb" and entry.valency in ("TV", "IV"):
+                asserted.setdefault(entry.form, entry.valency)
+    table = {}
+    for root in sorted(roots):
+        total, verdict = Evidence(root), None
+        for source in sorted(by_source):
+            evidence = collect_evidence(root, by_source[source])
+            if not evidence.sources:
+                continue
+            total = total.add(evidence)
+            per_source = (source, classify(evidence, threshold))
+            verdict = per_source if verdict is None \
+                else (source, reconcile(verdict, per_source))
+        if verdict is None:
+            verdict = ("corpus", Verdict("undetermined"))
+        if root in asserted:
+            final = reconcile(verdict, ("lexicon", Verdict(asserted[root])))
+        else:
+            final = verdict[1]
+        table[root] = (final, total)
+    return table
+
+
+SOURCES = st.sampled_from(["smeets", "kona", "augusta", None])
+
+
+@given(picks=st.lists(st.tuples(st.integers(0, len(CLASSIFIER_FORMS) - 1),
+                                 SOURCES), max_size=40),
+       with_lexicon=st.booleans(), threshold=st.integers(1, 2))
+def test_one_pass_matches_the_nested_loop(corpus, lexicon, picks,
+                                          with_lexicon, threshold):
+    sub = [dataclasses.replace(corpus[i], source=source)
+           for i, source in picks]
+    lex = lexicon if with_lexicon else None
+    seen = Counter()
+
+    def recording(root, group):
+        seen.update(id(a) for a in group)
+        return collect_evidence(root, group)
+
+    with mock.patch.object(classifier, "collect_evidence", recording):
+        table = classify_corpus(sub, lex, threshold)
+    expected = reference_classify_corpus(sub, lex, threshold)
+    assert table == expected
+    assert render_table(table) == render_table(expected)
+    assert seen == Counter(id(a) for a in sub if len(a.root_pieces) == 1)

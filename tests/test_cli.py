@@ -135,6 +135,26 @@ class TestClassify:
         assert err.startswith("<stdin>:3: invalid JSON: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("source", 5, "source must be a string, not int"),
+        ("morph", 7, "morph must be a string, not int"),
+        ("tags", "CA", "tags must be a list of strings, not 'CA'"),
+    ], ids=["source", "morph", "tags"])
+    def test_field_of_wrong_type_is_located(self, field, value, message):
+        # next to a well-formed line: pünamün, IV.stick +CA +IND1SG
+        _, line, _ = invoke(["analyse", "--format", "json-lines", "--best"],
+                            "pünamün\n")
+        bad = json.loads(line)["analyses"][0]
+        if field == "source":
+            bad["source"] = value
+        elif field == "morph":
+            bad["pieces"][0]["morph"] = value  # the root
+        else:
+            bad["pieces"][1]["tags"] = value   # the causative
+        code, out, err = invoke(["classify"], line + json.dumps(bad) + "\n")
+        assert code == 1 and out == ""
+        assert err == f"<stdin>:2: malformed analysis: {message}\n"
+
 
 def test_slot_table_cross_check(tmp_path):
     bad = tmp_path / "slots.tsv"

@@ -1,0 +1,65 @@
+"""CLI stdout pinned on a fixed word list.
+
+``tests/data/golden/words.txt`` holds the gloss-corpus words, then the
+word generated from each of the first 100 tuples of
+``sample_valid_tuples(Random(36))`` followed by its near-miss probes
+``w[:-1]``, ``w + "a"`` and ``w + "m"``.  The pinned outputs are
+``analyse`` in gloss text, the sha256 of ``analyse --format json-lines
+--source kona`` and ``classify`` on that JSON.  To regenerate them after
+an intended output change, from the repository root in bash:
+
+    cd tests/data/golden && export PYTHONPATH=../../../src && python -m mapumorph analyse < words.txt > analyse.txt && python -m mapumorph analyse --format json-lines --source kona < words.txt | tee >(sha256sum | cut -d' ' -f1 > analyse-kona.sha256) | python -m mapumorph classify > classify.tsv
+"""
+
+import hashlib
+import io
+from random import Random
+
+import pytest
+
+from mapumorph import generate
+from mapumorph.cli import run
+
+from conftest import DATA, load_gloss_corpus
+from helpers import sample_valid_tuples
+
+GOLDEN = DATA / "golden"
+
+
+def invoke(argv, stdin_text):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = run(argv, stdin=io.StringIO(stdin_text), stdout=stdout,
+               stderr=stderr)
+    assert code == 0, stderr.getvalue()
+    return stdout.getvalue()
+
+
+def read(name):
+    return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def kona_json():
+    return invoke(["analyse", "--format", "json-lines", "--source", "kona"],
+                  read("words.txt"))
+
+
+def test_word_list_is_rebuilt_by_the_generator(lexicon, rules):
+    words = [word for word, _, _ in load_gloss_corpus()]
+    for root, sense, seq in sample_valid_tuples(Random(36), lexicon, 100):
+        word = generate(root, sense.context, seq, lexicon, rules)
+        words += [word, word[:-1], word + "a", word + "m"]
+    assert "\n".join(words) + "\n" == read("words.txt")
+
+
+def test_analyse_gloss_text():
+    assert invoke(["analyse"], read("words.txt")) == read("analyse.txt")
+
+
+def test_analyse_json_lines(kona_json):
+    digest = hashlib.sha256(kona_json.encode("utf-8")).hexdigest()
+    assert digest == read("analyse-kona.sha256").strip()
+
+
+def test_classify(kona_json):
+    assert invoke(["classify"], kona_json) == read("classify.tsv")

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from mapumorph.lexicon import (Lexicon, LexiconError, RootEntry, Sense,
                                dump_roots, dump_suffixes, load_lexicon,
-                               lookup_roots, parse_root_line,
-                               validate_lexicon)
+                               parse_root_line, validate_lexicon)
 
 from conftest import DATA
 
@@ -90,21 +89,6 @@ def test_gloss_corpus_uses_only_registered_tags(gloss_corpus):
             for part in body.split("+"):
                 code = part.split(".", 1)[0]
                 assert code in GLOSS_TAGS, (gloss, code)
-
-
-def test_lookup_longest_first(lexicon):
-    hits = lookup_roots(lexicon, "küpan")
-    assert [r.form for r in hits] == ["küpa"]
-    assert lookup_roots(lexicon, "zzz") == []
-    # the mutated stem of la+CA is not undone here; la itself matches
-    hits = lookup_roots(lexicon, "langüm")
-    assert [r.form for r in hits] == ["la"]
-    assert hits[0].category == "adjective"
-
-
-def test_lookup_requires_prefix(lexicon):
-    with pytest.raises(ValueError):
-        lookup_roots(lexicon, "")
 
 
 def test_round_trip_of_shipped_lexicon(tmp_path, lexicon):

@@ -125,12 +125,13 @@ class TestValidateSequence:
             validate_sequence((root, "IV"), ["NOPE.x"])
 
     def test_trace_reaches_second_object(self, lexicon):
-        from mapumorph.morphotactics import plan_trace
         root = lexicon.roots[("ngül", "verb")]
         items = [RootUse(root, root.senses[0]), lexicon.suffixes["CA.m"],
                  lexicon.suffixes["IO.nma"], lexicon.suffixes["AGR.e"],
                  lexicon.suffixes["IND1SG.n"], lexicon.suffixes["A3.ew"]]
-        states = [state for _, state in plan_trace(items)]
+        trace = []
+        validate_plan(items, lexicon, trace)
+        states = [state for _, state in trace]
         assert states[:3] == ["IV", "TV", "TV2"]
 
 
