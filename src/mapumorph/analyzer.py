@@ -193,8 +193,7 @@ class _Searcher:
         self.word = word
         self.lexicon = lexicon
         self.rules = rules
-        self.grammar = rules.compiled
-        morph = rules.compiled.morph
+        morph = rules.morph
         # (piece, rewrites_left, starts, slot, next floor, keeps the stem
         # open) per suffix allomorph usable after a vowel / consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
@@ -228,11 +227,10 @@ class _Searcher:
         return found
 
     def run(self):
-        grammar = self.grammar
         for piece, _, _ in self.roots:
             # The rule at the next boundary is the only one that can still
             # rewrite the root's part; may_start allows for it.
-            if grammar.may_start(piece, piece.form, self.word[0]):
+            if self.rules.may_start(piece, piece.form, self.word[0]):
                 state = extend_realization(new_realization(), piece,
                                            self.rules, self.lexicon)
                 self._step(state, 0, 37, 1, True)
@@ -280,7 +278,7 @@ class _Searcher:
         # the next boundary; may_start counts the first characters that
         # rule can give it, so this probe never drops a path.
         if pending and (new_pos >= len(self.word)
-                        or not self.grammar.may_start(
+                        or not self.rules.may_start(
                             new_state.pieces[-1], pending,
                             self.word[new_pos])):
             return

@@ -99,17 +99,22 @@ def _cmd_analyse(args, stdin, stdout, stderr) -> int:
         word = raw.strip()
         if not word:
             continue
+        error = None
         try:
             found = analyse(word, lexicon, rules)
         except AlphabetError as err:
-            print(f"{word}\tERROR\t{err}", file=stdout)
             print(f"analyse: {err}", file=stderr)
-            continue
+            if args.format != "json-lines":
+                print(f"{word}\tERROR\t{err}", file=stdout)
+                continue
+            found, error = [], str(err)
         if args.best:
             found = found[:1]
         if args.format == "json-lines":
             payload = {"word": word,
                        "analyses": [a.to_json() for a in found]}
+            if error is not None:
+                payload["error"] = error
             if args.source:
                 payload["source"] = args.source
                 for item in payload["analyses"]:

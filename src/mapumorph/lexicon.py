@@ -125,12 +125,6 @@ class Lexicon:
     def iter_suffixes(self) -> list[SuffixEntry]:
         return [self.suffixes[k] for k in sorted(self.suffixes)]
 
-    def with_root(self, entry: RootEntry) -> "Lexicon":
-        """New lexicon with *entry* added or replaced (self unchanged)."""
-        roots = dict(self.roots)
-        roots[(entry.form, entry.category)] = entry
-        return Lexicon(roots, dict(self.suffixes))
-
 
 def _check_root(entry: RootEntry) -> list[Diagnostic]:
     found = []

@@ -6,57 +6,175 @@ Rules live in a TSV table (``id kind left right rewrite exceptions``):
 * ``kind``: prothesis, sandhi, epenthesis or fusion.
 * ``left``: pattern on the piece before the boundary: ``=form`` or
   ``=form:category`` (whole-lexeme match), a single segment literal
-  (``f``, ``g``), ``V``/``C``, or ``suffix:ID``.
+  (``f``, ``g``), ``V``/``C``, ``suffix:ID``, or ``any``/``-``.
 * ``right``: same pattern language for the piece after the boundary.
 * ``rewrite``: ``&``-joined ops among ``left:append:X``, ``left:final:X``,
-  ``right:prefix:X``, ``right:set:X`` and ``fuse:X``.
+  ``right:prefix:X``, ``right:set:X`` and ``fuse:X`` (fusion rules
+  only); ``-`` for none.
 * ``exceptions``: comma list of lexemes (``form`` or ``form:category``)
   that never undergo the rule; ``-`` for none.
 
-Application is single pass, one rule per boundary, in table order; a
-table is applied through its compiled form (:mod:`mapumorph.boundary`).
-Generation applies the rules forward, and the analyser searches forward
-through the same compiled rules rather than undoing them.
-All functions here are pure; tables are immutable after loading.
+Each line is parsed once, at load, straight into the compiled
+:class:`BoundaryRule`; a malformed line fails there with its file and
+line.  Application is single pass, one rule per boundary, in table
+order.  Generation applies the rules forward, and the analyser searches
+forward through the same :class:`RuleTable` rather than undoing them.
+Realization states are immutable, so the search can branch from any
+state; tables change only by filling their memos.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import alphabet
-from .boundary import CompiledRules, PhonologyError, Piece, Realization
 from .lexicon import Lexicon, SuffixEntry
 
 RULE_KINDS = ("prothesis", "sandhi", "epenthesis", "fusion")
 
+# Rewrite op prefix -> the BoundaryRule field holding its target.
+_REWRITES = {"fuse:": "fuse", "left:append:": "left_append",
+             "left:final:": "left_final", "right:set:": "right_set",
+             "right:prefix:": "right_prefix"}
+
+
+class PhonologyError(ValueError):
+    pass
+
 
 @dataclass(frozen=True)
+class Piece:
+    """One underlying morph in a boundary sequence."""
+
+    form: str                      # root form, or suffix allomorph surface
+    kind: str                      # "root" or "suffix"
+    category: str | None = None    # lexical category, for roots
+    suffix_id: str | None = None   # suffix entry id, when known
+    fused: bool = False            # set by extend on the piece a fusion ate
+
+    @property
+    def is_root(self) -> bool:
+        return self.kind == "root"
+
+
+class Realization(NamedTuple):
+    """A morph sequence realised so far; the last part may still change."""
+
+    pieces: tuple[Piece, ...] = ()
+    parts: tuple[str, ...] = ()     # per-piece surfaces
+    surface: str = ""               # the parts joined
+    final: str = ""                 # final segment of surface, "" if empty
+
+
+def replace_final(surface: str, segment: str) -> str:
+    segs = alphabet.segments(surface)
+    segs[-1] = segment
+    return "".join(segs)
+
+
+# Pattern kinds of a compiled left/right pattern.
+_ANY, _LEXEME, _SUFFIX, _VOWEL, _CONSONANT, _SEGMENT = range(6)
+
+
+def _compile_pattern(text: str) -> tuple:
+    """(kind, form-or-id-or-segment, category) for one pattern string."""
+    if text in ("", "-", "any"):
+        return (_ANY, None, None)
+    if text.startswith("="):
+        form, colon, category = text[1:].partition(":")
+        return (_LEXEME, form, category if colon else None)
+    if text.startswith("suffix:"):
+        return (_SUFFIX, text.split(":", 1)[1], None)
+    if text == "V":
+        return (_VOWEL, None, None)
+    if text == "C":
+        return (_CONSONANT, None, None)
+    if alphabet.is_valid(text) and len(alphabet.segments(text)) == 1:
+        return (_SEGMENT, text, None)
+    raise PhonologyError(f"unknown pattern {text!r}")
+
+
+def _may_be(pattern: tuple, piece: Piece) -> bool:
+    """Whether *pattern* can match *piece* by the piece's identity alone:
+    a suffix pattern its suffix id (any id when the suffix piece has
+    none), a lexeme pattern its form and category.  Other patterns test
+    segments, so they pass here."""
+    kind, arg, category = pattern
+    if kind == _SUFFIX:
+        if piece.suffix_id is None:
+            return piece.kind == "suffix"
+        return piece.suffix_id == arg
+    if kind == _LEXEME:
+        return piece.form == arg and (category is None
+                                      or piece.category == category)
+    return True
+
+
+def _matches(pattern: tuple, piece: Piece, final: str,
+             lexicon: Lexicon | None) -> bool:
+    """Match a compiled pattern against a piece.
+
+    ``final`` is the final segment of the surface realised so far ("" when
+    nothing is), which V/C and segment-literal patterns test.
+    """
+    kind, arg, _ = pattern
+    if kind == _ANY:
+        return True
+    if kind in (_LEXEME, _SUFFIX):
+        if not _may_be(pattern, piece):
+            return False
+        if kind == _LEXEME or piece.suffix_id is not None:
+            return True
+        # a suffix piece without an id: its surface decides
+        entry = lexicon.suffixes.get(arg) if lexicon is not None else None
+        return entry is not None and piece.form in entry.surfaces()
+    if not final:
+        return False
+    if kind == _VOWEL:
+        return alphabet.is_vowel(final)
+    if kind == _CONSONANT:
+        return not alphabet.is_vowel(final)
+    return final == arg
+
+
+def _may_match_left(pattern: tuple, piece: Piece, surface: str) -> bool:
+    """Whether *pattern* can match *piece* on the left of a boundary while
+    its part reads *surface* (non-empty).  Never false when the match is
+    possible; used only to bound what a later rule can do to the part."""
+    kind, arg, _ = pattern
+    if kind == _VOWEL:
+        return alphabet.is_vowel(surface[-1])
+    if kind == _CONSONANT:
+        return not alphabet.is_vowel(surface[-1])
+    if kind == _SEGMENT:
+        # the final segment is the end of the part, or a digraph that
+        # ends with the whole part
+        return surface.endswith(arg) or arg.endswith(surface)
+    return _may_be(pattern, piece)
+
+
+@dataclass(frozen=True, slots=True)
 class BoundaryRule:
+    """One rule as parsed: compiled patterns, its exceptions as bare
+    forms and (form, category) pairs, and the target of each rewrite op
+    (None when the rule has no such op)."""
+
     id: str
-    kind: str
-    left: str
-    right: str
-    rewrite: tuple[str, ...]
-    exceptions: tuple[str, ...] = ()
+    left: tuple
+    right: tuple
+    except_forms: frozenset[str] = frozenset()
+    except_lexemes: frozenset[tuple[str, str]] = frozenset()
+    fuse: str | None = None
+    left_append: str | None = None
+    left_final: str | None = None
+    right_set: str | None = None
+    right_prefix: str | None = None
 
-    def rewrite_op(self, prefix: str) -> str | None:
-        for op in self.rewrite:
-            if op.startswith(prefix):
-                return op[len(prefix):]
-        return None
-
-
-@dataclass(frozen=True)
-class RuleTable:
-    rules: tuple[BoundaryRule, ...] = ()
-
-    @cached_property
-    def compiled(self) -> CompiledRules:
-        """The table compiled for lookup, built on first use."""
-        return CompiledRules(self)
+    def excepts(self, piece: Piece) -> bool:
+        return (piece.form in self.except_forms
+                or (piece.form, piece.category) in self.except_lexemes)
 
 
 def parse_rule_line(line: str) -> BoundaryRule:
@@ -66,10 +184,24 @@ def parse_rule_line(line: str) -> BoundaryRule:
     rid, kind, left, right, rewrite, exceptions = (c.strip() for c in cols[:6])
     if kind not in RULE_KINDS:
         raise PhonologyError(f"unknown rule kind {kind!r}")
-    ops = tuple(op.strip() for op in rewrite.split("&") if op.strip())
-    exc = tuple(e.strip() for e in exceptions.split(",")
-                if e.strip() and e.strip() != "-")
-    return BoundaryRule(rid, kind, left, right, ops, exc)
+    targets = {}
+    for op in (op.strip() for op in rewrite.split("&")):
+        if op in ("", "-"):
+            continue
+        prefix = next((p for p in _REWRITES if op.startswith(p)), None)
+        if prefix is None:
+            raise PhonologyError(f"unknown rewrite op {op!r}")
+        if prefix == "fuse:" and kind != "fusion":
+            raise PhonologyError(f"{op!r} on a {kind} rule; only fusion "
+                                 "rules fuse")
+        targets.setdefault(_REWRITES[prefix], op[len(prefix):])
+    exc = [e for e in (e.strip() for e in exceptions.split(","))
+           if e not in ("", "-")]
+    return BoundaryRule(
+        rid, _compile_pattern(left), _compile_pattern(right),
+        frozenset(e for e in exc if ":" not in e),
+        frozenset(tuple(e.split(":", 1)) for e in exc if ":" in e),
+        **targets)
 
 
 def load_rules(path: str | Path) -> RuleTable:
@@ -83,6 +215,166 @@ def load_rules(path: str | Path) -> RuleTable:
         except PhonologyError as err:
             raise PhonologyError(f"{path}:{lineno}: {err}") from None
     return RuleTable(tuple(rules))
+
+
+class RuleTable:
+    """A rule table, in table order, with its lookups memoised.
+
+    The candidates for a boundary are the rules whose right pattern can
+    match the identity of the piece after it, in table order, and the
+    first one whose exceptions and patterns all pass fires.  Per-piece
+    answers depend only on the table and the piece's value, never on a
+    lexicon, so they are memoised by value.
+    """
+
+    def __init__(self, rules: tuple[BoundaryRule, ...] = ()):
+        self.rules = tuple(rules)
+        # rules that can rewrite the start of the part left of a boundary
+        self._left_rewriters = [rule for rule in self.rules
+                                if rule.fuse is not None
+                                or rule.left_final is not None]
+        # memos, keyed by the piece fields the answers depend on
+        self._candidates: dict[tuple, tuple] = {}
+        self._morphs: dict[tuple, tuple] = {}
+        self._initials: dict[tuple, frozenset | None] = {}
+
+    def morph(self, form: str, kind: str, category: str | None = None,
+              suffix_id: str | None = None):
+        """(piece, rewrites_left, starts) for a lexicon morph, memoised, as
+        the analyser asks for every morph on every word.
+
+        ``rewrites_left`` tells whether a candidate rule of the piece can
+        rewrite the part before it.  When none can, that part stays as it
+        is and the piece's own part, whichever candidate fires, begins
+        with one of ``starts`` (see :meth:`initials`), or with anything
+        when ``starts`` is None because the part may be empty.
+        """
+        key = (form, kind, category, suffix_id)
+        found = self._morphs.get(key)
+        if found is None:
+            piece = Piece(form, kind, category=category, suffix_id=suffix_id)
+            surfaces = {form}
+            rewrites_left = False
+            for rule in self.candidates(piece):
+                if (rule.fuse is not None or rule.left_append is not None
+                        or rule.left_final is not None):
+                    rewrites_left = True
+                surface = form if rule.right_set is None else rule.right_set
+                if rule.right_prefix is not None:
+                    surface = rule.right_prefix + surface
+                surfaces.add(surface)
+            starts = frozenset()
+            for surface in surfaces:
+                chars = self.initials(piece, surface) if surface else None
+                if chars is None:
+                    starts = None
+                    break
+                starts |= chars
+            found = self._morphs[key] = (piece, rewrites_left, starts)
+        return found
+
+    def candidates(self, piece: Piece) -> tuple[BoundaryRule, ...]:
+        """Rules that may fire with *piece* right of the boundary, in
+        table order."""
+        key = (piece.kind, piece.suffix_id, piece.form, piece.category)
+        found = self._candidates.get(key)
+        if found is None:
+            found = self._candidates[key] = tuple(
+                rule for rule in self.rules if _may_be(rule.right, piece))
+        return found
+
+    def initials(self, piece: Piece, surface: str) -> frozenset[str] | None:
+        """First characters the part *surface* (non-empty) of *piece* can
+        have once the rule at the next boundary has applied to it, or
+        None for any character.
+
+        Only that rule can still change the part: fusion replaces it
+        whole, and a final-segment rewrite replaces the first character
+        of a one-segment part, so their targets are counted too.  A
+        target that empties the part lets the next part's first
+        character through, so then any character goes.
+        """
+        key = (piece.kind, piece.suffix_id, piece.form, piece.category,
+               surface)
+        chars = self._initials.get(key, False)
+        if chars is False:
+            chars = self._rewritten_initials(piece, surface)
+            self._initials[key] = chars
+        return chars
+
+    def may_start(self, piece: Piece, surface: str, char: str) -> bool:
+        """Whether the part *surface* of *piece* can begin with *char* once
+        the rule at the next boundary has applied (see :meth:`initials`)."""
+        if surface[0] == char:
+            return True
+        chars = self.initials(piece, surface)
+        return chars is None or char in chars
+
+    def _rewritten_initials(self, piece: Piece, surface: str):
+        chars = {surface[0]}
+        one_segment = None
+        for rule in self._left_rewriters:
+            if rule.excepts(piece) or not _may_match_left(rule.left, piece,
+                                                          surface):
+                continue
+            target = rule.fuse
+            if target is None:
+                if one_segment is None:
+                    one_segment = len(alphabet.segments(surface)) == 1
+                if not one_segment:
+                    continue
+                target = rule.left_final
+            if not target:
+                return None
+            chars.add(target[0])
+        return frozenset(chars)
+
+    def extend(self, state: Realization, piece: Piece,
+               lexicon: Lexicon | None) -> Realization:
+        """*state* followed by *piece*, with at most one rule applied at
+        the new boundary."""
+        if not state.pieces:
+            if not piece.is_root:
+                raise PhonologyError("sequence must start with a root")
+            return Realization((piece,), (piece.form,), piece.form,
+                               alphabet.final_segment(piece.form)
+                               if piece.form else "")
+        surface = piece.form
+        candidates = self.candidates(piece)
+        if not candidates:
+            joined = state.surface + surface
+            return Realization(state.pieces + (piece,),
+                               state.parts + (surface,), joined,
+                               alphabet.final_segment(joined) if surface
+                               else state.final)
+        prev = state.pieces[-1]
+        left = state.parts[-1]
+        for rule in candidates:
+            if rule.excepts(prev) or rule.excepts(piece):
+                continue
+            if not (_matches(rule.left, prev, state.final, lexicon)
+                    and _matches(rule.right, piece, state.final, lexicon)):
+                continue
+            if rule.left_final is not None and not left:
+                continue  # no final segment to rewrite
+            if rule.fuse is not None:
+                left, surface = rule.fuse, ""
+                piece = replace(piece, fused=True)
+                break
+            if rule.left_append is not None:
+                left = left + rule.left_append
+            if rule.left_final is not None:
+                left = replace_final(left, rule.left_final)
+            if rule.right_set is not None:
+                surface = rule.right_set
+            if rule.right_prefix is not None:
+                surface = rule.right_prefix + surface
+            break  # at most one rule per boundary
+        head = state.surface[:len(state.surface) - len(state.parts[-1])]
+        joined = head + left + surface
+        return Realization(state.pieces + (piece,),
+                           state.parts[:-1] + (left, surface), joined,
+                           alphabet.final_segment(joined) if joined else "")
 
 
 def normalize_piece(item, first: bool, lexicon: Lexicon | None) -> Piece:
@@ -165,7 +457,7 @@ def extend_realization(state: Realization, piece: Piece, rules: RuleTable,
                        lexicon: Lexicon | None) -> Realization:
     """*state* followed by *piece*: the one realization step that
     :func:`realize`, generation and the analyser's search all take."""
-    return rules.compiled.extend(state, piece, lexicon)
+    return rules.extend(state, piece, lexicon)
 
 
 def new_realization() -> Realization:

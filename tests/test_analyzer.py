@@ -88,10 +88,22 @@ class TestAmbiguity:
         words = ["küpalün", "mongekefiñ", "pifaleymün"]
         before = {w: {a.key() for a in analyse(w, lexicon)} for w in words}
         extra = RootEntry("küpal", "verb", "IV", (Sense("IV", "novel"),))
-        bigger = lexicon.with_root(extra)
+        bigger = Lexicon({**lexicon.roots, ("küpal", "verb"): extra},
+                         dict(lexicon.suffixes))
         for word in words:
             after = {a.key() for a in analyse(word, bigger)}
             assert before[word] <= after
+
+    def test_compound_label_can_differ_from_the_fold(self):
+        # The -CR label reads the labile root aye as IV whatever its
+        # sense, while validate_plan's fold stays TV after every piece.
+        # The printed label is pinned here: deriving it from the fold
+        # would change this output.
+        found = [a for a in analyse("ayefalen") if gloss_render(a)
+                 == "TV.laugh-at +DP.this -CR.IV +ST +IND1SG"]
+        assert len(found) == 1
+        assert found[0].stem_valency == "IV"
+        assert {state for _, state in found[0].trace} == {"TV"}
 
 
 class TestGenerate:

@@ -122,6 +122,19 @@ class TestClassify:
         assert code == 0
         assert any(line.startswith("aye\t") for line in out.splitlines())
 
+    def test_out_of_alphabet_word_keeps_json_lines_valid(self):
+        words = ["küpan", "hello", "püramün"]
+        argv = ["analyse", "--format", "json-lines", "--source", "kona"]
+        _, analysed, err = invoke(argv, "\n".join(words) + "\n")
+        line = json.loads(analysed.splitlines()[1])
+        assert line == {"analyses": [], "error": "unknown character 'h' in "
+                        "'hello'", "source": "kona", "word": "hello"}
+        assert err == "analyse: unknown character 'h' in 'hello'\n"
+        code, out, _ = invoke(["classify"], analysed)
+        _, without, _ = invoke(argv, "küpan\npüramün\n")
+        assert code == 0
+        assert out == invoke(["classify"], without)[1]
+
     def test_analysis_without_pieces_is_located(self):
         code, out, err = invoke(["classify"], '{"word":"x"}\n')
         assert code == 1 and out == ""

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mapumorph.analyzer import analyse, generate
@@ -103,6 +105,56 @@ class TestRealize:
         with pytest.raises(PhonologyError, match=r"rules\.tsv:2: unknown "
                            "rule kind 'allomorph_selection'"):
             load_rules(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("f-sandhi\tsandhi\tf\tsuffix:CA.m\tleft:finl:p\t-",
+         "unknown rewrite op 'left:finl:p'"),
+        ("f-sandhi\tsandhi\tf\tsuffix:CA.m\tfuse:p\t-",
+         "'fuse:p' on a sandhi rule"),
+        ("f-sandhi\tsandhi\tf\tsufix:CA.m\tleft:final:p\t-",
+         "unknown pattern 'sufix:CA.m'"),
+    ], ids=["unknown-op", "fuse-outside-fusion", "unknown-pattern"])
+    def test_malformed_rule_line_is_located(self, tmp_path, line, message):
+        path = tmp_path / "rules.tsv"
+        path.write_text(f"# f hardens\n{line}\n", encoding="utf-8")
+        with pytest.raises(PhonologyError,
+                           match=r"rules\.tsv:2: " + re.escape(message)):
+            load_rules(path)
+
+    def test_empty_targets_and_fuseless_fusion_load(self, lexicon, tmp_path):
+        fuseless = "x\tfusion\tV\tsuffix:IND1SG.n\t-\t-"
+        empty_set = "y\tsandhi\tV\tsuffix:IND1SG.n\tright:set:\t-"
+        # the fusion rule fires and rewrites nothing, so no later rule
+        # applies at that boundary
+        table = one_table(tmp_path, fuseless, empty_set)
+        assert realize(["küpa", "n"], lexicon, table) == "küpan"
+        table = one_table(tmp_path, empty_set, fuseless)
+        assert realize(["küpa", "n"], lexicon, table) == "küpa"
+
+    @pytest.mark.parametrize("first, second, seq, surfaces", [
+        ("g\tepenthesis\tV\tany\tright:prefix:e\t-",
+         "s\tepenthesis\tV\tsuffix:IND1SG.n\tright:prefix:ü\t-",
+         ["küpa", Piece("n", "suffix", suffix_id="IND1SG.n")],
+         ("küpaen", "küpaün")),
+        ("f\tepenthesis\tV\t=tüku\tright:prefix:n\t-",
+         "l\tepenthesis\tV\t=tüku:verb\tright:prefix:ñ\t-",
+         ["püna", ("tüku", "verb"), Piece("le", "suffix", suffix_id="ST.le"),
+          Piece("y", "suffix", suffix_id="IND.y"),
+          Piece("", "suffix", suffix_id="P3.ng")],
+         ("pünantükuley", "pünañtükuley")),
+    ], ids=["generic-vs-suffix", "form-vs-lexeme"])
+    def test_earliest_rule_fires_across_pattern_kinds(
+            self, lexicon, tmp_path, first, second, seq, surfaces):
+        morphs = tuple(item.suffix_id if isinstance(item, Piece)
+                       else item if isinstance(item, str) else item[0]
+                       for item in seq)
+        for lines, surface in (((first, second), surfaces[0]),
+                               ((second, first), surfaces[1])):
+            table = one_table(tmp_path, *lines)
+            assert realize(seq, lexicon, table) == surface
+            found = {tuple(p.morph for p in a.pieces)
+                     for a in analyse(surface, lexicon, table)}
+            assert morphs in found, (lines, surface)
 
     def test_must_start_with_root(self, lexicon, rules):
         with pytest.raises(PhonologyError):
