@@ -15,11 +15,13 @@ the ranking is a plumbing choice, not a linguistic claim.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
 from . import alphabet, tags
+from .defaults import tables
 from .lexicon import Lexicon, RootEntry, SuffixEntry
 from .morphotactics import (RootUse, compound_valency, validate_plan,
                             validate_sequence)
@@ -115,8 +117,9 @@ class Analysis:
 
     @classmethod
     def from_json(cls, data: dict) -> "Analysis":
-        """Inverse of :meth:`to_json`; a field of the wrong JSON type
-        raises TypeError."""
+        """Inverse of :meth:`to_json`; a field of the wrong JSON type, or a
+        trace step that is not a [morph, state] pair of strings with state
+        IV, TV or TV2, raises TypeError."""
         pieces = tuple(
             AnalysisPiece(p["span"][0], p["span"][1], _text(p, "kind"),
                           _text(p, "morph"), p.get("surface", ""),
@@ -125,7 +128,7 @@ class Analysis:
                           p.get("effect"), p.get("slot"),
                           p.get("fused_with_prev", False))
             for p in data["pieces"])
-        trace = tuple((m, s) for m, s in data.get("trace", ()))
+        trace = tuple(_trace_step(step) for step in data.get("trace", ()))
         source = data.get("source")
         return cls(_text(data, "word"), pieces, trace,
                    data.get("stem_valency"),
@@ -138,6 +141,14 @@ def _text(data: dict, name: str) -> str:
         raise TypeError(f"{name} must be a string, not "
                         f"{type(value).__name__}")
     return value
+
+
+def _trace_step(step) -> tuple[str, str]:
+    if not (isinstance(step, list) and len(step) == 2
+            and isinstance(step[0], str) and step[1] in ("IV", "TV", "TV2")):
+        raise TypeError("trace step must be [morph, IV|TV|TV2], not "
+                        f"{step!r}")
+    return step[0], step[1]
 
 
 def _tags(value) -> tuple[str, ...]:
@@ -167,33 +178,14 @@ def surface_licensing_ok(shaped: list[tuple[tuple[str, ...], str]]) -> bool:
     return True
 
 
-def _defaults(lexicon, rules):
-    if lexicon is None:
-        from .defaults import default_lexicon
-        lexicon = default_lexicon()
-    if rules is None:
-        from .defaults import default_rules
-        rules = default_rules()
-    return lexicon, rules
+class _Grammar:
+    """The search's tables for one (lexicon, rules), built once and shared
+    by every :func:`analyse` call with them: the suffix options per
+    preceding V/C, the root options, their filter by the character that
+    follows, and each root's sense choices."""
 
-
-class _Searcher:
-    """Depth-first enumeration of morph paths matching the word.
-
-    A path extends only with pieces that can still spell the word.  A
-    piece whose boundary rule may rewrite the pending part is always
-    tried; any other leaves that part as it is, so it is tried only when
-    the part reads on in the word and the piece's own part can start at
-    the character that follows.  Pieces are tried in the order of an
-    unpruned search (suffixes by id, then roots), so results come out in
-    that order.
-    """
-
-    def __init__(self, word: str, lexicon: Lexicon, rules: RuleTable):
-        self.word = word
-        self.lexicon = lexicon
-        self.rules = rules
-        morph = rules.morph
+    def __init__(self, lexicon: Lexicon, rules: RuleTable):
+        self.lexicon, self.rules = lexicon, rules
         # (piece, rewrites_left, starts, slot, next floor, keeps the stem
         # open) per suffix allomorph usable after a vowel / consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
@@ -202,87 +194,98 @@ class _Searcher:
             for kind, options in self.suffixes.items():
                 for a in entry.allomorphs_after(kind):
                     options.append(
-                        morph(a.surface, "suffix", suffix_id=entry.id)
+                        rules.morph(a.surface, "suffix", suffix_id=entry.id)
                         + (entry.slot, next_floor, entry.slot >= 33))
-        self.roots = [morph(e.form, "root", e.category)
+        self.roots = [rules.morph(e.form, "root", e.category)
                       for e in lexicon.iter_roots() if e.form]
-        self._options: dict[tuple, list] = {}
-        self.results: list[tuple[tuple[Piece, ...], tuple[str, ...]]] = []
-        self.dead: set = set()
+        # (sense choices as the first member, as a later one) per root; an
+        # incorporated demonstrative is a fixed construction, so its
+        # citation sense stands for all of them
+        self.uses = {}
+        for key, entry in lexicon.roots.items():
+            uses = tuple(RootUse(entry, s) for s in entry.senses)
+            later = uses[:1] if entry.category == "demonstrative" else uses
+            self.uses[key] = (uses, later)
+        self.options = functools.cache(self.options)
 
-    def options(self, kind: str, char: str | None) -> list:
+    def options(self, kind: str, char: str | None) -> tuple:
         """Suffix (kind "V"/"C") or root (kind "R") options worth trying
         when the pending part reads on and is followed by *char* ("" at
         the end of the word), or does not read on (None).  A piece whose
-        rule may rewrite the pending part is always worth trying."""
-        key = (kind, char)
-        found = self._options.get(key)
-        if found is None:
-            found = [
-                option for option in
-                (self.roots if kind == "R" else self.suffixes[kind])
-                if option[1] or (char is not None and (
-                    option[2] is None or char in option[2]))]
-            self._options[key] = found
-        return found
+        rule may rewrite the pending part is always worth trying.
+        Memoised per grammar."""
+        return tuple(option for option in
+                     (self.roots if kind == "R" else self.suffixes[kind])
+                     if option[1] or (char is not None and (
+                         option[2] is None or char in option[2])))
 
-    def run(self):
+    def search(self, word: str) -> list[tuple[tuple[Piece, ...], tuple]]:
+        """Depth-first enumeration of the (pieces, parts) paths matching
+        *word*; the results and dead states belong to this call alone.
+
+        A path extends only with pieces that can still spell the word.  A
+        piece whose boundary rule may rewrite the pending part is always
+        tried; any other leaves that part as it is, so it is tried only
+        when the part reads on in the word and the piece's own part can
+        start at the character that follows.  Pieces are tried in the
+        order of an unpruned search (suffixes by id, then roots), so
+        results come out in that order.
+        """
+        lexicon, rules, options = self.lexicon, self.rules, self.options
+        results, dead = [], set()
+
+        def step(state, pos, floor, n_members, member_ok):
+            last = state.pieces[-1]
+            pending = state.parts[-1]
+            key = (pos, pending, last.suffix_id or last.form,
+                   last.category, floor, n_members, member_ok)
+            if key in dead:
+                return
+            produced = len(results)
+
+            end = pos + len(pending)
+            if word.startswith(pending, pos):
+                if end == len(word):
+                    results.append((state.pieces, state.parts))
+                char = word[end:end + 1]
+            else:
+                char = None
+            kind = "V" if alphabet.is_vowel(state.final) else "C"
+            for piece, _, _, slot, next_floor, keeps_stem in options(kind,
+                                                                     char):
+                if slot < floor:
+                    extend(state, pos, piece, next_floor, n_members,
+                           member_ok and keeps_stem)
+
+            if member_ok and n_members < 3:
+                for piece, _, _ in options("R", char):
+                    extend(state, pos, piece, 37, n_members + 1, True)
+
+            if len(results) == produced:
+                dead.add(key)
+
+        def extend(state, pos, piece, floor, n_members, member_ok):
+            new_state = extend_realization(state, piece, rules, lexicon)
+            finalized = new_state.parts[-2]
+            if not word.startswith(finalized, pos):
+                return
+            new_pos = pos + len(finalized)
+            pending = new_state.parts[-1]
+            # The pending part is rewritten at most once more, by the rule
+            # at the next boundary; may_start counts the first characters
+            # that rule can give it, so this probe never drops a path.
+            if pending and (new_pos >= len(word) or not rules.may_start(
+                    new_state.pieces[-1], pending, word[new_pos])):
+                return
+            step(new_state, new_pos, floor, n_members, member_ok)
+
         for piece, _, _ in self.roots:
             # The rule at the next boundary is the only one that can still
             # rewrite the root's part; may_start allows for it.
-            if self.rules.may_start(piece, piece.form, self.word[0]):
-                state = extend_realization(new_realization(), piece,
-                                           self.rules, self.lexicon)
-                self._step(state, 0, 37, 1, True)
-        return self.results
-
-    def _step(self, state, pos, floor, n_members, member_ok):
-        last = state.pieces[-1]
-        pending = state.parts[-1]
-        key = (pos, pending, last.suffix_id or last.form,
-               last.category, floor, n_members, member_ok)
-        if key in self.dead:
-            return
-        produced = len(self.results)
-
-        word = self.word
-        end = pos + len(pending)
-        if word.startswith(pending, pos):
-            if end == len(word):
-                self.results.append((state.pieces, state.parts))
-            char = word[end:end + 1]
-        else:
-            char = None
-        kind = "V" if alphabet.is_vowel(state.final) else "C"
-        for piece, _, _, slot, next_floor, keeps_stem in self.options(kind,
-                                                                      char):
-            if slot < floor:
-                self._extend(state, pos, piece, next_floor, n_members,
-                             member_ok and keeps_stem)
-
-        if member_ok and n_members < 3:
-            for piece, _, _ in self.options("R", char):
-                self._extend(state, pos, piece, 37, n_members + 1, True)
-
-        if len(self.results) == produced:
-            self.dead.add(key)
-
-    def _extend(self, state, pos, piece, floor, n_members, member_ok):
-        new_state = extend_realization(state, piece, self.rules, self.lexicon)
-        finalized = new_state.parts[-2]
-        if not self.word.startswith(finalized, pos):
-            return
-        new_pos = pos + len(finalized)
-        pending = new_state.parts[-1]
-        # The pending part is rewritten at most once more, by the rule at
-        # the next boundary; may_start counts the first characters that
-        # rule can give it, so this probe never drops a path.
-        if pending and (new_pos >= len(self.word)
-                        or not self.rules.may_start(
-                            new_state.pieces[-1], pending,
-                            self.word[new_pos])):
-            return
-        self._step(new_state, new_pos, floor, n_members, member_ok)
+            if rules.may_start(piece, piece.form, word[0]):
+                step(extend_realization(new_realization(), piece, rules,
+                                        lexicon), 0, 37, 1, True)
+        return results
 
 
 def _build_analysis(word: str, pieces: tuple[Piece, ...],
@@ -321,30 +324,19 @@ def _build_analysis(word: str, pieces: tuple[Piece, ...],
 
 
 def _expand_senses(pieces: tuple[Piece, ...], parts: tuple[str, ...],
-                   word: str, lexicon: Lexicon) -> list[Analysis]:
+                   word: str, grammar: _Grammar) -> list[Analysis]:
     """Turn one piece path into analyses, one per root-sense combination."""
-    shaped = []
-    for i, piece in enumerate(pieces):
-        if piece.is_root:
-            shaped.append(((), parts[i]))
-        else:
-            entry = lexicon.suffixes[piece.suffix_id]
-            shaped.append(((entry.tag,), parts[i]))
+    lexicon = grammar.lexicon
+    shaped = [((), part) if piece.is_root
+              else ((lexicon.suffixes[piece.suffix_id].tag,), part)
+              for piece, part in zip(pieces, parts)]
     if not surface_licensing_ok(shaped):
         return []
 
-    sense_choices = []
-    first = True
-    for piece in pieces:
-        if piece.is_root:
-            entry = lexicon.roots[(piece.form, piece.category)]
-            senses = entry.senses
-            # An incorporated demonstrative is a fixed construction; its
-            # citation sense stands for all of them.
-            if not first and entry.category == "demonstrative":
-                senses = senses[:1]
-            sense_choices.append([RootUse(entry, s) for s in senses])
-            first = False
+    # the path starts with a root, so any root after piece 0 is a later
+    # compound member
+    sense_choices = [grammar.uses[(p.form, p.category)][i > 0]
+                     for i, p in enumerate(pieces) if p.is_root]
 
     analyses = []
     for combo in itertools.product(*sense_choices):
@@ -368,12 +360,13 @@ def analyse(word: str, lexicon: Lexicon | None = None,
     if not word:
         raise ValueError("word must be non-empty")
     alphabet.segments(word)
-    lexicon, rules = _defaults(lexicon, rules)
+    lexicon, rules = tables(lexicon, rules)
 
     analyses: list[Analysis] = []
     seen = set()
-    for pieces, parts in _Searcher(word, lexicon, rules).run():
-        for analysis in _expand_senses(pieces, parts, word, lexicon):
+    grammar = rules.for_lexicon(lexicon, _Grammar)
+    for pieces, parts in grammar.search(word):
+        for analysis in _expand_senses(pieces, parts, word, grammar):
             marker = (analysis.key(),
                       tuple((p.start, p.end) for p in analysis.pieces))
             if marker not in seen:
@@ -404,7 +397,7 @@ def generate(root, sense_context: str, suffix_ids,
     on the raised :class:`GenerationError`.  Deterministic: allomorphs
     are picked by the first context match.
     """
-    lexicon, rules = _defaults(lexicon, rules)
+    lexicon, rules = tables(lexicon, rules)
     entry = _resolve_root(root, lexicon)
     suffix_entries = []
     for sid in suffix_ids:

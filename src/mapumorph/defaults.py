@@ -22,3 +22,11 @@ def default_lexicon() -> Lexicon:
 @lru_cache(maxsize=None)
 def default_rules() -> RuleTable:
     return load_rules(data_path("rules.tsv"))
+
+
+def tables(lexicon: Lexicon | None = None,
+           rules: RuleTable | None = None) -> tuple[Lexicon, RuleTable]:
+    """The given lexicon and rule table, with the shipped one in place of
+    each that is None.  (An empty lexicon is falsy, so test for None.)"""
+    return (default_lexicon() if lexicon is None else lexicon,
+            default_rules() if rules is None else rules)

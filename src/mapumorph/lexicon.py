@@ -21,6 +21,8 @@ use any context match, so variants listed after a full V/C cover are
 reachable in analysis only.
 
 A lexicon is immutable after loading and safe to share across threads.
+The analyser compiles its search tables from a lexicon the first time
+it is used, so a lexicon changed after that analyses as it was.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tags
+from .defaults import tables
 from .lexicon import Lexicon, RootEntry, Sense, SuffixEntry
 
 # Codes beyond the core seven (CA_on_TV .. um_on_loan) belong to the
@@ -104,7 +105,7 @@ def compound_valency(members: list[tuple[RootEntry, SuffixEntry | None]]) -> str
     state = "IV"
     for root, causative in members:
         if root.category == "verb":
-            state = "TV" if root.valency == "TV" else "IV"
+            state = _member_effective_valency(root)
         elif root.category == "noun" and state == "TV":
             state = "IV"
         # other categories are transparent
@@ -309,8 +310,10 @@ def validate_sequence(root_sense: tuple[RootEntry, str],
 
     ``root_sense`` is (entry, valency-context); the context selects the
     sense of a labile root and must exist on the entry.  Suffixes may be
-    given as entries or ids (ids need *lexicon*); an unknown id raises.
+    given as entries or ids, looked up in *lexicon* (the shipped one by
+    default); an unknown id raises.
     """
+    lexicon, _ = tables(lexicon)
     entry, context = root_sense
     senses = entry.senses_for(context)
     if not senses:
@@ -318,9 +321,6 @@ def validate_sequence(root_sense: tuple[RootEntry, str],
     items: list = [RootUse(entry, senses[0])]
     for suffix in suffixes:
         if isinstance(suffix, str):
-            if lexicon is None:
-                from .defaults import default_lexicon
-                lexicon = default_lexicon()
             if suffix not in lexicon.suffixes:
                 raise KeyError(f"unknown suffix id {suffix!r}")
             suffix = lexicon.suffixes[suffix]

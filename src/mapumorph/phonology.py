@@ -84,8 +84,12 @@ def _compile_pattern(text: str) -> tuple:
         return (_ANY, None, None)
     if text.startswith("="):
         form, colon, category = text[1:].partition(":")
+        if not form or (colon and not category):
+            raise PhonologyError(f"empty form or category in pattern {text!r}")
         return (_LEXEME, form, category if colon else None)
     if text.startswith("suffix:"):
+        if text == "suffix:":
+            raise PhonologyError(f"empty suffix id in pattern {text!r}")
         return (_SUFFIX, text.split(":", 1)[1], None)
     if text == "V":
         return (_VOWEL, None, None)
@@ -194,7 +198,10 @@ def parse_rule_line(line: str) -> BoundaryRule:
         if prefix == "fuse:" and kind != "fusion":
             raise PhonologyError(f"{op!r} on a {kind} rule; only fusion "
                                  "rules fuse")
-        targets.setdefault(_REWRITES[prefix], op[len(prefix):])
+        if _REWRITES[prefix] in targets:
+            raise PhonologyError(f"second {prefix!r} op {op!r}; a rule "
+                                 "has at most one of each")
+        targets[_REWRITES[prefix]] = op[len(prefix):]
     exc = [e for e in (e.strip() for e in exceptions.split(","))
            if e not in ("", "-")]
     return BoundaryRule(
@@ -223,8 +230,9 @@ class RuleTable:
     The candidates for a boundary are the rules whose right pattern can
     match the identity of the piece after it, in table order, and the
     first one whose exceptions and patterns all pass fires.  Per-piece
-    answers depend only on the table and the piece's value, never on a
-    lexicon, so they are memoised by value.
+    answers depend only on the table and the piece's value, so they are
+    memoised by value; what is built from the table and a lexicon is
+    memoised per lexicon object (:meth:`for_lexicon`).
     """
 
     def __init__(self, rules: tuple[BoundaryRule, ...] = ()):
@@ -235,13 +243,13 @@ class RuleTable:
                                 or rule.left_final is not None]
         # memos, keyed by the piece fields the answers depend on
         self._candidates: dict[tuple, tuple] = {}
-        self._morphs: dict[tuple, tuple] = {}
         self._initials: dict[tuple, frozenset | None] = {}
+        # id(lexicon) -> (lexicon, what for_lexicon built for it)
+        self._lexicons: dict[int, tuple] = {}
 
     def morph(self, form: str, kind: str, category: str | None = None,
               suffix_id: str | None = None):
-        """(piece, rewrites_left, starts) for a lexicon morph, memoised, as
-        the analyser asks for every morph on every word.
+        """(piece, rewrites_left, starts) for a lexicon morph.
 
         ``rewrites_left`` tells whether a candidate rule of the piece can
         rewrite the part before it.  When none can, that part stays as it
@@ -249,29 +257,33 @@ class RuleTable:
         with one of ``starts`` (see :meth:`initials`), or with anything
         when ``starts`` is None because the part may be empty.
         """
-        key = (form, kind, category, suffix_id)
-        found = self._morphs.get(key)
-        if found is None:
-            piece = Piece(form, kind, category=category, suffix_id=suffix_id)
-            surfaces = {form}
-            rewrites_left = False
-            for rule in self.candidates(piece):
-                if (rule.fuse is not None or rule.left_append is not None
-                        or rule.left_final is not None):
-                    rewrites_left = True
-                surface = form if rule.right_set is None else rule.right_set
-                if rule.right_prefix is not None:
-                    surface = rule.right_prefix + surface
-                surfaces.add(surface)
-            starts = frozenset()
-            for surface in surfaces:
-                chars = self.initials(piece, surface) if surface else None
-                if chars is None:
-                    starts = None
-                    break
-                starts |= chars
-            found = self._morphs[key] = (piece, rewrites_left, starts)
-        return found
+        piece = Piece(form, kind, category=category, suffix_id=suffix_id)
+        surfaces = {form}
+        rewrites_left = False
+        for rule in self.candidates(piece):
+            if (rule.fuse is not None or rule.left_append is not None
+                    or rule.left_final is not None):
+                rewrites_left = True
+            surface = form if rule.right_set is None else rule.right_set
+            if rule.right_prefix is not None:
+                surface = rule.right_prefix + surface
+            surfaces.add(surface)
+        starts = frozenset()
+        for surface in surfaces:
+            chars = self.initials(piece, surface) if surface else None
+            if chars is None:
+                starts = None
+                break
+            starts |= chars
+        return piece, rewrites_left, starts
+
+    def for_lexicon(self, lexicon: Lexicon, build):
+        """``build(lexicon, self)``, called once per lexicon object; the
+        memo holds the lexicon, so its id is never reused."""
+        key = id(lexicon)
+        if key not in self._lexicons:
+            self._lexicons[key] = (lexicon, build(lexicon, self))
+        return self._lexicons[key][1]
 
     def candidates(self, piece: Piece) -> tuple[BoundaryRule, ...]:
         """Rules that may fire with *piece* right of the boundary, in
@@ -434,12 +446,8 @@ def realize(seq, lexicon: Lexicon | None = None,
     rule behaviour, e.g. nag 'down' vs nag- 'go down'), or as
     :class:`Piece` objects.
     """
-    if rules is None:
-        from .defaults import default_rules
-        rules = default_rules()
-    if lexicon is None:
-        from .defaults import default_lexicon
-        lexicon = default_lexicon()
+    from .defaults import tables  # defaults imports this module
+    lexicon, rules = tables(lexicon, rules)
     if not seq:
         raise PhonologyError("empty morph sequence")
     state = new_realization()

@@ -88,12 +88,15 @@ _STEM_ONLY_CODES = {
 }
 
 
-def build_mini_lexicon(full: Lexicon) -> Lexicon:
+def build_mini_lexicon(full: Lexicon, root_forms=MINI_ROOT_FORMS,
+                       suffix_ids=MINI_SUFFIX_IDS) -> Lexicon:
+    """The verb roots of *root_forms* and the suffixes of *suffix_ids*;
+    the oracle needs CA.m among the suffixes."""
     mini = Lexicon()
     for (form, category), entry in full.roots.items():
-        if form in MINI_ROOT_FORMS and category == "verb":
+        if form in root_forms and category == "verb":
             mini.roots[(form, category)] = entry
-    for sid in MINI_SUFFIX_IDS:
+    for sid in suffix_ids:
         mini.suffixes[sid] = full.suffixes[sid]
     return mini
 
@@ -167,8 +170,8 @@ def oracle_map(lexicon: Lexicon, rules, max_pieces: int = 6) -> dict[str, set]:
 
     grow([], 1)
 
-    chain_pool = sorted((lexicon.suffixes[sid] for sid in MINI_SUFFIX_IDS
-                         if sid != "CA.m"),
+    chain_pool = sorted((s for s in lexicon.iter_suffixes()
+                         if s.id != "CA.m"),
                         key=lambda s: -s.slot)
     chains = []
     for r in range(len(chain_pool) + 1):

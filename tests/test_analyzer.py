@@ -1,14 +1,19 @@
 import random
+import sys
+import threading
 
 import pytest
 
+from mapumorph import analyzer
 from mapumorph.alphabet import AlphabetError
 from mapumorph.analyzer import (GenerationError, analyse, generate,
                                 gloss_render, gloss_set, normalize_gloss)
+from mapumorph.defaults import data_path
 from mapumorph.lexicon import Lexicon, RootEntry, Sense
+from mapumorph.phonology import load_rules
 
 from conftest import load_gloss_corpus
-from helpers import sample_valid_tuples
+from helpers import build_mini_lexicon, oracle_map, sample_valid_tuples
 
 
 def glosses(word, lexicon=None, rules=None):
@@ -104,6 +109,106 @@ class TestAmbiguity:
         assert len(found) == 1
         assert found[0].stem_valency == "IV"
         assert {state for _, state in found[0].trace} == {"TV"}
+
+
+class TestSharedTables:
+    """The search tables are built once per (lexicon, rules) and shared
+    by every analyse call with them."""
+
+    def test_one_rule_table_serves_two_lexicons(self, lexicon, rules):
+        extra = RootEntry("küpal", "verb", "IV", (Sense("IV", "novel"),))
+        bigger = Lexicon({**lexicon.roots, ("küpal", "verb"): extra},
+                         dict(lexicon.suffixes))
+        assert "IV.novel IND1SG" not in glosses("küpalün", lexicon, rules)
+        assert "IV.novel IND1SG" in glosses("küpalün", bigger, rules)
+        assert "IV.novel IND1SG" not in glosses("küpalün", lexicon, rules)
+
+    def test_tables_are_built_once_per_lexicon(self, lexicon, monkeypatch):
+        rules = load_rules(data_path("rules.tsv"))
+        grammar = analyzer._Grammar
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return grammar(*args)
+
+        monkeypatch.setattr(analyzer, "_Grammar", counting)
+        for word in ("küpalün", "pünamün", "küpalün", "kkkk"):
+            analyse(word, lexicon, rules)
+        assert len(built) == 1
+        analyse("küpalün", Lexicon(dict(lexicon.roots),
+                                   dict(lexicon.suffixes)), rules)
+        assert len(built) == 2
+
+    def test_threads_sharing_the_tables_get_the_serial_results(self, lexicon):
+        rules = load_rules(data_path("rules.tsv"))
+        words = ["pünamün", "küpalün", "mongelkefiiñ", "pifaleymün", "kkkk",
+                 "yewekefwin", "llükafi"]
+        expected = [[a.to_json() for a in analyse(w, lexicon)] for w in words]
+        got = {}
+
+        def work(k):
+            got[k] = [[a.to_json() for a in analyse(w, lexicon, rules)]
+                      for w in words[k % len(words):] + words[:k % len(words)]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            shift = k % len(words)
+            assert got[k] == expected[shift:] + expected[:shift], k
+
+
+# Roots and suffixes of a second oracle lexicon: RI.fu fuses with AGR.fi
+# and AGR.e, tu and püra take an epenthetic n/ñ as later compound
+# members, and llüka is labile.
+FUSION_ROOT_FORMS = ["püra", "tu", "llüka", "elu"]
+FUSION_SUFFIX_IDS = ["CA.m", "RI.fu", "AGR.fi", "AGR.e", "IND.y",
+                     "IND1SG.n", "P3.ng", "A3.ew"]
+
+
+def test_oracle_equivalence_with_fusion_and_epenthesis(lexicon, rules):
+    """analyse matches forward enumeration on accepted and rejected
+    strings over a mini lexicon whose boundaries fuse and epenthesise."""
+    mini = build_mini_lexicon(lexicon, FUSION_ROOT_FORMS, FUSION_SUFFIX_IDS)
+    assert len(mini.roots) == 4 and len(mini.suffixes) == 8
+    surface_map = oracle_map(mini, rules, max_pieces=5)
+
+    mismatches = []
+    fused = epenthetic = 0
+    for surface, keys in sorted(surface_map.items()):
+        found = [a for a in analyse(surface, mini, rules)
+                 if len(a.pieces) <= 5]
+        if {a.key() for a in found} != keys:
+            mismatches.append((surface, keys ^ {a.key() for a in found}))
+        pieces = [p for a in found for p in a.pieces]
+        fused += any(p.fused_with_prev for p in pieces)
+        epenthetic += any(p.kind == "root" and p.surface != p.morph
+                          for p in pieces)
+    assert not mismatches, mismatches[:5]
+    assert fused and epenthetic, (fused, epenthetic)
+
+    probe_rng = random.Random(9)
+    probes = set()
+    for surface in probe_rng.sample(sorted(surface_map), 400):
+        probes.update({surface[:-1], surface + "a", surface + "m"})
+    rejected = 0
+    for probe in sorted(p for p in probes if p):
+        got = {a.key() for a in analyse(probe, mini, rules)
+               if len(a.pieces) <= 5}
+        expected = surface_map.get(probe, set())
+        assert got == expected, probe
+        rejected += not expected
+    assert rejected > 0
 
 
 class TestGenerate:

@@ -152,7 +152,16 @@ class TestClassify:
         ("source", 5, "source must be a string, not int"),
         ("morph", 7, "morph must be a string, not int"),
         ("tags", "CA", "tags must be a list of strings, not 'CA'"),
-    ], ids=["source", "morph", "tags"])
+        ("trace", ["püna", 1],
+         "trace step must be [morph, IV|TV|TV2], not ['püna', 1]"),
+        ("trace", ["püna", "iv"],
+         "trace step must be [morph, IV|TV|TV2], not ['püna', 'iv']"),
+        ("trace", ["püna", "IV", "TV"],
+         "trace step must be [morph, IV|TV|TV2], not ['püna', 'IV', 'TV']"),
+        ("trace", "püna",
+         "trace step must be [morph, IV|TV|TV2], not 'püna'"),
+    ], ids=["source", "morph", "tags", "trace-state-int",
+            "trace-state-lowercase", "trace-step-of-three", "trace-step-str"])
     def test_field_of_wrong_type_is_located(self, field, value, message):
         # next to a well-formed line: pünamün, IV.stick +CA +IND1SG
         _, line, _ = invoke(["analyse", "--format", "json-lines", "--best"],
@@ -162,6 +171,8 @@ class TestClassify:
             bad["source"] = value
         elif field == "morph":
             bad["pieces"][0]["morph"] = value  # the root
+        elif field == "trace":
+            bad["trace"][0] = value            # the root's step
         else:
             bad["pieces"][1]["tags"] = value   # the causative
         code, out, err = invoke(["classify"], line + json.dumps(bad) + "\n")

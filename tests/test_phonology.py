@@ -113,7 +113,19 @@ class TestRealize:
          "'fuse:p' on a sandhi rule"),
         ("f-sandhi\tsandhi\tf\tsufix:CA.m\tleft:final:p\t-",
          "unknown pattern 'sufix:CA.m'"),
-    ], ids=["unknown-op", "fuse-outside-fusion", "unknown-pattern"])
+        ("f-sandhi\tsandhi\tf\tsuffix:CA.m\tleft:final:p&left:final:k\t-",
+         "second 'left:final:' op 'left:final:k'"),
+        ("f-sandhi\tsandhi\tf\tsuffix:\tleft:final:p\t-",
+         "empty suffix id in pattern 'suffix:'"),
+        ("g-sandhi\tsandhi\t=\tsuffix:CA.m\tleft:final:k\t-",
+         "empty form or category in pattern '='"),
+        ("g-sandhi\tsandhi\t=:verb\tsuffix:CA.m\tleft:final:k\t-",
+         "empty form or category in pattern '=:verb'"),
+        ("g-sandhi\tsandhi\t=nag:\tsuffix:CA.m\tleft:final:k\t-",
+         "empty form or category in pattern '=nag:'"),
+    ], ids=["unknown-op", "fuse-outside-fusion", "unknown-pattern",
+            "repeated-op", "empty-suffix-id", "empty-form",
+            "empty-form-with-category", "empty-category"])
     def test_malformed_rule_line_is_located(self, tmp_path, line, message):
         path = tmp_path / "rules.tsv"
         path.write_text(f"# f hardens\n{line}\n", encoding="utf-8")
