@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from . import alphabet, tags
 from .defaults import tables
 from .lexicon import Lexicon, RootEntry, SuffixEntry
-from .morphotactics import (RootUse, compound_valency, validate_plan,
+from .morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE, RootUse,
+                            compound_valency, next_floor, validate_plan,
                             validate_sequence)
 from .phonology import (Piece, RuleTable, extend_realization,
                         new_realization, select_allomorph)
@@ -190,12 +191,12 @@ class _Grammar:
         # open) per suffix allomorph usable after a vowel / consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
         for entry in sorted(lexicon.suffixes.values(), key=lambda s: s.id):
-            next_floor = 3 if entry.tag == "IND1SG" else entry.slot
             for kind, options in self.suffixes.items():
                 for a in entry.allomorphs_after(kind):
                     options.append(
                         rules.morph(a.surface, "suffix", suffix_id=entry.id)
-                        + (entry.slot, next_floor, entry.slot >= 33))
+                        + (entry.slot, next_floor(entry),
+                           entry.slot >= STEM_ZONE))
         self.roots = [rules.morph(e.form, "root", e.category)
                       for e in lexicon.iter_roots() if e.form]
         # (sense choices as the first member, as a later one) per root; an
@@ -257,9 +258,9 @@ class _Grammar:
                     extend(state, pos, piece, next_floor, n_members,
                            member_ok and keeps_stem)
 
-            if member_ok and n_members < 3:
+            if member_ok and n_members < MAX_MEMBERS:
                 for piece, _, _ in options("R", char):
-                    extend(state, pos, piece, 37, n_members + 1, True)
+                    extend(state, pos, piece, OPEN_FLOOR, n_members + 1, True)
 
             if len(results) == produced:
                 dead.add(key)
@@ -284,7 +285,7 @@ class _Grammar:
             # rewrite the root's part; may_start allows for it.
             if rules.may_start(piece, piece.form, word[0]):
                 step(extend_realization(new_realization(), piece, rules,
-                                        lexicon), 0, 37, 1, True)
+                                        lexicon), 0, OPEN_FLOOR, 1, True)
         return results
 
 

@@ -129,6 +129,11 @@ def _cmd_analyse(args, stdin, stdout, stderr) -> int:
     return EXIT_OK
 
 
+def violations_json(violations) -> str:
+    """One JSON line for a violation list, a generate ERROR's payload."""
+    return json.dumps([v.to_json() for v in violations], ensure_ascii=False)
+
+
 def _cmd_generate(args, stdin, stdout, stderr) -> int:
     lexicon, rules = _load_tables(args)
     for raw in stdin:
@@ -146,7 +151,6 @@ def _cmd_generate(args, stdin, stdout, stderr) -> int:
         try:
             surface = generate(root, sense, suffix_ids, lexicon, rules)
         except GenerationError as err:
-            from .morphotactics import violations_json
             print(f"{line}\tERROR\t{violations_json(err.violations)}",
                   file=stdout)
             print(f"generate: {err}", file=stderr)

@@ -20,15 +20,16 @@ order matters: generation picks the first context match, analysis may
 use any context match, so variants listed after a full V/C cover are
 reachable in analysis only.
 
-A lexicon is immutable after loading and safe to share across threads.
-The analyser compiles its search tables from a lexicon the first time
-it is used, so a lexicon changed after that analyses as it was.
+A lexicon is immutable, its mappings read-only copies of the ones it was
+built from, and safe to share across threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from . import alphabet, tags
 
@@ -104,15 +105,15 @@ class Diagnostic:
     invariant: bool = True  # False for advisory findings
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    roots: dict[tuple[str, str], RootEntry] = field(default_factory=dict)
-    suffixes: dict[str, SuffixEntry] = field(default_factory=dict)
+    roots: Mapping[tuple[str, str], RootEntry] = field(default_factory=dict)
+    suffixes: Mapping[str, SuffixEntry] = field(default_factory=dict)
 
-    def __eq__(self, other) -> bool:  # order-insensitive
-        if not isinstance(other, Lexicon):
-            return NotImplemented
-        return self.roots == other.roots and self.suffixes == other.suffixes
+    def __post_init__(self):
+        for name in ("roots", "suffixes"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
 
     def __len__(self) -> int:
         return len(self.roots) + len(self.suffixes)
@@ -254,7 +255,8 @@ def load_lexicon(root_path: str | Path,
     are still loaded so that :func:`validate_lexicon` can report them.
     Duplicate (form, category) pairs and malformed lines always raise.
     """
-    lex = Lexicon()
+    roots: dict[tuple[str, str], RootEntry] = {}
+    suffixes: dict[str, SuffixEntry] = {}
     root_path = Path(root_path)
     for lineno, line in _iter_data_lines(root_path):
         try:
@@ -262,7 +264,7 @@ def load_lexicon(root_path: str | Path,
         except LexiconError as err:
             raise LexiconError(str(err), str(root_path), lineno) from None
         key = (entry.form, entry.category)
-        if key in lex.roots:
+        if key in roots:
             raise LexiconError(
                 f"duplicate root ({entry.form}, {entry.category})",
                 str(root_path), lineno)
@@ -273,7 +275,7 @@ def load_lexicon(root_path: str | Path,
                     f"invariant violation for root {entry.form!r}: "
                     + "; ".join(d.message for d in problems),
                     str(root_path), lineno)
-        lex.roots[key] = entry
+        roots[key] = entry
     if suffix_path is not None:
         suffix_path = Path(suffix_path)
         for lineno, line in _iter_data_lines(suffix_path):
@@ -281,7 +283,7 @@ def load_lexicon(root_path: str | Path,
                 entry = parse_suffix_line(line)
             except LexiconError as err:
                 raise LexiconError(str(err), str(suffix_path), lineno) from None
-            if entry.id in lex.suffixes:
+            if entry.id in suffixes:
                 raise LexiconError(f"duplicate suffix id {entry.id!r}",
                                    str(suffix_path), lineno)
             if strict:
@@ -291,8 +293,8 @@ def load_lexicon(root_path: str | Path,
                         f"invariant violation for suffix {entry.id!r}: "
                         + "; ".join(d.message for d in problems),
                         str(suffix_path), lineno)
-            lex.suffixes[entry.id] = entry
-    return lex
+            suffixes[entry.id] = entry
+    return Lexicon(roots, suffixes)
 
 
 def validate_lexicon(lex: Lexicon) -> list[Diagnostic]:

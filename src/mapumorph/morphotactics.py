@@ -62,12 +62,6 @@ class Violation:
         return {"code": self.code, "at": self.at, "message": self.message}
 
 
-def violations_json(violations) -> str:
-    """One JSON line for a violation list (the CLI's wire format)."""
-    import json
-    return json.dumps([v.to_json() for v in violations], ensure_ascii=False)
-
-
 @dataclass(frozen=True)
 class RootUse:
     """A root together with the sense row selected for this analysis."""
@@ -75,9 +69,25 @@ class RootUse:
     entry: RootEntry
     sense: Sense
 
-    @property
-    def base_state(self) -> str:
-        return self.sense.context
+
+# The slot template, stated here alone.  Suffix slots fall from OPEN_FLOOR;
+# a new member (at most MAX_MEMBERS) reopens them while every suffix since
+# the last one is in the stem zone (slot >= STEM_ZONE); a suffix in slot
+# INFLECTION_ZONE or below inflects the form, which then needs a mood.
+OPEN_FLOOR = 37
+STEM_ZONE = 33
+MAX_MEMBERS = 3
+INFLECTION_ZONE = 15
+
+# tags that mark person or number, which a verbal noun does not take
+_PERSON_NUMBER_TAGS = tags.PERSON_TAGS | tags.AGENT_TAGS | {"SG", "DL", "PL"}
+
+
+def next_floor(entry: SuffixEntry, floor: int = OPEN_FLOOR) -> int:
+    """Slot floor after *entry* under *floor*: the lower of the two.  The
+    IND1SG portmanteau fills the mood and person slots 4 and 3, so it
+    leaves 3 whatever the floor was, even a lower one."""
+    return 3 if entry.tag == "IND1SG" else min(floor, entry.slot)
 
 
 def valency_step(state: str, effect: str) -> str:
@@ -115,190 +125,137 @@ def compound_valency(members: list[tuple[RootEntry, SuffixEntry | None]]) -> str
 
 
 def _member_effective_valency(root: RootEntry) -> str:
-    if root.category != "verb":
-        return "IV"
-    return "TV" if root.valency == "TV" else "IV"
+    return "TV" if root.category == "verb" and root.valency == "TV" else "IV"
 
 
 def validate_plan(items: list, lexicon: Lexicon | None = None,
                   trace: list | None = None) -> list[Violation]:
     """Validate a mixed sequence of RootUse and SuffixEntry items.
 
-    Walks *items* once, folding the transitivity state and collecting
-    violations.  When *trace* is a list, each step's (root form or
-    suffix id, state after it) is appended to it.
+    Walks *items* once, folding a small state and collecting violations
+    (*lexicon* is not read): the valency ``state``, the slot ``floor``,
+    the stem members so far and the ``last``; ``stem_open``, whether every
+    suffix since it is in the stem zone; ``pending``, the code a
+    non-verbal member raises unless the next suffix licenses it; the
+    previous suffix tag (None after a member); the first ``mood``;
+    whether the form is ``inflected``; the tags ``seen`` and ``slot6``.
+    When *trace* is a list, each step's (root form or suffix id, state
+    after it) is appended to it.
     """
-    violations: list[Violation] = []
     if not items or not isinstance(items[0], RootUse):
         raise ValueError("sequence must start with a root")
+    first = items[0]
+    violations: list[Violation] = []
+    state, floor, n_members, last = first.sense.context, OPEN_FLOOR, 1, first
+    stem_open, pending, prev_tag = True, None, None
+    mood, inflected, seen, slot6 = None, False, set(), False
+    if trace is not None:
+        trace.append((first.entry.form, state))
 
-    state = "IV"
-    slot_floor = 37
-    members: list[RootUse] = []
-    since_root_min_slot = 37
-    pending_member: str | None = None  # "causative" or "dp"
-    first_root: RootUse | None = None
-    mood_tag: str | None = None
-    min_suffix_slot = 37
-    has_person = has_inv = has_agent = False
-    has_st = has_slot6 = has_inst = False
-    has_p1 = has_sg = has_dl_pl = False
-    prev_item = None
-
-    for i, item in enumerate(items):
+    for i, item in enumerate(items[1:], 1):
         if isinstance(item, RootUse):
-            if members:
-                if since_root_min_slot < 33:
-                    violations.append(Violation("member_position", i))
-                if len(members) >= 3:
-                    violations.append(Violation("compound_depth", i))
-                if pending_member is not None:
-                    code = ("dp_member_context" if pending_member == "dp"
-                            else "member_needs_causative")
-                    violations.append(Violation(code, i))
-                    pending_member = None
-                category = item.entry.category
-                if category == "verb":
-                    state = _member_effective_valency(item.entry)
-                elif category == "noun":
-                    if state in ("TV", "TV2"):
-                        state = valency_step(state, "decrease")
-                    else:
-                        violations.append(Violation("noun_incorporation", i))
-                elif category == "demonstrative":
-                    pending_member = "dp"
+            if not stem_open:
+                violations.append(Violation("member_position", i))
+            if n_members >= MAX_MEMBERS:
+                violations.append(Violation("compound_depth", i))
+            if pending is not None:
+                violations.append(Violation(pending, i))
+                pending = None
+            category = item.entry.category
+            if category == "verb":
+                state = _member_effective_valency(item.entry)
+            elif category == "noun":
+                if state in ("TV", "TV2"):
+                    state = valency_step(state, "decrease")
                 else:
-                    pending_member = "causative"
+                    violations.append(Violation("noun_incorporation", i))
+            elif category == "demonstrative":
+                pending = "dp_member_context"
             else:
-                first_root = item
-                state = item.base_state
-            members.append(item)
-            slot_floor = 37
-            since_root_min_slot = 37
-            prev_item = item
+                pending = "member_needs_causative"
+            n_members, last = n_members + 1, item
+            floor, stem_open, prev_tag = OPEN_FLOOR, True, None
             if trace is not None:
                 trace.append((item.entry.form, state))
             continue
 
         entry: SuffixEntry = item
-        if pending_member is not None:
-            ok = (entry.tag == "CA" if pending_member == "causative"
-                  else entry.id == "CA.l" or entry.tag == "ST")
-            if not ok:
-                code = ("dp_member_context" if pending_member == "dp"
-                        else "member_needs_causative")
-                violations.append(Violation(code, i))
-            pending_member = None
+        if pending is not None:
+            if not (entry.tag == "CA" if pending == "member_needs_causative"
+                    else entry.id == "CA.l" or entry.tag == "ST"):
+                violations.append(Violation(pending, i))
+            pending = None
 
-        if entry.slot >= slot_floor:
-            code = "slot_conflict" if entry.slot == slot_floor else "slot_order"
-            violations.append(Violation(code, i))
-        slot_floor = min(slot_floor, entry.slot)
-        since_root_min_slot = min(since_root_min_slot, entry.slot)
-        min_suffix_slot = min(min_suffix_slot, entry.slot)
-        if entry.tag == "IND1SG":
-            slot_floor = 3  # portmanteau mood+person fills slots 4 and 3
+        if entry.slot >= floor:
+            violations.append(Violation(
+                "slot_conflict" if entry.slot == floor else "slot_order", i))
+        floor = next_floor(entry, floor)
+        stem_open = stem_open and entry.slot >= STEM_ZONE
+        inflected = inflected or entry.slot <= INFLECTION_ZONE
 
+        # a lone root of unknown valency takes a causative or agreement
+        # whatever its sense; a labile one takes agreement
+        lone = first.entry.valency if n_members == 1 else None
         if entry.tag == "CA":
-            attached_root = prev_item if isinstance(prev_item, RootUse) else None
-            if attached_root is not None:
-                if len(members) == 1:  # attached to the stem-initial root
-                    target_ok = attached_root.base_state == "IV" \
-                        or attached_root.entry.valency == "unknown"
-                else:
-                    target_ok = _member_effective_valency(attached_root.entry) == "IV"
-                target_root = attached_root.entry
-            else:
-                target_ok = state == "IV" or (
-                    first_root is not None
-                    and first_root.entry.valency == "unknown"
-                    and len(members) == 1)
-                target_root = members[-1].entry
-            if not target_ok:
+            if prev_tag is None and n_members > 1:  # on a later member
+                ok = _member_effective_valency(last.entry) == "IV"
+            else:  # on the stem (right after a lone root, its sense)
+                ok = state == "IV" or lone == "unknown"
+            if not ok:
                 violations.append(Violation("CA_on_TV", i))
-            if entry.id == "CA.m" and target_root.loan:
+            if entry.id == "CA.m" and last.entry.loan:
                 violations.append(Violation("um_on_loan", i))
-            state = valency_step(state, "increase")
         elif entry.attach_constraint == "tv_stem_only":
-            permissive = (len(members) == 1 and first_root is not None
-                          and first_root.entry.valency in ("labile", "unknown"))
-            if state not in ("TV", "TV2") and not permissive:
-                code = ("AGR_on_IV"
-                        if entry.valency_effect == "agreement_tv_only"
-                        else "tv_only_suffix")
-                violations.append(Violation(code, i))
-            state = valency_step(state, entry.valency_effect)
-        else:
-            if entry.attach_constraint == "iv_stem_only" and state != "IV":
-                violations.append(Violation("CA_on_TV", i))
-            state = valency_step(state, entry.valency_effect)
+            if state not in ("TV", "TV2") and lone not in ("labile", "unknown"):
+                violations.append(Violation(
+                    "AGR_on_IV" if entry.valency_effect == "agreement_tv_only"
+                    else "tv_only_suffix", i))
+        elif entry.attach_constraint == "iv_stem_only" and state != "IV":
+            violations.append(Violation("CA_on_TV", i))
+        state = valency_step(state, "increase" if entry.tag == "CA"
+                             else entry.valency_effect)
 
-        if entry.tag in tags.MOOD_TAGS and mood_tag is None:
-            mood_tag = entry.tag
-        if entry.tag in tags.PERSON_TAGS:
-            has_person = True
-            if entry.tag == "1":
-                has_p1 = True
-        if entry.tag == "SG":
-            has_sg = True
-        if entry.tag in ("DL", "PL"):
-            has_dl_pl = True
-        if entry.tag == "INV":
-            has_inv = True
-        if entry.tag in tags.AGENT_TAGS:
-            has_agent = True
-        if entry.tag == "ST":
-            has_st = True
-        if entry.slot == 6:
-            has_slot6 = True
-        if entry.tag == "INST":
-            has_inst = True
-        if entry.id == "NOM.0":
-            prev_is_ca = isinstance(prev_item, SuffixEntry) and prev_item.tag == "CA"
-            if not prev_is_ca:
-                violations.append(Violation("nom_requires_causative", i))
-        prev_item = item
+        if mood is None and entry.tag in tags.MOOD_TAGS:
+            mood = entry.tag
+        seen.add(entry.tag)
+        slot6 = slot6 or entry.slot == 6
+        if entry.id == "NOM.0" and prev_tag != "CA":
+            violations.append(Violation("nom_requires_causative", i))
+        prev_tag = entry.tag
         if trace is not None:
             trace.append((entry.id, state))
 
-    if pending_member is not None:
-        code = ("dp_member_context" if pending_member == "dp"
-                else "member_needs_causative")
-        violations.append(Violation(code, len(items)))
-
     end = len(items)
-    n_suffixes = sum(1 for it in items if isinstance(it, SuffixEntry))
-    if mood_tag is None:
+    if pending is not None:
+        violations.append(Violation(pending, end))
+    if mood is None:
         # Uninflected derivational stems (citation forms) and bare
         # non-verbal roots are words; anything carrying inflection-zone
-        # suffixes, and any bare verb root, needs a mood.
-        if n_suffixes == 0:
-            if first_root is not None and first_root.entry.category == "verb" \
-                    and len(members) == 1:
-                violations.append(Violation("missing_mood", end))
-        elif min_suffix_slot <= 15:
+        # suffixes, and a bare verb root, needs a mood.
+        if inflected or end == 1 and first.entry.category == "verb":
             violations.append(Violation("missing_mood", end))
-    elif mood_tag in tags.FINITE_MOOD_TAGS:
-        if mood_tag not in tags.PORTMANTEAU_MOOD_TAGS and not has_person:
+    elif mood in tags.FINITE_MOOD_TAGS:
+        if mood not in tags.PORTMANTEAU_MOOD_TAGS \
+                and seen.isdisjoint(tags.PERSON_TAGS):
             violations.append(Violation("missing_person", end))
-    else:  # verbal-noun mood
-        if has_person or has_sg or has_dl_pl or has_agent:
-            violations.append(Violation("person_on_nominal", end))
+    elif not seen.isdisjoint(_PERSON_NUMBER_TAGS):  # verbal-noun mood
+        violations.append(Violation("person_on_nominal", end))
 
-    if has_inv and not has_agent:
+    agent = not seen.isdisjoint(tags.AGENT_TAGS)
+    if "INV" in seen and not agent:
         violations.append(Violation("inverse_requires_agent", end))
-    if has_agent and not has_inv:
+    if agent and "INV" not in seen:
         violations.append(Violation("agent_requires_inverse", end))
-    if has_inst and (mood_tag is None or mood_tag not in tags.VERBAL_NOUN_TAGS):
+    if "INST" in seen and mood not in tags.VERBAL_NOUN_TAGS:
         violations.append(Violation("inst_requires_nominal", end))
-    if has_st and has_slot6:
+    if "ST" in seen and slot6:
         violations.append(Violation("slot_conflict", end,
                                     "stative excludes slot-6 agreement"))
     # 1sg indicative is the portmanteau mood, so a bare first-person
     # marker under IND must be dual or plural.
-    if has_p1 and mood_tag == "IND" and not has_dl_pl:
+    if "1" in seen and mood == "IND" and seen.isdisjoint(("DL", "PL")):
         violations.append(Violation("first_person_number", end))
-    if has_sg and not has_agent:
+    if "SG" in seen and not agent:
         violations.append(Violation("sg_context", end))
     return violations
 

@@ -231,8 +231,8 @@ class RuleTable:
     match the identity of the piece after it, in table order, and the
     first one whose exceptions and patterns all pass fires.  Per-piece
     answers depend only on the table and the piece's value, so they are
-    memoised by value; what is built from the table and a lexicon is
-    memoised per lexicon object (:meth:`for_lexicon`).
+    memoised by value; what is built from the table and a lexicon is kept
+    for the most recent lexicon object (:meth:`for_lexicon`).
     """
 
     def __init__(self, rules: tuple[BoundaryRule, ...] = ()):
@@ -244,8 +244,8 @@ class RuleTable:
         # memos, keyed by the piece fields the answers depend on
         self._candidates: dict[tuple, tuple] = {}
         self._initials: dict[tuple, frozenset | None] = {}
-        # id(lexicon) -> (lexicon, what for_lexicon built for it)
-        self._lexicons: dict[int, tuple] = {}
+        # (lexicon, what for_lexicon built for it), the latest lexicon's
+        self._built: tuple | None = None
 
     def morph(self, form: str, kind: str, category: str | None = None,
               suffix_id: str | None = None):
@@ -278,12 +278,12 @@ class RuleTable:
         return piece, rewrites_left, starts
 
     def for_lexicon(self, lexicon: Lexicon, build):
-        """``build(lexicon, self)``, called once per lexicon object; the
-        memo holds the lexicon, so its id is never reused."""
-        key = id(lexicon)
-        if key not in self._lexicons:
-            self._lexicons[key] = (lexicon, build(lexicon, self))
-        return self._lexicons[key][1]
+        """``build(lexicon, self)``, kept until another lexicon object asks;
+        a process serves one lexicon at a time, and a build is cheap."""
+        built = self._built
+        if built is None or built[0] is not lexicon:
+            built = self._built = (lexicon, build(lexicon, self))
+        return built[1]
 
     def candidates(self, piece: Piece) -> tuple[BoundaryRule, ...]:
         """Rules that may fire with *piece* right of the boundary, in

@@ -59,6 +59,34 @@ def build_random_sequence(rng, lexicon):
     return root, sense, seq
 
 
+def build_random_plan(rng, lexicon):
+    """One random item list for ``validate_plan``, usually invalid: a
+    :func:`build_random_sequence` tuple whose suffixes may lose their
+    tail, take up to two strays from the whole inventory and have one run
+    shuffled, and whose stem may take up to three more members of any
+    category."""
+    root, sense, seq = build_random_sequence(rng, lexicon)
+    suffixes = [lexicon.suffixes[sid] for sid in seq]
+    if rng.random() < 0.1:
+        del suffixes[rng.randrange(len(suffixes) + 1):]
+    pool = lexicon.iter_suffixes()
+    for _ in range(rng.randrange(3)):
+        suffixes.insert(rng.randrange(len(suffixes) + 1), rng.choice(pool))
+    if len(suffixes) > 1 and rng.random() < 0.3:
+        i = rng.randrange(len(suffixes) - 1)
+        j = rng.randrange(i + 2, len(suffixes) + 1)
+        run = suffixes[i:j]
+        rng.shuffle(run)
+        suffixes[i:j] = run
+    items = [RootUse(root, sense)] + suffixes
+    roots = [r for r in lexicon.iter_roots() if r.senses]
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        member = rng.choice(roots)
+        items.insert(rng.randint(1, min(len(items), 4)),
+                     RootUse(member, rng.choice(member.senses)))
+    return items
+
+
 def sample_valid_tuples(rng, lexicon, count, max_attempts=200_000):
     """Valid (root, sense-context, suffix-ids) tuples, rejection-sampled."""
     from mapumorph.morphotactics import validate_sequence
@@ -92,13 +120,10 @@ def build_mini_lexicon(full: Lexicon, root_forms=MINI_ROOT_FORMS,
                        suffix_ids=MINI_SUFFIX_IDS) -> Lexicon:
     """The verb roots of *root_forms* and the suffixes of *suffix_ids*;
     the oracle needs CA.m among the suffixes."""
-    mini = Lexicon()
-    for (form, category), entry in full.roots.items():
-        if form in root_forms and category == "verb":
-            mini.roots[(form, category)] = entry
-    for sid in suffix_ids:
-        mini.suffixes[sid] = full.suffixes[sid]
-    return mini
+    return Lexicon({(form, category): entry
+                    for (form, category), entry in full.roots.items()
+                    if form in root_forms and category == "verb"},
+                   {sid: full.suffixes[sid] for sid in suffix_ids})
 
 
 def sequence_key(items):

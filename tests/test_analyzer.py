@@ -265,12 +265,10 @@ class TestRoundTrip:
         # Before the m-causative the sandhi rules rewrite the final segment
         # of the root, which for a one-segment root is all of it: the word
         # starts with a character the root does not.
-        mini = Lexicon()
-        mini.roots[(form, "verb")] = RootEntry(form, "verb", "IV",
-                                               (Sense("IV", "blow"),))
         seq = ["CA.m", "IND.y", "P3.ng"]
-        for sid in seq:
-            mini.suffixes[sid] = lexicon.suffixes[sid]
+        mini = Lexicon({(form, "verb"): RootEntry(form, "verb", "IV",
+                                                  (Sense("IV", "blow"),))},
+                       {sid: lexicon.suffixes[sid] for sid in seq})
         word = generate(form, "IV", seq, mini, rules)
         assert word[0] != form
         assert any(a.matches(form, "IV", seq)

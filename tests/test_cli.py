@@ -1,10 +1,14 @@
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
 from mapumorph import cli
 from mapumorph.cli import run
+from mapumorph.defaults import data_path
+from mapumorph.lexicon import load_lexicon
 
 from helpers import classifier_corpus
 
@@ -61,6 +65,25 @@ class TestAnalyse:
         lines = out.splitlines()
         assert lines[0].startswith("watroy\t")
         assert lines[1].startswith("küpan\t")
+
+
+    def test_runs_keep_at_most_one_loaded_lexicon(self, monkeypatch):
+        loaded = []
+
+        def tracking_load(*args, **kwargs):
+            lexicon = load_lexicon(*args, **kwargs)
+            loaded.append(weakref.ref(lexicon))
+            return lexicon
+
+        monkeypatch.setattr(cli, "load_lexicon", tracking_load)
+        for _ in range(3):
+            code, _, _ = invoke(
+                ["analyse", "--lexicon", str(data_path("roots.tsv"))],
+                "küpalün\n")
+            assert code == 0
+        gc.collect()
+        assert len(loaded) == 3
+        assert sum(ref() is not None for ref in loaded) <= 1
 
 
 class TestGenerate:

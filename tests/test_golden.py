@@ -9,6 +9,10 @@ word generated from each of the first 100 tuples of
 an intended output change, from the repository root in bash:
 
     cd tests/data/golden && export PYTHONPATH=../../../src && python -m mapumorph analyse < words.txt > analyse.txt && python -m mapumorph analyse --format json-lines --source kona < words.txt | tee >(sha256sum | cut -d' ' -f1 > analyse-kona.sha256) | python -m mapumorph classify > classify.tsv
+
+The morphotactic fold is pinned too: the sha256 of the violations
+(code, position, message) and traces ``validate_plan`` gives on 3,000
+plans from ``build_random_plan(Random(8))``, which reach every code.
 """
 
 import hashlib
@@ -19,9 +23,10 @@ import pytest
 
 from mapumorph import generate
 from mapumorph.cli import run
+from mapumorph.morphotactics import VIOLATION_MESSAGES, validate_plan
 
 from conftest import DATA, load_gloss_corpus
-from helpers import sample_valid_tuples
+from helpers import build_random_plan, sample_valid_tuples
 
 GOLDEN = DATA / "golden"
 
@@ -63,3 +68,18 @@ def test_analyse_json_lines(kona_json):
 
 def test_classify(kona_json):
     assert invoke(["classify"], kona_json) == read("classify.tsv")
+
+
+def test_validate_plan_fold(lexicon):
+    rng = Random(8)
+    digest = hashlib.sha256()
+    seen = set()
+    for _ in range(3000):
+        trace = []
+        found = validate_plan(build_random_plan(rng, lexicon), lexicon, trace)
+        seen.update(v.code for v in found)
+        digest.update(repr(([(v.code, v.at, v.message) for v in found],
+                            trace)).encode("utf-8"))
+    assert seen == set(VIOLATION_MESSAGES)
+    assert digest.hexdigest() == (
+        "a7162630e402d848f505805e8d25b0dba6b0516442563fcf8384a23951e3dc9b")

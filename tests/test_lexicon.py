@@ -23,6 +23,21 @@ def test_empty_file_gives_empty_lexicon(tmp_path):
     assert len(lex) == 0
 
 
+def test_lexicon_mappings_are_read_only(lexicon):
+    key = ("küpa", "verb")
+    with pytest.raises(TypeError):
+        lexicon.roots[key] = lexicon.roots[key]
+    with pytest.raises(TypeError):
+        lexicon.suffixes["CA.l"] = lexicon.suffixes["CA.l"]
+
+
+def test_lexicon_copies_the_mappings_it_is_built_from(lexicon):
+    roots = dict(lexicon.roots)
+    copy = Lexicon(roots, dict(lexicon.suffixes))
+    roots.clear()
+    assert copy == lexicon
+
+
 def test_duplicate_form_category_rejected(tmp_path):
     path = tmp_path / "roots.tsv"
     path.write_text("püna\tverb\tTV\tTV:glue\npüna\tverb\tIV\tIV:stick\n",
@@ -122,9 +137,10 @@ def _root_entries(draw):
 
 @given(st.lists(_root_entries(), max_size=8))
 def test_round_trip_random_lexicons(tmp_path_factory, entries):
-    lex = Lexicon()
+    roots = {}
     for entry in entries:
-        lex.roots.setdefault((entry.form, entry.category), entry)
+        roots.setdefault((entry.form, entry.category), entry)
+    lex = Lexicon(roots)
     path = tmp_path_factory.mktemp("lex") / "roots.tsv"
     path.write_text(dump_roots(lex) if lex.roots else "", encoding="utf-8")
     assert load_lexicon(path) == lex

@@ -124,6 +124,20 @@ class TestValidateSequence:
         with pytest.raises(KeyError):
             validate_sequence((root, "IV"), ["NOPE.x"])
 
+    @pytest.mark.parametrize("suffix_ids,expected", [
+        (["FORCE.fal", "IND1SG.n"], [("tv_only_suffix", 1)]),
+        (["PVN.n", "P3.ng"], [("person_on_nominal", 3)]),
+        (["IND1SG.n", "INST.mew"], [("inst_requires_nominal", 3)]),
+        (["NOM.0"], [("nom_requires_causative", 1)]),
+        (["IND.y", "P1.i"], [("first_person_number", 3)]),
+        (["IND.y", "P2.m", "SG.0"], [("sg_context", 4)]),
+    ])
+    def test_single_code_plans(self, lexicon, suffix_ids, expected):
+        küpa = lexicon.roots[("küpa", "verb")]
+        items = [RootUse(küpa, küpa.senses[0])] + [
+            lexicon.suffixes[sid] for sid in suffix_ids]
+        assert [(v.code, v.at) for v in validate_plan(items)] == expected
+
     def test_trace_reaches_second_object(self, lexicon):
         root = lexicon.roots[("ngül", "verb")]
         items = [RootUse(root, root.senses[0]), lexicon.suffixes["CA.m"],
