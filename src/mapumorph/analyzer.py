@@ -1,13 +1,16 @@
 """Segmentation of surface verb forms into glossed analyses, and the
 inverse: generation of surface forms from a root and suffix ids.
 
-The analyser searches the space of underlying morph sequences whose
-realization equals the input word.  The search is exhaustive with
-dead-state memoisation (verb forms are short, so completeness beats
-pruning) and every complete path is filtered through the morphotactic
-validator; only zero-violation sequences survive.  Ambiguity is
-deliberately preserved: labile roots contribute one analysis per sense
-row, and homophonous suffixes one per reading.
+The analyser searches, depth first and with dead-state memoisation, the
+underlying morph sequences whose realization equals the input word.  Each
+path carries the morphotactic fold of every root-sense combination still
+alive: a combination drops at its first violation that no continuation
+can undo, and a piece that leaves none alive is never realized, so the
+pruning loses no analysis.  The morphotactic validator judges each
+combination that reaches the end of the word; only zero-violation
+sequences survive.  Ambiguity is deliberately preserved: labile roots
+contribute one analysis per sense row, and homophonous suffixes one per
+reading.
 
 Analyses are ranked by piece count, then lexicographically by morph ids;
 the ranking is a plumbing choice, not a linguistic claim.
@@ -16,15 +19,16 @@ the ranking is a plumbing choice, not a linguistic claim.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
+import unicodedata
 from dataclasses import dataclass
 
 from . import alphabet, tags
 from .defaults import tables
 from .lexicon import Lexicon, RootEntry, SuffixEntry
 from .morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE, RootUse,
-                            compound_valency, next_floor, validate_plan,
+                            advance, compound_valency, end_codes, next_floor,
+                            start_fold, tags_below, validate_plan,
                             validate_sequence)
 from .phonology import (Piece, RuleTable, extend_realization,
                         new_realization, select_allomorph)
@@ -183,22 +187,22 @@ class _Grammar:
     """The search's tables for one (lexicon, rules), built once and shared
     by every :func:`analyse` call with them: the suffix options per
     preceding V/C, the root options, their filter by the character that
-    follows, and each root's sense choices."""
+    follows, each root's sense choices and the suffix tags that may follow
+    under each slot floor."""
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
-        # (piece, rewrites_left, starts, slot, next floor, keeps the stem
-        # open) per suffix allomorph usable after a vowel / consonant
+        # (entry, slot, next floor, keeps the stem open, its pieces) per
+        # suffix, with a (piece, rewrites_left, starts) per allomorph
+        # usable after a vowel / consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
         for entry in sorted(lexicon.suffixes.values(), key=lambda s: s.id):
             for kind, options in self.suffixes.items():
-                for a in entry.allomorphs_after(kind):
-                    options.append(
-                        rules.morph(a.surface, "suffix", suffix_id=entry.id)
-                        + (entry.slot, next_floor(entry),
-                           entry.slot >= STEM_ZONE))
-        self.roots = [rules.morph(e.form, "root", e.category)
-                      for e in lexicon.iter_roots() if e.form]
+                options.append((entry, entry.slot, next_floor(entry),
+                                entry.slot >= STEM_ZONE, tuple(
+                                    rules.morph(a.surface, "suffix",
+                                                suffix_id=entry.id)
+                                    for a in entry.allomorphs_after(kind))))
         # (sense choices as the first member, as a later one) per root; an
         # incorporated demonstrative is a fixed construction, so its
         # citation sense stands for all of them
@@ -207,22 +211,35 @@ class _Grammar:
             uses = tuple(RootUse(entry, s) for s in entry.senses)
             later = uses[:1] if entry.category == "demonstrative" else uses
             self.uses[key] = (uses, later)
+        # (piece, rewrites_left, starts, sense choices as a later member)
+        self.roots = [rules.morph(e.form, "root", e.category)
+                      + (self.uses[(e.form, e.category)][1],)
+                      for e in lexicon.iter_roots() if e.form]
+        self.below = tags_below(lexicon)
         self.options = functools.cache(self.options)
 
     def options(self, kind: str, char: str | None) -> tuple:
         """Suffix (kind "V"/"C") or root (kind "R") options worth trying
         when the pending part reads on and is followed by *char* ("" at
         the end of the word), or does not read on (None).  A piece whose
-        rule may rewrite the pending part is always worth trying.
+        rule may rewrite the pending part is always worth trying.  A
+        suffix comes with the pieces of it worth trying, if any.
         Memoised per grammar."""
-        return tuple(option for option in
-                     (self.roots if kind == "R" else self.suffixes[kind])
-                     if option[1] or (char is not None and (
-                         option[2] is None or char in option[2])))
+        def worth(option):
+            return option[1] or (char is not None and (
+                option[2] is None or char in option[2]))
 
-    def search(self, word: str) -> list[tuple[tuple[Piece, ...], tuple]]:
-        """Depth-first enumeration of the (pieces, parts) paths matching
-        *word*; the results and dead states belong to this call alone.
+        if kind == "R":
+            return tuple(filter(worth, self.roots))
+        return tuple(suffix[:4] + (pieces,)
+                     for suffix in self.suffixes[kind]
+                     if (pieces := tuple(filter(worth, suffix[4]))))
+
+    def search(self, word: str) -> list[tuple[tuple[Piece, ...], tuple,
+                                              list]]:
+        """Depth-first enumeration of the paths matching *word*, each as
+        (pieces, parts, combinations); the results and dead states belong
+        to this call alone.
 
         A path extends only with pieces that can still spell the word.  A
         piece whose boundary rule may rewrite the pending part is always
@@ -231,15 +248,26 @@ class _Grammar:
         start at the character that follows.  Pieces are tried in the
         order of an unpruned search (suffixes by id, then roots), so
         results come out in that order.
+
+        The path also carries its live root-sense combinations, grouped by
+        their :class:`~mapumorph.morphotactics.Fold`.  A piece advances
+        each fold before it is realized; a combination drops at the first
+        code its next item raises, or once an end check is certain to fail
+        (:func:`end_codes` at the floor the piece leaves).  A piece that
+        leaves no combination alive is not realized, and a complete path
+        comes out with the combinations whose end checks pass, as sense
+        index tuples in the order of ``itertools.product``.
         """
         lexicon, rules, options = self.lexicon, self.rules, self.options
+        below = self.below
         results, dead = [], set()
 
-        def step(state, pos, floor, n_members, member_ok):
+        def step(state, pos, floor, n_members, member_ok, live):
             last = state.pieces[-1]
             pending = state.parts[-1]
             key = (pos, pending, last.suffix_id or last.form,
-                   last.category, floor, n_members, member_ok)
+                   last.category, floor, n_members, member_ok,
+                   frozenset(live))
             if key in dead:
                 return
             produced = len(results)
@@ -247,25 +275,41 @@ class _Grammar:
             end = pos + len(pending)
             if word.startswith(pending, pos):
                 if end == len(word):
-                    results.append((state.pieces, state.parts))
+                    bare = len(state.pieces) == 1 and last.category == "verb"
+                    combos = sorted(combo for fold, combos in live.items()
+                                    if not end_codes(fold, bare=bare)
+                                    for combo in combos)
+                    if combos:
+                        results.append((state.pieces, state.parts, combos))
                 char = word[end:end + 1]
             else:
                 char = None
             kind = "V" if alphabet.is_vowel(state.final) else "C"
-            for piece, _, _, slot, next_floor, keeps_stem in options(kind,
-                                                                     char):
+            for entry, slot, next_floor, keeps_stem, pieces in options(kind,
+                                                                       char):
                 if slot < floor:
-                    extend(state, pos, piece, next_floor, n_members,
-                           member_ok and keeps_stem)
+                    keeps = member_ok and keeps_stem
+                    follow = None if keeps and n_members < MAX_MEMBERS \
+                        else below[next_floor]
+                    after = _after_suffix(live, entry, floor, follow)
+                    if after:
+                        for piece, _, _ in pieces:
+                            extend(state, pos, piece, next_floor, n_members,
+                                   keeps, after)
 
             if member_ok and n_members < MAX_MEMBERS:
-                for piece, _, _ in options("R", char):
-                    extend(state, pos, piece, OPEN_FLOOR, n_members + 1, True)
+                follow = None if n_members + 1 < MAX_MEMBERS \
+                    else below[OPEN_FLOOR]
+                for piece, _, _, uses in options("R", char):
+                    after = _after_member(live, uses, follow)
+                    if after:
+                        extend(state, pos, piece, OPEN_FLOOR, n_members + 1,
+                               True, after)
 
             if len(results) == produced:
                 dead.add(key)
 
-        def extend(state, pos, piece, floor, n_members, member_ok):
+        def extend(state, pos, piece, floor, n_members, member_ok, live):
             new_state = extend_realization(state, piece, rules, lexicon)
             finalized = new_state.parts[-2]
             if not word.startswith(finalized, pos):
@@ -278,15 +322,46 @@ class _Grammar:
             if pending and (new_pos >= len(word) or not rules.may_start(
                     new_state.pieces[-1], pending, word[new_pos])):
                 return
-            step(new_state, new_pos, floor, n_members, member_ok)
+            step(new_state, new_pos, floor, n_members, member_ok, live)
 
-        for piece, _, _ in self.roots:
+        for piece, _, _, _ in self.roots:
             # The rule at the next boundary is the only one that can still
             # rewrite the root's part; may_start allows for it.
             if rules.may_start(piece, piece.form, word[0]):
+                live = {}
+                for k, use in enumerate(
+                        self.uses[(piece.form, piece.category)][0]):
+                    fold = start_fold(use)
+                    live[fold] = live.get(fold, ()) + ((k,),)
                 step(extend_realization(new_realization(), piece, rules,
-                                        lexicon), 0, OPEN_FLOOR, 1, True)
+                                        lexicon), 0, OPEN_FLOOR, 1, True, live)
         return results
+
+
+def _after_suffix(live: dict, entry: SuffixEntry, floor: int,
+                  follow) -> dict:
+    """The live folds after the suffix *entry* under *floor*, each with the
+    combinations that reach it: a fold drops when *entry* raises a code or
+    an end check is certain to fail with *follow* still to come."""
+    after = {}
+    for fold, combos in live.items():
+        new, codes = advance(fold, entry, floor)
+        if not codes and not end_codes(new, follow):
+            after[new] = after.get(new, ()) + combos
+    return after
+
+
+def _after_member(live: dict, uses: tuple, follow) -> dict:
+    """As :func:`_after_suffix`, for a compound member with the sense
+    choices *uses*; each combination grows by the index of its sense."""
+    after = {}
+    for fold, combos in live.items():
+        for k, use in enumerate(uses):
+            new, codes = advance(fold, use)
+            if not codes and not end_codes(new, follow):
+                after[new] = after.get(new, ()) + tuple(
+                    combo + (k,) for combo in combos)
+    return after
 
 
 def _build_analysis(word: str, pieces: tuple[Piece, ...],
@@ -325,8 +400,10 @@ def _build_analysis(word: str, pieces: tuple[Piece, ...],
 
 
 def _expand_senses(pieces: tuple[Piece, ...], parts: tuple[str, ...],
-                   word: str, grammar: _Grammar) -> list[Analysis]:
-    """Turn one piece path into analyses, one per root-sense combination."""
+                   combos: list, word: str,
+                   grammar: _Grammar) -> list[Analysis]:
+    """Turn one piece path into analyses, one per root-sense combination
+    that the search left alive (index tuples into each root's senses)."""
     lexicon = grammar.lexicon
     shaped = [((), part) if piece.is_root
               else ((lexicon.suffixes[piece.suffix_id].tag,), part)
@@ -340,9 +417,9 @@ def _expand_senses(pieces: tuple[Piece, ...], parts: tuple[str, ...],
                      for i, p in enumerate(pieces) if p.is_root]
 
     analyses = []
-    for combo in itertools.product(*sense_choices):
-        combo_iter = iter(combo)
-        items = [next(combo_iter) if p.is_root
+    for combo in combos:
+        uses = iter([choices[k] for choices, k in zip(sense_choices, combo)])
+        items = [next(uses) if p.is_root
                  else lexicon.suffixes[p.suffix_id] for p in pieces]
         trace: list = []
         if validate_plan(items, lexicon, trace):
@@ -355,19 +432,22 @@ def analyse(word: str, lexicon: Lexicon | None = None,
             rules: RuleTable | None = None) -> list[Analysis]:
     """All licit glossed analyses of a surface word, best ranked first.
 
-    Characters outside the alphabet raise :class:`alphabet.AlphabetError`;
-    a well-formed word with no parse returns an empty list.
+    The word is read in Unicode NFC, so a decomposed ``u`` + combining
+    diaeresis is ``ü``.  Characters outside the alphabet, upper case
+    included, raise :class:`alphabet.AlphabetError`; a well-formed word
+    with no parse returns an empty list.
     """
     if not word:
         raise ValueError("word must be non-empty")
+    word = unicodedata.normalize("NFC", word)
     alphabet.segments(word)
     lexicon, rules = tables(lexicon, rules)
 
     analyses: list[Analysis] = []
     seen = set()
     grammar = rules.for_lexicon(lexicon, _Grammar)
-    for pieces, parts in grammar.search(word):
-        for analysis in _expand_senses(pieces, parts, word, grammar):
+    for pieces, parts, combos in grammar.search(word):
+        for analysis in _expand_senses(pieces, parts, combos, word, grammar):
             marker = (analysis.key(),
                       tuple((p.start, p.end) for p in analysis.pieces))
             if marker not in seen:

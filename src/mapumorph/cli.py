@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import unicodedata
 
 from . import defaults
 from .alphabet import AlphabetError
@@ -96,7 +97,7 @@ def _cross_check_slots(path, lexicon):
 def _cmd_analyse(args, stdin, stdout, stderr) -> int:
     lexicon, rules = _load_tables(args)
     for raw in stdin:
-        word = raw.strip()
+        word = unicodedata.normalize("NFC", raw.strip())
         if not word:
             continue
         error = None

@@ -3,9 +3,12 @@
 A verb form is a stem (one root, or a compound of up to three members)
 followed by suffixes whose slots strictly decrease towards the end of the
 word; a new compound member reopens the slot range.  Validation walks the
-sequence once, folding the valency state with :func:`valency_step` and
-collecting :class:`Violation` records; an empty list means the sequence
-is well formed.
+sequence once, folding a small :class:`Fold` with :func:`advance` and
+running :func:`end_codes` at the end of the word, and collects
+:class:`Violation` records; an empty list means the sequence is well
+formed.  The analyser's search folds each prefix the same way and runs
+the end checks under the suffixes that may still follow, so it drops a
+sequence at its first violation that no continuation can undo.
 
 Hard constraints only: the stative suffix is deliberately NOT treated as
 an intransitivity test (transitive roots with the stative are attested
@@ -16,6 +19,7 @@ soft classifier features instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tags
 from .defaults import tables
@@ -90,15 +94,19 @@ def next_floor(entry: SuffixEntry, floor: int = OPEN_FLOOR) -> int:
     return 3 if entry.tag == "IND1SG" else min(floor, entry.slot)
 
 
+_INCREASE = {"IV": "TV", "TV": "TV2", "TV2": "TV2"}
+_DECREASE = {"IV": "IV", "TV": "IV", "TV2": "TV"}
+
+
 def valency_step(state: str, effect: str) -> str:
     """Next transitivity state after a suffix with the given effect.
 
     Total and deterministic; TV2 caps growth (no third object).
     """
     if effect == "increase":
-        return {"IV": "TV", "TV": "TV2", "TV2": "TV2"}[state]
+        return _INCREASE[state]
     if effect == "decrease":
-        return {"IV": "IV", "TV": "IV", "TV2": "TV"}[state]
+        return _DECREASE[state]
     return state  # neutral and agreement_tv_only leave the state alone
 
 
@@ -128,17 +136,190 @@ def _member_effective_valency(root: RootEntry) -> str:
     return "TV" if root.category == "verb" and root.valency == "TV" else "IV"
 
 
+class Fold(NamedTuple):
+    """What later items and the end checks read of a plan so far.  The
+    slot template's part (the floor, the members so far, whether the stem
+    is open) is left to the caller: :func:`validate_plan` and the
+    analyser's search each carry it.  Folds are built with
+    ``tuple.__new__``, which skips the keyword handling of the NamedTuple
+    constructor: the search builds one for every piece it tries."""
+
+    state: str              # the valency: IV, TV or TV2
+    pending: str | None     # the code a non-verbal member raises unless
+                            # the next suffix licenses it
+    prev_ca: bool | None    # the previous suffix is CA; None right after
+                            # a member
+    lone: str | None        # the root's lexical valency while it is the
+                            # only member
+    last_iv: bool           # the latest member's effective valency is IV
+    last_loan: bool         # the latest member is a loan
+    mood: str | None        # the first mood tag
+    inflected: bool         # a suffix sits in slot <= INFLECTION_ZONE
+    seen: frozenset         # the tags seen that the end checks read
+    slot6: bool             # a suffix sits in slot 6
+
+
+# the tags the end checks read
+_END_TAGS = _PERSON_NUMBER_TAGS | {"INV", "INST", "ST"}
+
+# a slot conflict at the end of the word is always the stative's
+_END_MESSAGES = {"slot_conflict": "stative excludes slot-6 agreement"}
+
+
+def start_fold(first: RootUse) -> Fold:
+    """The fold of a plan that is *first* alone."""
+    entry = first.entry
+    return tuple.__new__(Fold, (
+        first.sense.context, None, None, entry.valency,
+        _member_effective_valency(entry) == "IV", entry.loan, None, False,
+        frozenset(), False))
+
+
+def advance(fold: Fold, item, floor: int = OPEN_FLOOR) -> tuple[Fold, list]:
+    """The fold after *item*, a later member or a suffix, and the codes
+    *item* raises, in order.  *floor* is the slot floor before a suffix;
+    the member checks of the template (``member_position``,
+    ``compound_depth``) are the caller's."""
+    (state, pending, prev_ca, lone, last_iv, last_loan, mood, inflected,
+     seen, slot6) = fold
+    codes = []
+    if isinstance(item, RootUse):
+        if pending is not None:
+            codes.append(pending)
+            pending = None
+        entry = item.entry
+        category = entry.category
+        if category == "verb":
+            state = _member_effective_valency(entry)
+        elif category == "noun":
+            if state in ("TV", "TV2"):
+                state = valency_step(state, "decrease")
+            else:
+                codes.append("noun_incorporation")
+        elif category == "demonstrative":
+            pending = "dp_member_context"
+        else:
+            pending = "member_needs_causative"
+        return tuple.__new__(Fold, (
+            state, pending, None, None,
+            _member_effective_valency(entry) == "IV", entry.loan, mood,
+            inflected, seen, slot6)), codes
+
+    tag, slot = item.tag, item.slot
+    if pending is not None:
+        if not (tag == "CA" if pending == "member_needs_causative"
+                else item.id == "CA.l" or tag == "ST"):
+            codes.append(pending)
+    if slot >= floor:
+        codes.append("slot_conflict" if slot == floor else "slot_order")
+
+    # a lone root of unknown valency takes a causative or agreement
+    # whatever its sense; a labile one takes agreement
+    if tag == "CA":
+        if prev_ca is None and lone is None:  # on a later member
+            ok = last_iv
+        else:  # on the stem (right after a lone root, its sense)
+            ok = state == "IV" or lone == "unknown"
+        if not ok:
+            codes.append("CA_on_TV")
+        if item.id == "CA.m" and last_loan:
+            codes.append("um_on_loan")
+        state = valency_step(state, "increase")
+    else:
+        attach, effect = item.attach_constraint, item.valency_effect
+        if attach == "tv_stem_only":
+            if state not in ("TV", "TV2") \
+                    and lone not in ("labile", "unknown"):
+                codes.append("AGR_on_IV" if effect == "agreement_tv_only"
+                             else "tv_only_suffix")
+        elif attach == "iv_stem_only" and state != "IV":
+            codes.append("CA_on_TV")
+        state = valency_step(state, effect)
+
+    if mood is None and tag in tags.MOOD_TAGS:
+        mood = tag
+    if tag in _END_TAGS and tag not in seen:
+        seen = seen | {tag}
+    if item.id == "NOM.0" and not prev_ca:
+        codes.append("nom_requires_causative")
+    return tuple.__new__(Fold, (
+        state, None, tag == "CA", lone, last_iv, last_loan, mood,
+        inflected or slot <= INFLECTION_ZONE, seen, slot6 or slot == 6)), codes
+
+
+def _settled(follow: frozenset | None, clearing) -> bool:
+    """No suffix that may still follow carries a tag of *clearing*."""
+    return follow is not None and follow.isdisjoint(clearing)
+
+
+def end_codes(fold: Fold, follow: frozenset | None = frozenset(),
+              bare: bool = False) -> list:
+    """The codes the end of the word raises on *fold*, in order, that no
+    continuation can clear.  *follow* holds the tags of the suffixes that
+    may still come: none at the end of the word; mid-word, those below the
+    slot floor, or None while another compound member may come, which
+    reopens every slot.  *bare* marks a plan that is a lone verb root."""
+    (_, pending, _, _, _, _, mood, inflected, seen, slot6) = fold
+    codes = []
+    nothing_follows = follow is not None and not follow
+    if pending is not None and nothing_follows:
+        codes.append(pending)
+    if mood is None:
+        # Uninflected derivational stems (citation forms) and bare
+        # non-verbal roots are words; anything carrying inflection-zone
+        # suffixes, and a bare verb root, needs a mood.
+        if (inflected and _settled(follow, tags.MOOD_TAGS)
+                or bare and nothing_follows):
+            codes.append("missing_mood")
+    elif mood in tags.FINITE_MOOD_TAGS:
+        if mood not in tags.PORTMANTEAU_MOOD_TAGS \
+                and seen.isdisjoint(tags.PERSON_TAGS) \
+                and _settled(follow, tags.PERSON_TAGS):
+            codes.append("missing_person")
+    elif not seen.isdisjoint(_PERSON_NUMBER_TAGS):  # verbal-noun mood
+        codes.append("person_on_nominal")
+
+    if not seen:  # the checks below each read a tag seen
+        return codes
+    agent = not seen.isdisjoint(tags.AGENT_TAGS)
+    if "INV" in seen and not agent and _settled(follow, tags.AGENT_TAGS):
+        codes.append("inverse_requires_agent")
+    if agent and "INV" not in seen and _settled(follow, ("INV",)):
+        codes.append("agent_requires_inverse")
+    if "INST" in seen and mood not in tags.VERBAL_NOUN_TAGS and (
+            mood is not None or _settled(follow, tags.VERBAL_NOUN_TAGS)):
+        codes.append("inst_requires_nominal")
+    if "ST" in seen and slot6:
+        codes.append("slot_conflict")
+    # 1sg indicative is the portmanteau mood, so a bare first-person
+    # marker under IND must be dual or plural.
+    if "1" in seen and mood == "IND" and seen.isdisjoint(("DL", "PL")) \
+            and _settled(follow, ("DL", "PL")):
+        codes.append("first_person_number")
+    if "SG" in seen and not agent and _settled(follow, tags.AGENT_TAGS):
+        codes.append("sg_context")
+    return codes
+
+
+def tags_below(lexicon: Lexicon) -> dict[int, frozenset]:
+    """For each slot floor a suffix can leave (and the open floor), the
+    tags of the lexicon's suffixes that may follow under it: the
+    ``follow`` of :func:`end_codes` while the stem cannot reopen."""
+    entries = list(lexicon.suffixes.values())
+    floors = {OPEN_FLOOR} | {next_floor(entry) for entry in entries}
+    return {floor: frozenset(entry.tag for entry in entries
+                             if entry.slot < floor)
+            for floor in floors}
+
+
 def validate_plan(items: list, lexicon: Lexicon | None = None,
                   trace: list | None = None) -> list[Violation]:
     """Validate a mixed sequence of RootUse and SuffixEntry items.
 
-    Walks *items* once, folding a small state and collecting violations
-    (*lexicon* is not read): the valency ``state``, the slot ``floor``,
-    the stem members so far and the ``last``; ``stem_open``, whether every
-    suffix since it is in the stem zone; ``pending``, the code a
-    non-verbal member raises unless the next suffix licenses it; the
-    previous suffix tag (None after a member); the first ``mood``;
-    whether the form is ``inflected``; the tags ``seen`` and ``slot6``.
+    Walks *items* once, carrying the slot template (the ``floor``, the
+    stem members so far and whether every suffix since the latest is in
+    the stem zone) and folding a :class:`Fold` with :func:`advance`, then
+    runs :func:`end_codes` at the end of the word (*lexicon* is not read).
     When *trace* is a list, each step's (root form or suffix id, state
     after it) is appended to it.
     """
@@ -146,11 +327,10 @@ def validate_plan(items: list, lexicon: Lexicon | None = None,
         raise ValueError("sequence must start with a root")
     first = items[0]
     violations: list[Violation] = []
-    state, floor, n_members, last = first.sense.context, OPEN_FLOOR, 1, first
-    stem_open, pending, prev_tag = True, None, None
-    mood, inflected, seen, slot6 = None, False, set(), False
+    fold = start_fold(first)
+    floor, n_members, stem_open = OPEN_FLOOR, 1, True
     if trace is not None:
-        trace.append((first.entry.form, state))
+        trace.append((first.entry.form, fold.state))
 
     for i, item in enumerate(items[1:], 1):
         if isinstance(item, RootUse):
@@ -158,105 +338,23 @@ def validate_plan(items: list, lexicon: Lexicon | None = None,
                 violations.append(Violation("member_position", i))
             if n_members >= MAX_MEMBERS:
                 violations.append(Violation("compound_depth", i))
-            if pending is not None:
-                violations.append(Violation(pending, i))
-                pending = None
-            category = item.entry.category
-            if category == "verb":
-                state = _member_effective_valency(item.entry)
-            elif category == "noun":
-                if state in ("TV", "TV2"):
-                    state = valency_step(state, "decrease")
-                else:
-                    violations.append(Violation("noun_incorporation", i))
-            elif category == "demonstrative":
-                pending = "dp_member_context"
-            else:
-                pending = "member_needs_causative"
-            n_members, last = n_members + 1, item
-            floor, stem_open, prev_tag = OPEN_FLOOR, True, None
-            if trace is not None:
-                trace.append((item.entry.form, state))
-            continue
-
-        entry: SuffixEntry = item
-        if pending is not None:
-            if not (entry.tag == "CA" if pending == "member_needs_causative"
-                    else entry.id == "CA.l" or entry.tag == "ST"):
-                violations.append(Violation(pending, i))
-            pending = None
-
-        if entry.slot >= floor:
-            violations.append(Violation(
-                "slot_conflict" if entry.slot == floor else "slot_order", i))
-        floor = next_floor(entry, floor)
-        stem_open = stem_open and entry.slot >= STEM_ZONE
-        inflected = inflected or entry.slot <= INFLECTION_ZONE
-
-        # a lone root of unknown valency takes a causative or agreement
-        # whatever its sense; a labile one takes agreement
-        lone = first.entry.valency if n_members == 1 else None
-        if entry.tag == "CA":
-            if prev_tag is None and n_members > 1:  # on a later member
-                ok = _member_effective_valency(last.entry) == "IV"
-            else:  # on the stem (right after a lone root, its sense)
-                ok = state == "IV" or lone == "unknown"
-            if not ok:
-                violations.append(Violation("CA_on_TV", i))
-            if entry.id == "CA.m" and last.entry.loan:
-                violations.append(Violation("um_on_loan", i))
-        elif entry.attach_constraint == "tv_stem_only":
-            if state not in ("TV", "TV2") and lone not in ("labile", "unknown"):
-                violations.append(Violation(
-                    "AGR_on_IV" if entry.valency_effect == "agreement_tv_only"
-                    else "tv_only_suffix", i))
-        elif entry.attach_constraint == "iv_stem_only" and state != "IV":
-            violations.append(Violation("CA_on_TV", i))
-        state = valency_step(state, "increase" if entry.tag == "CA"
-                             else entry.valency_effect)
-
-        if mood is None and entry.tag in tags.MOOD_TAGS:
-            mood = entry.tag
-        seen.add(entry.tag)
-        slot6 = slot6 or entry.slot == 6
-        if entry.id == "NOM.0" and prev_tag != "CA":
-            violations.append(Violation("nom_requires_causative", i))
-        prev_tag = entry.tag
+            fold, codes = advance(fold, item)
+            floor, n_members, stem_open = OPEN_FLOOR, n_members + 1, True
+            step = item.entry.form
+        else:
+            fold, codes = advance(fold, item, floor)
+            floor = next_floor(item, floor)
+            stem_open = stem_open and item.slot >= STEM_ZONE
+            step = item.id
+        for code in codes:
+            violations.append(Violation(code, i))
         if trace is not None:
-            trace.append((entry.id, state))
+            trace.append((step, fold.state))
 
     end = len(items)
-    if pending is not None:
-        violations.append(Violation(pending, end))
-    if mood is None:
-        # Uninflected derivational stems (citation forms) and bare
-        # non-verbal roots are words; anything carrying inflection-zone
-        # suffixes, and a bare verb root, needs a mood.
-        if inflected or end == 1 and first.entry.category == "verb":
-            violations.append(Violation("missing_mood", end))
-    elif mood in tags.FINITE_MOOD_TAGS:
-        if mood not in tags.PORTMANTEAU_MOOD_TAGS \
-                and seen.isdisjoint(tags.PERSON_TAGS):
-            violations.append(Violation("missing_person", end))
-    elif not seen.isdisjoint(_PERSON_NUMBER_TAGS):  # verbal-noun mood
-        violations.append(Violation("person_on_nominal", end))
-
-    agent = not seen.isdisjoint(tags.AGENT_TAGS)
-    if "INV" in seen and not agent:
-        violations.append(Violation("inverse_requires_agent", end))
-    if agent and "INV" not in seen:
-        violations.append(Violation("agent_requires_inverse", end))
-    if "INST" in seen and mood not in tags.VERBAL_NOUN_TAGS:
-        violations.append(Violation("inst_requires_nominal", end))
-    if "ST" in seen and slot6:
-        violations.append(Violation("slot_conflict", end,
-                                    "stative excludes slot-6 agreement"))
-    # 1sg indicative is the portmanteau mood, so a bare first-person
-    # marker under IND must be dual or plural.
-    if "1" in seen and mood == "IND" and seen.isdisjoint(("DL", "PL")):
-        violations.append(Violation("first_person_number", end))
-    if "SG" in seen and not agent:
-        violations.append(Violation("sg_context", end))
+    for code in end_codes(fold, bare=end == 1
+                          and first.entry.category == "verb"):
+        violations.append(Violation(code, end, _END_MESSAGES.get(code, "")))
     return violations
 
 

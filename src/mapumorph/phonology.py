@@ -423,11 +423,11 @@ def select_allomorph(suffix: SuffixEntry, stem_final: str) -> str:
     kind = None
     if stem_final:
         kind = "V" if alphabet.is_vowel(stem_final) else "C"
-    fits = suffix.allomorphs_after(kind)
-    if not fits:
-        raise PhonologyError(
-            f"no allomorph of {suffix.id} fits after {stem_final!r}")
-    return fits[0].surface
+    for allomorph in suffix.allomorphs:
+        if kind is None or allomorph.requires in ("any", kind):
+            return allomorph.surface
+    raise PhonologyError(
+        f"no allomorph of {suffix.id} fits after {stem_final!r}")
 
 
 def matching_allomorphs(suffix: SuffixEntry, preceding_surface: str) -> list[str]:

@@ -15,7 +15,7 @@ import itertools
 
 from mapumorph.analyzer import surface_licensing_ok
 from mapumorph.lexicon import Lexicon
-from mapumorph.morphotactics import RootUse, validate_plan
+from mapumorph.morphotactics import STEM_ZONE, RootUse, validate_plan
 from mapumorph.phonology import (Piece, extend_realization,
                                  matching_allomorphs, new_realization)
 
@@ -118,8 +118,7 @@ _STEM_ONLY_CODES = {
 
 def build_mini_lexicon(full: Lexicon, root_forms=MINI_ROOT_FORMS,
                        suffix_ids=MINI_SUFFIX_IDS) -> Lexicon:
-    """The verb roots of *root_forms* and the suffixes of *suffix_ids*;
-    the oracle needs CA.m among the suffixes."""
+    """The verb roots of *root_forms* and the suffixes of *suffix_ids*."""
     return Lexicon({(form, category): entry
                     for (form, category), entry in full.roots.items()
                     if form in root_forms and category == "verb"},
@@ -167,23 +166,34 @@ def _all_realizations(items, lexicon, rules):
     return results
 
 
+def _slot_chains(suffixes):
+    """Every chain over *suffixes* in falling slot order, the empty one
+    first; chains with two suffixes of one slot are left to validation."""
+    pool = sorted(suffixes, key=lambda s: -s.slot)
+    return [chain for r in range(len(pool) + 1)
+            for chain in itertools.combinations(pool, r)]
+
+
 def oracle_map(lexicon: Lexicon, rules, max_pieces: int = 6) -> dict[str, set]:
     """surface -> set of valid sequence keys, by forward enumeration.
 
     Every sequence of up to *max_pieces* morphs (stems of up to three
-    members, each optionally carrying the causative, plus a strictly
-    slot-descending suffix chain) is validated and realized forward.
+    members, each followed by a chain of stem-zone suffixes, then a chain
+    of the other suffixes; every chain slot-descending) is validated and
+    realized forward.
     """
     root_uses = [RootUse(r, s) for r in lexicon.iter_roots()
                  for s in r.senses]
-    causative = lexicon.suffixes["CA.m"]
+    suffixes = lexicon.iter_suffixes()
+    stem_chains = _slot_chains(s for s in suffixes if s.slot >= STEM_ZONE)
+    tail_chains = _slot_chains(s for s in suffixes if s.slot < STEM_ZONE)
 
     stems: list[list] = []
 
     def grow(prefix, depth):
         for use in root_uses:
-            for with_ca in (False, True):
-                stem = prefix + [use] + ([causative] if with_ca else [])
+            for chain in stem_chains:
+                stem = prefix + [use] + list(chain)
                 if len(stem) > max_pieces:
                     continue
                 issues = validate_plan(stem, lexicon)
@@ -195,16 +205,9 @@ def oracle_map(lexicon: Lexicon, rules, max_pieces: int = 6) -> dict[str, set]:
 
     grow([], 1)
 
-    chain_pool = sorted((s for s in lexicon.iter_suffixes()
-                         if s.id != "CA.m"),
-                        key=lambda s: -s.slot)
-    chains = []
-    for r in range(len(chain_pool) + 1):
-        chains.extend(itertools.combinations(chain_pool, r))
-
     surface_to_keys: dict[str, set] = {}
     for stem in stems:
-        for chain in chains:
+        for chain in tail_chains:
             if len(stem) + len(chain) > max_pieces:
                 continue
             items = stem + list(chain)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -12,7 +13,7 @@ from mapumorph.defaults import data_path
 from mapumorph.lexicon import Lexicon, RootEntry, Sense
 from mapumorph.phonology import load_rules
 
-from conftest import load_gloss_corpus
+from conftest import DATA, load_gloss_corpus
 from helpers import build_mini_lexicon, oracle_map, sample_valid_tuples
 
 
@@ -32,6 +33,18 @@ class TestAnalyse:
     def test_unknown_character_is_an_error(self):
         with pytest.raises(AlphabetError):
             analyse("xyz")
+
+    def test_decomposed_umlaut_analyses_as_composed(self):
+        decomposed = "ku\u0308pan"
+        assert decomposed != "küpan"
+        found = analyse(decomposed)
+        assert found and [a.to_json() for a in found] == [
+            a.to_json() for a in analyse("küpan")]
+
+    def test_uppercase_is_an_unknown_character(self):
+        with pytest.raises(AlphabetError) as err:
+            analyse("Küpan")
+        assert err.value.char == "K"
 
     def test_no_parse_is_empty_list(self):
         assert analyse("kkkk") == []
@@ -209,6 +222,54 @@ def test_oracle_equivalence_with_fusion_and_epenthesis(lexicon, rules):
         assert got == expected, probe
         rejected += not expected
     assert rejected > 0
+
+
+def test_oracle_equivalence_with_a_mood_in_the_stem_zone(lexicon, rules):
+    """analyse matches forward enumeration when the slots are not the
+    shipped ones: the indicative sits in the stem zone, so a compound
+    member may follow it, and person marking sits above it, so a
+    finite form gets its person only from a later member's suffixes."""
+    mini = build_mini_lexicon(lexicon, ["küpa", "elu"],
+                              ["CA.m", "IND.y", "P3.ng"])
+    slots = {"IND.y": 35, "P3.ng": 36}
+    mini = Lexicon(dict(mini.roots), {
+        sid: dataclasses.replace(entry, slot=slots.get(sid, entry.slot))
+        for sid, entry in mini.suffixes.items()})
+    surface_map = oracle_map(mini, rules, max_pieces=5)
+    probe_rng = random.Random(9)
+    probes = set()
+    for surface in probe_rng.sample(sorted(surface_map), 400):
+        probes.update({surface[:-1], surface + "a", surface + "m"})
+    mismatches = []
+    for word in sorted(set(surface_map) | {p for p in probes if p}):
+        found = {a.key() for a in analyse(word, mini, rules)
+                 if len(a.pieces) <= 5}
+        if found != surface_map.get(word, set()):
+            mismatches.append((word, found ^ surface_map.get(word, set())))
+    assert not mismatches, mismatches[:5]
+    reopened = [key for keys in surface_map.values() for key in keys
+                if ("S", "IND.y") in key[1:-1] and key[-1] == ("S", "P3.ng")
+                and ("R", "elu", "TV", "give") in key[2:]]
+    assert reopened
+
+
+def test_validate_plan_runs_on_surviving_combinations_only(monkeypatch):
+    """The search drops a root-sense combination at its first certain
+    violation, so over the golden words validate_plan sees few of the
+    15,412 combinations an unpruned search hands it."""
+    calls = []
+    judge = analyzer.validate_plan
+
+    def counting(*args):
+        calls.append(args)
+        return judge(*args)
+
+    monkeypatch.setattr(analyzer, "validate_plan", counting)
+    words = (DATA / "golden" / "words.txt").read_text(
+        encoding="utf-8").split()
+    analyses = sum(len(analyse(word)) for word in words)
+    assert analyses == 1007
+    assert len(calls) <= 2000
 
 
 class TestGenerate:

@@ -38,6 +38,18 @@ class TestAnalyse:
         assert out.startswith("xyz\tERROR")
         assert "unknown character" in err
 
+    def test_decomposed_input_is_read_in_nfc(self):
+        argv = ["analyse", "--format", "json-lines"]
+        assert invoke(argv, "ku\u0308pan\n") == invoke(argv, "küpan\n")
+        assert invoke(["analyse"], "ku\u0308pan\n") == invoke(
+            ["analyse"], "küpan\n")
+
+    def test_uppercase_is_a_located_unknown_character(self):
+        code, out, err = invoke(["analyse"], "Küpan\n")
+        assert code == 0
+        assert out == "Küpan\tERROR\tunknown character 'K' in 'Küpan'\n"
+        assert err == "analyse: unknown character 'K' in 'Küpan'\n"
+
     def test_best_prints_single_line(self):
         code, out, _ = invoke(["analyse", "--best"], "küpalün\n")
         assert code == 0

@@ -1,9 +1,20 @@
+import dataclasses
+import itertools
+from random import Random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapumorph.morphotactics import (RootUse, compound_valency, valency_step,
-                                     validate_plan, validate_sequence)
+from mapumorph import tags
+from mapumorph.lexicon import Lexicon
+from mapumorph.morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE,
+                                     RootUse, advance, compound_valency,
+                                     end_codes, next_floor, start_fold,
+                                     tags_below, valency_step, validate_plan,
+                                     validate_sequence)
+
+from helpers import build_random_plan
 
 
 def codes(violations):
@@ -200,3 +211,74 @@ class TestMemberLicensing:
         items = [RootUse(kon, kon.senses[0]), RootUse(che, che.senses[0]),
                  lexicon.suffixes["IND.y"], lexicon.suffixes["P3.ng"]]
         assert "noun_incorporation" in codes(validate_plan(items, lexicon))
+
+
+def _search_drop(plan, below):
+    """The number of items after which the analyser's search drops *plan*:
+    its fold raises a code, or an end check is certain to fail under the
+    suffixes that may still come.  None when no prefix is dropped, or when
+    the plan breaks the slot template, which the search never builds."""
+    fold = start_fold(plan[0])
+    floor, n_members, stem_open = OPEN_FLOOR, 1, True
+    for i, item in enumerate(plan[1:], 2):
+        if isinstance(item, RootUse):
+            if not stem_open or n_members >= MAX_MEMBERS:
+                return None
+            fold, codes = advance(fold, item)
+            floor, n_members = OPEN_FLOOR, n_members + 1
+        else:
+            if item.slot >= floor:
+                return None
+            fold, codes = advance(fold, item, floor)
+            floor = next_floor(item, floor)
+            stem_open = stem_open and item.slot >= STEM_ZONE
+        follow = None if stem_open and n_members < MAX_MEMBERS \
+            else below[floor]
+        if codes or end_codes(fold, follow):
+            return i
+    return None
+
+
+def _in_slot_order(plan):
+    """*plan* with each run of suffixes put in falling slot order."""
+    out = []
+    for is_member, run in itertools.groupby(
+            plan, lambda item: isinstance(item, RootUse)):
+        out += run if is_member else sorted(run, key=lambda s: -s.slot)
+    return out
+
+
+def _reslotted(lexicon, rng):
+    """*lexicon* with every suffix slot drawn again from 1..36, and one
+    mood suffix in the stem zone."""
+    slots = {sid: rng.randint(1, 36) for sid in lexicon.suffixes}
+    mood = rng.choice(sorted(sid for sid, entry in lexicon.suffixes.items()
+                             if entry.tag in tags.MOOD_TAGS))
+    slots[mood] = rng.randint(STEM_ZONE, 36)
+    return Lexicon(dict(lexicon.roots), {
+        sid: dataclasses.replace(entry, slot=slots[sid])
+        for sid, entry in lexicon.suffixes.items()})
+
+
+def test_search_drops_only_rejected_plans(lexicon):
+    """Every prefix the search drops belongs to a plan validate_plan
+    rejects, so no accepted plan is dropped; over the shipped slots and
+    over re-drawn ones with a mood in the stem zone."""
+    rng = Random(2026)
+    lexicons = [lexicon] * 4 + [_reslotted(lexicon, rng) for _ in range(4)]
+    unsound, drops, accepted = [], 0, 0
+    for lex in lexicons:
+        below = tags_below(lex)
+        for n in range(3000):
+            plan = build_random_plan(rng, lex)
+            if n % 2:
+                plan = _in_slot_order(plan)
+            dropped = _search_drop(plan, below)
+            if validate_plan(plan, lex):
+                drops += dropped is not None
+            else:
+                accepted += 1
+                if dropped is not None:
+                    unsound.append((plan, dropped))
+    assert not unsound, unsound[:3]
+    assert drops > 6_000 and accepted > 1_000, (drops, accepted)
