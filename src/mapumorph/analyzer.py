@@ -6,7 +6,9 @@ underlying morph sequences whose realization equals the input word.  Each
 path carries the morphotactic fold of every root-sense combination still
 alive: a combination drops at its first violation that no continuation
 can undo, and a piece that leaves none alive is never realized, so the
-pruning loses no analysis.  The morphotactic validator judges each
+pruning loses no analysis.  The folds move on through a transition table
+kept per grammar and filled on first use, so each transition is computed
+once, not once per piece tried.  The morphotactic validator judges each
 combination that reaches the end of the word; only zero-violation
 sequences survive.  Ambiguity is deliberately preserved: labile roots
 contribute one analysis per sense row, and homophonous suffixes one per
@@ -20,16 +22,18 @@ from __future__ import annotations
 
 import functools
 import json
+import threading
 import unicodedata
+from array import array
 from dataclasses import dataclass
 
 from . import alphabet, tags
 from .defaults import tables
 from .lexicon import Lexicon, RootEntry, SuffixEntry
-from .morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE, RootUse,
-                            advance, compound_valency, end_codes, next_floor,
-                            start_fold, tags_below, validate_plan,
-                            validate_sequence)
+from .morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE, Fold,
+                            RootUse, advance, compound_valency, end_codes,
+                            next_floor, start_fold, tags_below,
+                            validate_plan, validate_sequence)
 from .phonology import (Piece, RuleTable, extend_realization,
                         new_realization, select_allomorph)
 
@@ -183,39 +187,104 @@ def surface_licensing_ok(shaped: list[tuple[tuple[str, ...], str]]) -> bool:
     return True
 
 
+# an entry not yet computed, and one for a transition into a dead end
+_UNKNOWN, _DEAD = -1, -2
+# the largest fold id a row can hold; a transition into a later fold is
+# recomputed on each use instead
+_ROW_MAX = 2 ** 15 - 1
+
+
+class _Table:
+    """One part of the transition table: its columns, each an (item,
+    follow) pair, and per fold id a row of the fold id each column leads
+    to.  A row is the shared blank until its first entry."""
+
+    __slots__ = ("columns", "rows", "blank")
+
+    def __init__(self, columns: list):
+        self.columns, self.rows = columns, []
+        self.blank = array("h", [_UNKNOWN]) * len(columns)
+
+
 class _Grammar:
     """The search's tables for one (lexicon, rules), built once and shared
     by every :func:`analyse` call with them: the suffix options per
     preceding V/C, the root options, their filter by the character that
-    follows, each root's sense choices and the suffix tags that may follow
-    under each slot floor."""
+    follows and each root's sense choices.
+
+    It also holds the morphotactic transition table, which the searches
+    fill as they go.  Each :class:`~mapumorph.morphotactics.Fold` met gets
+    a number, and ``(fold, item, closed)`` leads to the number of the fold
+    after *item* (a suffix entry, or a root sense as a later compound
+    member), or to a dead end, computed by :func:`advance` and
+    :func:`end_codes` on first use.  *closed* says that the stem cannot
+    reopen after *item*, so the end checks count as certain under the
+    suffix tags that may still follow; while it can, no end check is.
+    The key needs no slot floor: the search tries a suffix only below the
+    floor, where :func:`advance` raises no slot code and gives the same
+    fold whatever the floor.  The folds, and so the table, are bounded by
+    the grammar, not by the words analysed.
+    """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
-        # (entry, slot, next floor, keeps the stem open, its pieces) per
-        # suffix, with a (piece, rewrites_left, starts) per allomorph
-        # usable after a vowel / consonant
+        below = tags_below(lexicon)
+        entries = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
+        # Suffix columns: each suffix with the stem closed, then each
+        # stem-zone suffix with it open (a suffix below the zone closes it)
+        columns = [(entry, below[next_floor(entry)]) for entry in entries]
+        opens = {}
+        for entry in entries:
+            if entry.slot >= STEM_ZONE:
+                opens[entry.id] = len(columns)
+                columns.append((entry, None))
+        self.suffix_table = _Table(columns)
+        # ((closed column, open column), slot, next floor, keeps the stem
+        # open, its pieces) per suffix, with a (piece, rewrites_left,
+        # starts) per allomorph usable after a vowel / consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
-        for entry in sorted(lexicon.suffixes.values(), key=lambda s: s.id):
+        for column, entry in enumerate(entries):
             for kind, options in self.suffixes.items():
-                options.append((entry, entry.slot, next_floor(entry),
-                                entry.slot >= STEM_ZONE, tuple(
+                options.append(((column, opens.get(entry.id)), entry.slot,
+                                next_floor(entry), entry.slot >= STEM_ZONE,
+                                tuple(
                                     rules.morph(a.surface, "suffix",
                                                 suffix_id=entry.id)
                                     for a in entry.allomorphs_after(kind))))
         # (sense choices as the first member, as a later one) per root; an
         # incorporated demonstrative is a fixed construction, so its
-        # citation sense stands for all of them
+        # citation sense stands for all of them.  Member columns: each
+        # later sense choice with the stem open, then closed.
         self.uses = {}
+        columns, later_columns = [], {}
         for key, entry in lexicon.roots.items():
             uses = tuple(RootUse(entry, s) for s in entry.senses)
             later = uses[:1] if entry.category == "demonstrative" else uses
             self.uses[key] = (uses, later)
-        # (piece, rewrites_left, starts, sense choices as a later member)
+            first = len(columns)
+            for use in later:
+                columns += [(use, None), (use, below[OPEN_FLOOR])]
+            later_columns[key] = (tuple(range(first, len(columns), 2)),
+                                  tuple(range(first + 1, len(columns), 2)))
+        self.member_table = _Table(columns)
+        # (piece, rewrites_left, starts, (open columns, closed columns) of
+        # its sense choices as a later member)
         self.roots = [rules.morph(e.form, "root", e.category)
-                      + (self.uses[(e.form, e.category)][1],)
+                      + (later_columns[(e.form, e.category)],)
                       for e in lexicon.iter_roots() if e.form]
-        self.below = tags_below(lexicon)
+
+        # the folds by number and the numbers by fold; the seen-tag sets
+        # the folds share
+        self.folds, self.fold_ids, self._seen = [], {}, {}
+        self._lock = threading.Lock()
+        # the live folds of each root alone, with their sense indices
+        self.starts = {}
+        for key, (uses, _) in self.uses.items():
+            live = {}
+            for k, use in enumerate(uses):
+                fid = self.fold_id(start_fold(use))
+                live[fid] = live.get(fid, ()) + ((k,),)
+            self.starts[key] = live
         self.options = functools.cache(self.options)
 
     def options(self, kind: str, char: str | None) -> tuple:
@@ -235,6 +304,70 @@ class _Grammar:
                      for suffix in self.suffixes[kind]
                      if (pieces := tuple(filter(worth, suffix[4]))))
 
+    def fold_id(self, fold: Fold) -> int:
+        """The number of *fold*, given on first sight.  A new fold is
+        stored with a shared ``seen``, and other threads learn its number
+        only once its rows exist."""
+        fid = self.fold_ids.get(fold)
+        if fid is None:
+            with self._lock:
+                fid = self.fold_ids.get(fold)
+                if fid is None:
+                    fold = fold._replace(
+                        seen=self._seen.setdefault(fold.seen, fold.seen))
+                    fid = len(self.folds)
+                    self.folds.append(fold)
+                    for table in (self.suffix_table, self.member_table):
+                        table.rows.append(table.blank)
+                    self.fold_ids[fold] = fid
+        return fid
+
+    def _fill(self, table: _Table, fid: int, column: int) -> int:
+        """Compute, store and return the entry of fold *fid* in *column*."""
+        item, follow = table.columns[column]
+        fold, codes = advance(self.folds[fid], item)
+        new = _DEAD if codes or end_codes(fold, follow) else self.fold_id(fold)
+        if new <= _ROW_MAX:
+            row = table.rows[fid]
+            if row is table.blank:
+                with self._lock:
+                    row = table.rows[fid]
+                    if row is table.blank:
+                        row = table.rows[fid] = array("h", table.blank)
+            row[column] = new
+        return new
+
+    def after_suffix(self, live: dict, column: int) -> dict:
+        """The live folds after the suffix of *column*, each with the
+        combinations that reach it."""
+        after = {}
+        table = self.suffix_table
+        rows = table.rows
+        for fid, combos in live.items():
+            new = rows[fid][column]
+            if new == _UNKNOWN:
+                new = self._fill(table, fid, column)
+            if new != _DEAD:
+                after[new] = after.get(new, ()) + combos
+        return after
+
+    def after_member(self, live: dict, columns: tuple) -> dict:
+        """As :meth:`after_suffix`, for a compound member whose sense
+        choices have *columns*; each combination grows by the index of its
+        sense."""
+        after = {}
+        table = self.member_table
+        rows = table.rows
+        for fid, combos in live.items():
+            for k, column in enumerate(columns):
+                new = rows[fid][column]
+                if new == _UNKNOWN:
+                    new = self._fill(table, fid, column)
+                if new != _DEAD:
+                    after[new] = after.get(new, ()) + tuple(
+                        combo + (k,) for combo in combos)
+        return after
+
     def search(self, word: str) -> list[tuple[tuple[Piece, ...], tuple,
                                               list]]:
         """Depth-first enumeration of the paths matching *word*, each as
@@ -250,16 +383,17 @@ class _Grammar:
         results come out in that order.
 
         The path also carries its live root-sense combinations, grouped by
-        their :class:`~mapumorph.morphotactics.Fold`.  A piece advances
-        each fold before it is realized; a combination drops at the first
-        code its next item raises, or once an end check is certain to fail
-        (:func:`end_codes` at the floor the piece leaves).  A piece that
-        leaves no combination alive is not realized, and a complete path
-        comes out with the combinations whose end checks pass, as sense
-        index tuples in the order of ``itertools.product``.
+        the id of their :class:`~mapumorph.morphotactics.Fold`.  A piece
+        moves each fold on by the transition table before it is realized;
+        a combination drops at the first code its next item raises, or
+        once an end check is certain to fail.  A piece that leaves no
+        combination alive is not realized, and a complete path comes out
+        with the combinations whose end checks pass, as sense index
+        tuples in the order of ``itertools.product``.
         """
         lexicon, rules, options = self.lexicon, self.rules, self.options
-        below = self.below
+        folds = self.folds
+        after_suffix, after_member = self.after_suffix, self.after_member
         results, dead = [], set()
 
         def step(state, pos, floor, n_members, member_ok, live):
@@ -276,8 +410,8 @@ class _Grammar:
             if word.startswith(pending, pos):
                 if end == len(word):
                     bare = len(state.pieces) == 1 and last.category == "verb"
-                    combos = sorted(combo for fold, combos in live.items()
-                                    if not end_codes(fold, bare=bare)
+                    combos = sorted(combo for fid, combos in live.items()
+                                    if not end_codes(folds[fid], bare=bare)
                                     for combo in combos)
                     if combos:
                         results.append((state.pieces, state.parts, combos))
@@ -285,23 +419,21 @@ class _Grammar:
             else:
                 char = None
             kind = "V" if alphabet.is_vowel(state.final) else "C"
-            for entry, slot, next_floor, keeps_stem, pieces in options(kind,
-                                                                       char):
+            for columns, slot, next_floor, keeps_stem, pieces in options(
+                    kind, char):
                 if slot < floor:
                     keeps = member_ok and keeps_stem
-                    follow = None if keeps and n_members < MAX_MEMBERS \
-                        else below[next_floor]
-                    after = _after_suffix(live, entry, floor, follow)
+                    after = after_suffix(
+                        live, columns[keeps and n_members < MAX_MEMBERS])
                     if after:
                         for piece, _, _ in pieces:
                             extend(state, pos, piece, next_floor, n_members,
                                    keeps, after)
 
             if member_ok and n_members < MAX_MEMBERS:
-                follow = None if n_members + 1 < MAX_MEMBERS \
-                    else below[OPEN_FLOOR]
-                for piece, _, _, uses in options("R", char):
-                    after = _after_member(live, uses, follow)
+                for piece, _, _, columns in options("R", char):
+                    after = after_member(
+                        live, columns[n_members + 1 >= MAX_MEMBERS])
                     if after:
                         extend(state, pos, piece, OPEN_FLOOR, n_members + 1,
                                True, after)
@@ -324,44 +456,19 @@ class _Grammar:
                 return
             step(new_state, new_pos, floor, n_members, member_ok, live)
 
-        for piece, _, _, _ in self.roots:
-            # The rule at the next boundary is the only one that can still
-            # rewrite the root's part; may_start allows for it.
-            if rules.may_start(piece, piece.form, word[0]):
-                live = {}
-                for k, use in enumerate(
-                        self.uses[(piece.form, piece.category)][0]):
-                    fold = start_fold(use)
-                    live[fold] = live.get(fold, ()) + ((k,),)
-                step(extend_realization(new_realization(), piece, rules,
-                                        lexicon), 0, OPEN_FLOOR, 1, True, live)
+        try:
+            for piece, _, _, _ in self.roots:
+                # The rule at the next boundary is the only one that can
+                # still rewrite the root's part; may_start allows for it.
+                if rules.may_start(piece, piece.form, word[0]):
+                    step(extend_realization(new_realization(), piece, rules,
+                                            lexicon), 0, OPEN_FLOOR, 1, True,
+                         self.starts[(piece.form, piece.category)])
+        finally:
+            # step and extend refer to each other; unbinding them frees
+            # this call's states without the cyclic collector
+            step = extend = None
         return results
-
-
-def _after_suffix(live: dict, entry: SuffixEntry, floor: int,
-                  follow) -> dict:
-    """The live folds after the suffix *entry* under *floor*, each with the
-    combinations that reach it: a fold drops when *entry* raises a code or
-    an end check is certain to fail with *follow* still to come."""
-    after = {}
-    for fold, combos in live.items():
-        new, codes = advance(fold, entry, floor)
-        if not codes and not end_codes(new, follow):
-            after[new] = after.get(new, ()) + combos
-    return after
-
-
-def _after_member(live: dict, uses: tuple, follow) -> dict:
-    """As :func:`_after_suffix`, for a compound member with the sense
-    choices *uses*; each combination grows by the index of its sense."""
-    after = {}
-    for fold, combos in live.items():
-        for k, use in enumerate(uses):
-            new, codes = advance(fold, use)
-            if not codes and not end_codes(new, follow):
-                after[new] = after.get(new, ()) + tuple(
-                    combo + (k,) for combo in combos)
-    return after
 
 
 def _build_analysis(word: str, pieces: tuple[Piece, ...],

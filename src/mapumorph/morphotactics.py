@@ -142,7 +142,9 @@ class Fold(NamedTuple):
     is open) is left to the caller: :func:`validate_plan` and the
     analyser's search each carry it.  Folds are built with
     ``tuple.__new__``, which skips the keyword handling of the NamedTuple
-    constructor: the search builds one for every piece it tries."""
+    constructor: :func:`validate_plan` builds one for every item it
+    judges.  The analyser numbers the folds it meets and builds each
+    transition once per grammar."""
 
     state: str              # the valency: IV, TV or TV2
     pending: str | None     # the code a non-verbal member raises unless

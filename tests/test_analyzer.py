@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import sys
 import threading
@@ -11,10 +12,17 @@ from mapumorph.analyzer import (GenerationError, analyse, generate,
                                 gloss_render, gloss_set, normalize_gloss)
 from mapumorph.defaults import data_path
 from mapumorph.lexicon import Lexicon, RootEntry, Sense
+from mapumorph.morphotactics import (OPEN_FLOOR, STEM_ZONE, RootUse, advance,
+                                     end_codes, next_floor, start_fold,
+                                     tags_below)
 from mapumorph.phonology import load_rules
 
 from conftest import DATA, load_gloss_corpus
-from helpers import build_mini_lexicon, oracle_map, sample_valid_tuples
+from helpers import (build_mini_lexicon, build_random_plan, oracle_map,
+                     sample_valid_tuples)
+
+GOLDEN_WORDS = (DATA / "golden" / "words.txt").read_text(
+    encoding="utf-8").split()
 
 
 def glosses(word, lexicon=None, rules=None):
@@ -265,11 +273,137 @@ def test_validate_plan_runs_on_surviving_combinations_only(monkeypatch):
         return judge(*args)
 
     monkeypatch.setattr(analyzer, "validate_plan", counting)
-    words = (DATA / "golden" / "words.txt").read_text(
-        encoding="utf-8").split()
-    analyses = sum(len(analyse(word)) for word in words)
+    analyses = sum(len(analyse(word)) for word in GOLDEN_WORDS)
     assert analyses == 1007
     assert len(calls) <= 2000
+
+
+def test_search_leaves_no_cyclic_garbage(lexicon):
+    words = ["küpalün", "pifaleymün", "kkkk", "mongelkefiiñ"]
+    for word in words:
+        analyse(word, lexicon)
+    gc.collect()
+    gc.disable()
+    try:
+        for word in words:
+            analyse(word, lexicon)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class TestTransitionTable:
+    """The grammar's morphotactic transition table, filled by the golden
+    words on a grammar of its own."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, lexicon):
+        rules = load_rules(data_path("rules.tsv"))
+        for word in GOLDEN_WORDS:
+            analyse(word, lexicon, rules)
+        return rules, rules.for_lexicon(lexicon, analyzer._Grammar)
+
+    def test_every_filled_entry_is_the_direct_fold(self, warm):
+        _, grammar = warm
+        below = tags_below(grammar.lexicon)
+        tables = {"suffix": grammar.suffix_table,
+                  "member": grammar.member_table}
+        checked = dict.fromkeys(tables, 0)
+        for name, table in tables.items():
+            for column, (item, follow) in enumerate(table.columns):
+                if name == "member":
+                    assert isinstance(item, RootUse)
+                    closed = column % 2
+                    assert follow == (below[OPEN_FLOOR] if closed else None)
+                elif column < len(grammar.lexicon.suffixes):
+                    assert follow == below[next_floor(item)]
+                else:
+                    assert follow is None and item.slot >= STEM_ZONE
+            for fid, row in enumerate(table.rows):
+                for column, new in enumerate(row):
+                    if new == analyzer._UNKNOWN:
+                        continue
+                    item, follow = table.columns[column]
+                    fold, codes = advance(grammar.folds[fid], item)
+                    assert new == (
+                        analyzer._DEAD if codes or end_codes(fold, follow)
+                        else grammar.fold_ids[fold]), (name, fid, column)
+                    checked[name] += 1
+        assert checked["suffix"] > 3000 and checked["member"] > 500, checked
+
+    def test_a_suffix_folds_alike_under_every_floor_above_its_slot(
+            self, lexicon):
+        # the search tries a suffix only below the floor, so the table
+        # may leave the floor out of its key
+        rng = random.Random(10)
+        checked = 0
+        for _ in range(400):
+            plan = build_random_plan(rng, lexicon)
+            fold = start_fold(plan[0])
+            for item in plan[1:]:
+                if not isinstance(item, RootUse):
+                    moved = advance(fold, item)
+                    for floor in range(item.slot + 1, OPEN_FLOOR):
+                        assert advance(fold, item, floor) == moved
+                        checked += 1
+                fold = advance(fold, item)[0]
+        assert checked > 10_000
+
+    def test_a_warm_grammar_computes_no_transition(self, warm, lexicon,
+                                                   monkeypatch):
+        rules, grammar = warm
+        n_folds = len(grammar.folds)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return advance(*args)
+
+        monkeypatch.setattr(analyzer, "advance", counting)
+        for word in GOLDEN_WORDS:
+            analyse(word, lexicon, rules)
+        assert not calls
+        assert len(grammar.folds) == n_folds
+
+    def test_folds_beyond_a_rows_reach_are_recomputed(self, lexicon,
+                                                      monkeypatch):
+        words = GOLDEN_WORDS[::8]
+        expected = [analyse(word, lexicon) for word in words]
+        monkeypatch.setattr(analyzer, "_ROW_MAX", 20)
+        rules = load_rules(data_path("rules.tsv"))
+        assert [analyse(word, lexicon, rules) for word in words] == expected
+        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        assert len(grammar.folds) > 20
+        assert all(max(row) <= 20
+                   for table in (grammar.suffix_table, grammar.member_table)
+                   for row in table.rows)
+
+    def test_threads_filling_a_cold_table_get_the_serial_results(
+            self, lexicon):
+        expected = [analyse(word, lexicon) for word in GOLDEN_WORDS]
+        rules = load_rules(data_path("rules.tsv"))
+        got = {}
+
+        def work(k):
+            shift = k * len(GOLDEN_WORDS) // 4
+            words = GOLDEN_WORDS[shift:] + GOLDEN_WORDS[:shift]
+            got[k] = [analyse(word, lexicon, rules) for word in words]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            shift = k * len(GOLDEN_WORDS) // 4
+            assert got[k] == expected[shift:] + expected[:shift], k
 
 
 class TestGenerate:
