@@ -6,10 +6,13 @@ underlying morph sequences whose realization equals the input word.  Each
 path carries the morphotactic fold of every root-sense combination still
 alive: a combination drops at its first violation that no continuation
 can undo, and a piece that leaves none alive is never realized, so the
-pruning loses no analysis.  The folds move on through a transition table
-kept per grammar and filled on first use, so each transition is computed
-once, not once per piece tried.  The morphotactic validator judges each
-combination that reaches the end of the word; only zero-violation
+pruning loses no analysis.  The grammar numbers the pieces, and a search
+step holds only numbers and strings.  Folds move on through a transition
+table and pieces are realized through a realization table, both kept per
+grammar and filled on first use, so each transition and each boundary is
+computed once, not once per piece tried.  A path's pieces and parts are
+built only once it reaches the end of the word.  The morphotactic
+validator judges each combination that gets there; only zero-violation
 sequences survive.  Ambiguity is deliberately preserved: labile roots
 contribute one analysis per sense row, and homophonous suffixes one per
 reading.
@@ -34,7 +37,7 @@ from .morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE, Fold,
                             RootUse, advance, compound_valency, end_codes,
                             next_floor, start_fold, tags_below,
                             validate_plan, validate_sequence)
-from .phonology import (Piece, RuleTable, extend_realization,
+from .phonology import (Piece, Realization, RuleTable, extend_realization,
                         new_realization, select_allomorph)
 
 
@@ -212,22 +215,48 @@ class _Grammar:
     preceding V/C, the root options, their filter by the character that
     follows and each root's sense choices.
 
-    It also holds the morphotactic transition table, which the searches
-    fill as they go.  Each :class:`~mapumorph.morphotactics.Fold` met gets
-    a number, and ``(fold, item, closed)`` leads to the number of the fold
-    after *item* (a suffix entry, or a root sense as a later compound
-    member), or to a dead end, computed by :func:`advance` and
-    :func:`end_codes` on first use.  *closed* says that the stem cannot
-    reopen after *item*, so the end checks count as certain under the
-    suffix tags that may still follow; while it can, no end check is.
-    The key needs no slot floor: the search tries a suffix only below the
-    floor, where :func:`advance` raises no slot code and gives the same
-    fold whatever the floor.  The folds, and so the table, are bounded by
-    the grammar, not by the words analysed.
+    Every piece the search can try gets a number: each suffix allomorph
+    and each root when the grammar is built, and each fused variant that
+    a rule makes the first time it appears.  The searches fill two tables
+    keyed by these numbers as they go.
+
+    The realization table takes ``(previous piece, pending part, final
+    segment)`` to a row indexed by the next piece, whose entries are
+    ``(new piece, finalized part, new pending part, new final segment,
+    initials of the new pending part)``: what
+    :func:`~mapumorph.phonology.extend_realization` gives on first use,
+    or None before it.  The pending part is the last piece's part, which
+    the rule at the next boundary may still rewrite; the final segment is
+    that of the whole surface so far, which the key needs because a
+    digraph can straddle the pending part's start.  The initials are
+    :meth:`~mapumorph.phonology.RuleTable.initials` of the new pending
+    part (None when it is empty).
+
+    The morphotactic transition table numbers each
+    :class:`~mapumorph.morphotactics.Fold` met, and ``(fold, item,
+    closed)`` leads to the number of the fold after *item* (a suffix
+    entry, or a root sense as a later compound member), or to a dead end,
+    computed by :func:`advance` and :func:`end_codes` on first use.
+    *closed* says that the stem cannot reopen after *item*, so the end
+    checks count as certain under the suffix tags that may still follow;
+    while it can, no end check is.  The key needs no slot floor: the
+    search tries a suffix only below the floor, where :func:`advance`
+    raises no slot code and gives the same fold whatever the floor.
+
+    The pieces, the folds and so both tables are bounded by the grammar,
+    not by the words analysed.  Lists indexed by piece or fold number
+    belong to the grammar and grow under its lock together with the
+    number, since a search may meet a number that another thread has just
+    given.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
+        self._lock = threading.Lock()
+        # the pieces by number, each one's rule identity (suffix id or
+        # form, category) and the numbers by piece; the realization rows
+        self.pieces, self.idents, self.piece_ids = [], [], {}
+        self.realized = {}
         below = tags_below(lexicon)
         entries = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
         # Suffix columns: each suffix with the stem closed, then each
@@ -240,17 +269,16 @@ class _Grammar:
                 columns.append((entry, None))
         self.suffix_table = _Table(columns)
         # ((closed column, open column), slot, next floor, keeps the stem
-        # open, its pieces) per suffix, with a (piece, rewrites_left,
+        # open, its pieces) per suffix, with a (piece id, rewrites_left,
         # starts) per allomorph usable after a vowel / consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
         for column, entry in enumerate(entries):
             for kind, options in self.suffixes.items():
                 options.append(((column, opens.get(entry.id)), entry.slot,
                                 next_floor(entry), entry.slot >= STEM_ZONE,
-                                tuple(
-                                    rules.morph(a.surface, "suffix",
-                                                suffix_id=entry.id)
-                                    for a in entry.allomorphs_after(kind))))
+                                tuple(self._numbered(rules.morph(
+                                    a.surface, "suffix", suffix_id=entry.id))
+                                      for a in entry.allomorphs_after(kind))))
         # (sense choices as the first member, as a later one) per root; an
         # incorporated demonstrative is a fixed construction, so its
         # citation sense stands for all of them.  Member columns: each
@@ -267,25 +295,51 @@ class _Grammar:
             later_columns[key] = (tuple(range(first, len(columns), 2)),
                                   tuple(range(first + 1, len(columns), 2)))
         self.member_table = _Table(columns)
-        # (piece, rewrites_left, starts, (open columns, closed columns) of
-        # its sense choices as a later member)
-        self.roots = [rules.morph(e.form, "root", e.category)
+        # (piece id, rewrites_left, starts, (open columns, closed columns)
+        # of its sense choices as a later member)
+        self.roots = [self._numbered(rules.morph(e.form, "root", e.category))
                       + (later_columns[(e.form, e.category)],)
                       for e in lexicon.iter_roots() if e.form]
 
         # the folds by number and the numbers by fold; the seen-tag sets
         # the folds share
         self.folds, self.fold_ids, self._seen = [], {}, {}
-        self._lock = threading.Lock()
-        # the live folds of each root alone, with their sense indices
-        self.starts = {}
-        for key, (uses, _) in self.uses.items():
+        # each root alone as a path's first step: (piece id, part, final
+        # segment, live folds with their sense indices)
+        self._firsts = []
+        for pid, _, _, _ in self.roots:
+            piece = self.pieces[pid]
+            uses = self.uses[(piece.form, piece.category)][0]
             live = {}
             for k, use in enumerate(uses):
                 fid = self.fold_id(start_fold(use))
                 live[fid] = live.get(fid, ()) + ((k,),)
-            self.starts[key] = live
+            state = extend_realization(new_realization(), piece, rules,
+                                       lexicon)
+            self._firsts.append((pid, state.parts[-1], state.final, live))
+        # every piece the search tries has been numbered by now; a fused
+        # variant, numbered later, is only ever a result
+        self.width = len(self.pieces)
         self.options = functools.cache(self.options)
+        self.firsts = functools.cache(self.firsts)
+
+    def _numbered(self, morph: tuple) -> tuple:
+        """A :meth:`RuleTable.morph` triple with its piece numbered."""
+        return (self.piece_id(morph[0]),) + morph[1:]
+
+    def piece_id(self, piece: Piece) -> int:
+        """The number of *piece*, given on first sight."""
+        pid = self.piece_ids.get(piece)
+        if pid is None:
+            with self._lock:
+                pid = self.piece_ids.get(piece)
+                if pid is None:
+                    pid = len(self.pieces)
+                    self.pieces.append(piece)
+                    self.idents.append((piece.suffix_id or piece.form,
+                                        piece.category))
+                    self.piece_ids[piece] = pid
+        return pid
 
     def options(self, kind: str, char: str | None) -> tuple:
         """Suffix (kind "V"/"C") or root (kind "R") options worth trying
@@ -303,6 +357,17 @@ class _Grammar:
         return tuple(suffix[:4] + (pieces,)
                      for suffix in self.suffixes[kind]
                      if (pieces := tuple(filter(worth, suffix[4]))))
+
+    def firsts(self, char: str) -> tuple:
+        """The first steps of the paths for a word that starts with
+        *char*: the roots whose part can start with it once the rule at
+        the next boundary, the only one that can still rewrite it, has
+        applied.  Memoised per grammar."""
+        def may_start(first):
+            chars = self.rules.initials(self.pieces[first[0]], first[1])
+            return chars is None or char in chars
+
+        return tuple(filter(may_start, self._firsts))
 
     def fold_id(self, fold: Fold) -> int:
         """The number of *fold*, given on first sight.  A new fold is
@@ -336,6 +401,22 @@ class _Grammar:
                         row = table.rows[fid] = array("h", table.blank)
             row[column] = new
         return new
+
+    def _realize(self, row: list, prev: int, pending: str, final: str,
+                 pid: int, head: str) -> tuple:
+        """Compute, store in *row* and return the realization entry of
+        piece *pid* after piece *prev*, whose part *pending* follows *head*
+        in a surface ending in *final*."""
+        pieces = self.pieces
+        state = extend_realization(
+            Realization((pieces[prev],), (pending,), head + pending, final),
+            pieces[pid], self.rules, self.lexicon)
+        piece = state.pieces[-1]
+        finalized, part = state.parts
+        entry = row[pid] = (self.piece_id(piece), finalized, part,
+                            state.final,
+                            self.rules.initials(piece, part) if part else None)
+        return entry
 
     def after_suffix(self, live: dict, column: int) -> dict:
         """The live folds after the suffix of *column*, each with the
@@ -382,6 +463,15 @@ class _Grammar:
         order of an unpruned search (suffixes by id, then roots), so
         results come out in that order.
 
+        A step holds numbers and strings only: a link to the path so far
+        (``(parent link, piece number, finalized part)``), the number of
+        the last piece, its pending part, the final segment, the position
+        the pending part starts at, the slot floor, the member count and
+        whether another member may follow.  Each piece tried is realized
+        by a lookup in the step's row of the realization table; the pieces
+        and parts of a path are built only once it reaches the end of the
+        word.
+
         The path also carries its live root-sense combinations, grouped by
         the id of their :class:`~mapumorph.morphotactics.Fold`.  A piece
         moves each fold on by the transition table before it is realized;
@@ -391,34 +481,38 @@ class _Grammar:
         with the combinations whose end checks pass, as sense index
         tuples in the order of ``itertools.product``.
         """
-        lexicon, rules, options = self.lexicon, self.rules, self.options
-        folds = self.folds
+        options, folds, idents = self.options, self.folds, self.idents
         after_suffix, after_member = self.after_suffix, self.after_member
+        realized, realize, width = self.realized, self._realize, self.width
         results, dead = [], set()
+        size = len(word)
 
-        def step(state, pos, floor, n_members, member_ok, live):
-            last = state.pieces[-1]
-            pending = state.parts[-1]
-            key = (pos, pending, last.suffix_id or last.form,
-                   last.category, floor, n_members, member_ok,
+        def step(link, prev, pending, final, pos, floor, n_members,
+                 member_ok, live):
+            key = (pos, pending, idents[prev], floor, n_members, member_ok,
                    frozenset(live))
             if key in dead:
                 return
             produced = len(results)
+            row = realized.get((prev, pending, final))
+            if row is None:
+                row = realized.setdefault((prev, pending, final),
+                                          [None] * width)
 
             end = pos + len(pending)
             if word.startswith(pending, pos):
-                if end == len(word):
-                    bare = len(state.pieces) == 1 and last.category == "verb"
+                if end == size:
+                    bare = link is None and idents[prev][1] == "verb"
                     combos = sorted(combo for fid, combos in live.items()
                                     if not end_codes(folds[fid], bare=bare)
                                     for combo in combos)
                     if combos:
-                        results.append((state.pieces, state.parts, combos))
+                        results.append(self._path(link, prev, pending)
+                                       + (combos,))
                 char = word[end:end + 1]
             else:
                 char = None
-            kind = "V" if alphabet.is_vowel(state.final) else "C"
+            kind = "V" if alphabet.is_vowel(final) else "C"
             for columns, slot, next_floor, keeps_stem, pieces in options(
                     kind, char):
                 if slot < floor:
@@ -426,49 +520,57 @@ class _Grammar:
                     after = after_suffix(
                         live, columns[keeps and n_members < MAX_MEMBERS])
                     if after:
-                        for piece, _, _ in pieces:
-                            extend(state, pos, piece, next_floor, n_members,
-                                   keeps, after)
+                        for pid, _, _ in pieces:
+                            extend(row, link, prev, pending, final, pos,
+                                   pid, next_floor, n_members, keeps, after)
 
             if member_ok and n_members < MAX_MEMBERS:
-                for piece, _, _, columns in options("R", char):
+                for pid, _, _, columns in options("R", char):
                     after = after_member(
                         live, columns[n_members + 1 >= MAX_MEMBERS])
                     if after:
-                        extend(state, pos, piece, OPEN_FLOOR, n_members + 1,
-                               True, after)
+                        extend(row, link, prev, pending, final, pos, pid,
+                               OPEN_FLOOR, n_members + 1, True, after)
 
             if len(results) == produced:
                 dead.add(key)
 
-        def extend(state, pos, piece, floor, n_members, member_ok, live):
-            new_state = extend_realization(state, piece, rules, lexicon)
-            finalized = new_state.parts[-2]
+        def extend(row, link, prev, pending, final, pos, pid, floor,
+                   n_members, member_ok, live):
+            entry = row[pid]
+            if entry is None:
+                entry = realize(row, prev, pending, final, pid, word[:pos])
+            new, finalized, part, new_final, initials = entry
             if not word.startswith(finalized, pos):
                 return
             new_pos = pos + len(finalized)
-            pending = new_state.parts[-1]
             # The pending part is rewritten at most once more, by the rule
-            # at the next boundary; may_start counts the first characters
+            # at the next boundary; its initials count the first characters
             # that rule can give it, so this probe never drops a path.
-            if pending and (new_pos >= len(word) or not rules.may_start(
-                    new_state.pieces[-1], pending, word[new_pos])):
+            if part and (new_pos >= size or initials is not None
+                         and word[new_pos] not in initials):
                 return
-            step(new_state, new_pos, floor, n_members, member_ok, live)
+            step((link, prev, finalized), new, part, new_final, new_pos,
+                 floor, n_members, member_ok, live)
 
         try:
-            for piece, _, _, _ in self.roots:
-                # The rule at the next boundary is the only one that can
-                # still rewrite the root's part; may_start allows for it.
-                if rules.may_start(piece, piece.form, word[0]):
-                    step(extend_realization(new_realization(), piece, rules,
-                                            lexicon), 0, OPEN_FLOOR, 1, True,
-                         self.starts[(piece.form, piece.category)])
+            for pid, part, final, live in self.firsts(word[0]):
+                step(None, pid, part, final, 0, OPEN_FLOOR, 1, True, live)
         finally:
             # step and extend refer to each other; unbinding them frees
             # this call's states without the cyclic collector
             step = extend = None
         return results
+
+    def _path(self, link, last: int, pending: str) -> tuple:
+        """(pieces, parts) of the path that *link* leads to, followed by
+        piece *last* with part *pending*."""
+        pieces, parts = [self.pieces[last]], [pending]
+        while link is not None:
+            link, pid, part = link
+            pieces.append(self.pieces[pid])
+            parts.append(part)
+        return tuple(reversed(pieces)), tuple(reversed(parts))
 
 
 def _build_analysis(word: str, pieces: tuple[Piece, ...],

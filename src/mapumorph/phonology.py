@@ -18,9 +18,10 @@ Each line is parsed once, at load, straight into the compiled
 :class:`BoundaryRule`; a malformed line fails there with its file and
 line.  Application is single pass, one rule per boundary, in table
 order.  Generation applies the rules forward, and the analyser searches
-forward through the same :class:`RuleTable` rather than undoing them.
-Realization states are immutable, so the search can branch from any
-state; tables change only by filling their memos.
+forward through the same :class:`RuleTable` rather than undoing them: its
+grammar keeps what :func:`extend_realization` gives for each (previous
+piece, pending part, final segment, next piece) it meets, so a search
+carries no realization state.  Tables change only by filling their memos.
 """
 
 from __future__ import annotations
@@ -314,14 +315,6 @@ class RuleTable:
             self._initials[key] = chars
         return chars
 
-    def may_start(self, piece: Piece, surface: str, char: str) -> bool:
-        """Whether the part *surface* of *piece* can begin with *char* once
-        the rule at the next boundary has applied (see :meth:`initials`)."""
-        if surface[0] == char:
-            return True
-        chars = self.initials(piece, surface)
-        return chars is None or char in chars
-
     def _rewritten_initials(self, piece: Piece, surface: str):
         chars = {surface[0]}
         one_segment = None
@@ -428,12 +421,6 @@ def select_allomorph(suffix: SuffixEntry, stem_final: str) -> str:
             return allomorph.surface
     raise PhonologyError(
         f"no allomorph of {suffix.id} fits after {stem_final!r}")
-
-
-def matching_allomorphs(suffix: SuffixEntry, preceding_surface: str) -> list[str]:
-    """All allomorph surfaces usable after the given realised surface."""
-    kind = alphabet.final_kind(preceding_surface) if preceding_surface else None
-    return [a.surface for a in suffix.allomorphs_after(kind)]
 
 
 def realize(seq, lexicon: Lexicon | None = None,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 
+from mapumorph.alphabet import final_kind
 from mapumorph.analyzer import surface_licensing_ok
-from mapumorph.lexicon import Lexicon
+from mapumorph.lexicon import Lexicon, SuffixEntry
 from mapumorph.morphotactics import STEM_ZONE, RootUse, validate_plan
-from mapumorph.phonology import (Piece, extend_realization,
-                                 matching_allomorphs, new_realization)
+from mapumorph.phonology import Piece, extend_realization, new_realization
 
 MOODS_FINITE = ["IND.y", "IND1SG.n"]
 MOODS_NOMINAL = ["OVN.el", "SVN.lu", "PVN.n", "IVN.m"]
@@ -134,6 +134,13 @@ def sequence_key(items):
         else:
             out.append(("S", item.id))
     return tuple(out)
+
+
+def matching_allomorphs(suffix: SuffixEntry,
+                        preceding_surface: str) -> list[str]:
+    """All allomorph surfaces usable after the given realised surface."""
+    kind = final_kind(preceding_surface) if preceding_surface else None
+    return [a.surface for a in suffix.allomorphs_after(kind)]
 
 
 def _all_realizations(items, lexicon, rules):

@@ -7,7 +7,8 @@ import threading
 import pytest
 
 from mapumorph import analyzer
-from mapumorph.alphabet import AlphabetError
+from mapumorph.alphabet import (DIGRAPHS, SINGLE_LETTERS, AlphabetError,
+                                final_segment)
 from mapumorph.analyzer import (GenerationError, analyse, generate,
                                 gloss_render, gloss_set, normalize_gloss)
 from mapumorph.defaults import data_path
@@ -15,7 +16,7 @@ from mapumorph.lexicon import Lexicon, RootEntry, Sense
 from mapumorph.morphotactics import (OPEN_FLOOR, STEM_ZONE, RootUse, advance,
                                      end_codes, next_floor, start_fold,
                                      tags_below)
-from mapumorph.phonology import load_rules
+from mapumorph.phonology import Realization, extend_realization, load_rules
 
 from conftest import DATA, load_gloss_corpus
 from helpers import (build_mini_lexicon, build_random_plan, oracle_map,
@@ -292,16 +293,19 @@ def test_search_leaves_no_cyclic_garbage(lexicon):
         gc.enable()
 
 
+@pytest.fixture(scope="module")
+def warm(lexicon):
+    """A rule table of its own and its grammar, with the tables filled by
+    the golden words."""
+    rules = load_rules(data_path("rules.tsv"))
+    for word in GOLDEN_WORDS:
+        analyse(word, lexicon, rules)
+    return rules, rules.for_lexicon(lexicon, analyzer._Grammar)
+
+
 class TestTransitionTable:
     """The grammar's morphotactic transition table, filled by the golden
     words on a grammar of its own."""
-
-    @pytest.fixture(scope="class")
-    def warm(self, lexicon):
-        rules = load_rules(data_path("rules.tsv"))
-        for word in GOLDEN_WORDS:
-            analyse(word, lexicon, rules)
-        return rules, rules.for_lexicon(lexicon, analyzer._Grammar)
 
     def test_every_filled_entry_is_the_direct_fold(self, warm):
         _, grammar = warm
@@ -404,6 +408,69 @@ class TestTransitionTable:
         for k in range(4):
             shift = k * len(GOLDEN_WORDS) // 4
             assert got[k] == expected[shift:] + expected[:shift], k
+
+
+# Surfaces to put before a pending part: every segment alone and after a
+# vowel, and runs of the letters that begin a digraph, which
+# final_segment reads back through.
+SEGMENTS = sorted(SINGLE_LETTERS) + list(DIGRAPHS)
+HEADS = [""] + SEGMENTS + ["a" + s for s in SEGMENTS] + [
+    "nn", "ll", "lll", "ann", "all", "alll", "nng", "lng", "ntr", "ltr",
+    "nch", "lch", "nsh", "tch"]
+
+
+class TestRealizationTable:
+    """The grammar's realization table, filled by the golden words on a
+    grammar of its own."""
+
+    def test_every_filled_entry_holds_whatever_precedes_the_pending_part(
+            self, warm, lexicon):
+        # The key leaves out the surface before the pending part and keeps
+        # only the final segment, which may reach back into it.  Each
+        # entry must be what the rules give after any head of that final.
+        rules, grammar = warm
+        pieces = grammar.pieces
+        entries = checked = 0
+        for (prev, pending, final), row in grammar.realized.items():
+            assert len(row) == grammar.width
+            heads = [h for h in HEADS if h + pending
+                     and final_segment(h + pending) == final]
+            assert heads, (pending, final)
+            for pid, entry in enumerate(row):
+                if entry is None:
+                    continue
+                entries += 1
+                for head in heads:
+                    state = rules.extend(
+                        Realization((pieces[prev],), (pending,),
+                                    head + pending, final),
+                        pieces[pid], lexicon)
+                    piece = state.pieces[-1]
+                    part = state.parts[-1]
+                    assert entry == (
+                        grammar.piece_ids[piece], *state.parts, state.final,
+                        rules.initials(piece, part) if part else None), (
+                            head, pending, final, pieces[pid])
+                    checked += 1
+        assert entries > 3000 and checked > 50_000, (entries, checked)
+
+    def test_a_warm_grammar_realizes_nothing(self, warm, lexicon,
+                                             monkeypatch):
+        rules, grammar = warm
+        n_pieces = len(grammar.pieces)
+        filled = {state: list(row) for state, row in grammar.realized.items()}
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return extend_realization(*args)
+
+        monkeypatch.setattr(analyzer, "extend_realization", counting)
+        for word in GOLDEN_WORDS:
+            analyse(word, lexicon, rules)
+        assert not calls
+        assert len(grammar.pieces) == n_pieces
+        assert grammar.realized == filled
 
 
 class TestGenerate:

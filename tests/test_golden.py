@@ -17,12 +17,14 @@ plans from ``build_random_plan(Random(8))``, which reach every code.
 
 import hashlib
 import io
+import itertools
 from random import Random
 
 import pytest
 
 from mapumorph import generate
 from mapumorph.cli import run
+from mapumorph.defaults import data_path
 from mapumorph.morphotactics import VIOLATION_MESSAGES, validate_plan
 
 from conftest import DATA, load_gloss_corpus
@@ -59,6 +61,19 @@ def test_word_list_is_rebuilt_by_the_generator(lexicon, rules):
 
 def test_analyse_gloss_text():
     assert invoke(["analyse"], read("words.txt")) == read("analyse.txt")
+
+
+def test_a_cold_grammar_fed_in_reverse_gives_the_same_text():
+    # --rules loads a rule table of its own, so its grammar starts empty
+    # and numbers its pieces and folds in the order the reversed words
+    # meet them; the output must not depend on that order.
+    words = read("words.txt").split()
+    out = invoke(["analyse", "--rules", str(data_path("rules.tsv"))],
+                 "\n".join(reversed(words)) + "\n")
+    blocks = ["".join(lines) for _, lines in itertools.groupby(
+        out.splitlines(keepends=True), key=lambda line: line.split("\t")[0])]
+    assert len(blocks) == len(words)
+    assert "".join(reversed(blocks)) == read("analyse.txt")
 
 
 def test_analyse_json_lines(kona_json):
