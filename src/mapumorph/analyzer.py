@@ -232,6 +232,15 @@ class _Grammar:
     :meth:`~mapumorph.phonology.RuleTable.initials` of the new pending
     part (None when it is empty).
 
+    The key decides every field but one.  Greedy segmentation splits a
+    surface ``s + t`` as ``s`` up to its final segment, then that segment
+    followed by ``t``, so while the finalized part is the pending part
+    with something appended, the new final segment follows from the old
+    one.  A rule that rewrites the pending part instead (a fusion, or a
+    final-segment rewrite) sets a new segment next to the surface before
+    it, which the key leaves out: such an entry holds None for the new
+    final segment, and the search reads it off the word.
+
     The morphotactic transition table numbers each
     :class:`~mapumorph.morphotactics.Fold` met, and ``(fold, item,
     closed)`` leads to the number of the fold after *item* (a suffix
@@ -414,7 +423,8 @@ class _Grammar:
         piece = state.pieces[-1]
         finalized, part = state.parts
         entry = row[pid] = (self.piece_id(piece), finalized, part,
-                            state.final,
+                            state.final if finalized.startswith(pending)
+                            else None,
                             self.rules.initials(piece, part) if part else None)
         return entry
 
@@ -468,9 +478,10 @@ class _Grammar:
         the last piece, its pending part, the final segment, the position
         the pending part starts at, the slot floor, the member count and
         whether another member may follow.  Each piece tried is realized
-        by a lookup in the step's row of the realization table; the pieces
-        and parts of a path are built only once it reaches the end of the
-        word.
+        by a lookup in the step's row of the realization table, and the
+        final segment is read off the word when the entry has none; the
+        pieces and parts of a path are built only once it reaches the end
+        of the word.
 
         The path also carries its live root-sense combinations, grouped by
         the id of their :class:`~mapumorph.morphotactics.Fold`.  A piece
@@ -550,6 +561,9 @@ class _Grammar:
             if part and (new_pos >= size or initials is not None
                          and word[new_pos] not in initials):
                 return
+            if new_final is None:
+                surface = word[:new_pos] + part
+                new_final = alphabet.final_segment(surface) if surface else ""
             step((link, prev, finalized), new, part, new_final, new_pos,
                  floor, n_members, member_ok, live)
 

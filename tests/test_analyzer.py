@@ -418,6 +418,66 @@ HEADS = [""] + SEGMENTS + ["a" + s for s in SEGMENTS] + [
     "nn", "ll", "lll", "ann", "all", "alll", "nng", "lng", "ntr", "ltr",
     "nch", "lch", "nsh", "tch"]
 
+# Rules put before the shipped ones whose rewrites of the pending part let
+# the surface before it decide the new final segment: an empty fusion
+# leaves the stem's own final, and g after a one-segment l completes ng
+# after an n-final stem, which the zero first person leaves final for the
+# epenthesis to read.
+REWRITING_RULES = (
+    "ef\tfusion\tsuffix:RI.fu\tsuffix:AGR.fi\tfuse:\t-",
+    "lg\tsandhi\tsuffix:SJI.l\tsuffix:P1.i\tleft:final:g\t-",
+    "gx\tepenthesis\tg\tany\tright:prefix:ü\t-")
+# (root form, sense, suffix ids) pairs that differ only in the stem before
+# a rewritten part
+REWRITTEN = [("elu", "TV", ["RI.fu", "AGR.fi", "IND1SG.n"]),
+             ("anel", "TV", ["RI.fu", "AGR.fi", "IND1SG.n"]),
+             ("küpa", "IV", ["SJI.l", "P1.i", "DL.u"]),
+             ("kon", "IV", ["SJI.l", "P1.i", "DL.u"])]
+
+
+@pytest.fixture(scope="module")
+def rewriting_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rules") / "rules.tsv"
+    path.write_text("\n".join(REWRITING_RULES) + "\n"
+                    + data_path("rules.tsv").read_text(encoding="utf-8"),
+                    encoding="utf-8")
+    return path
+
+
+def check_entries(rules, grammar, lexicon):
+    """Check every filled realization entry against a direct
+    RuleTable.extend after each head of its final segment: equal, but for
+    a final segment left to the word after a rewritten pending part.
+    Returns (entries, checks, entries whose final differs by head)."""
+    pieces = grammar.pieces
+    entries = checked = head_bound = 0
+    for (prev, pending, final), row in grammar.realized.items():
+        assert len(row) == grammar.width
+        heads = [h for h in HEADS if h + pending
+                 and final_segment(h + pending) == final]
+        assert heads, (pending, final)
+        for pid, entry in enumerate(row):
+            if entry is None:
+                continue
+            entries += 1
+            finals = set()
+            for head in heads:
+                state = rules.extend(
+                    Realization((pieces[prev],), (pending,),
+                                head + pending, final),
+                    pieces[pid], lexicon)
+                piece = state.pieces[-1]
+                finalized, part = state.parts
+                kept = state.final if finalized.startswith(pending) else None
+                assert entry == (
+                    grammar.piece_ids[piece], finalized, part, kept,
+                    rules.initials(piece, part) if part else None), (
+                        head, pending, final, pieces[pid])
+                finals.add(state.final)
+                checked += 1
+            head_bound += len(finals) > 1
+    return entries, checked, head_bound
+
 
 class TestRealizationTable:
     """The grammar's realization table, filled by the golden words on a
@@ -428,31 +488,32 @@ class TestRealizationTable:
         # The key leaves out the surface before the pending part and keeps
         # only the final segment, which may reach back into it.  Each
         # entry must be what the rules give after any head of that final.
-        rules, grammar = warm
-        pieces = grammar.pieces
-        entries = checked = 0
-        for (prev, pending, final), row in grammar.realized.items():
-            assert len(row) == grammar.width
-            heads = [h for h in HEADS if h + pending
-                     and final_segment(h + pending) == final]
-            assert heads, (pending, final)
-            for pid, entry in enumerate(row):
-                if entry is None:
-                    continue
-                entries += 1
-                for head in heads:
-                    state = rules.extend(
-                        Realization((pieces[prev],), (pending,),
-                                    head + pending, final),
-                        pieces[pid], lexicon)
-                    piece = state.pieces[-1]
-                    part = state.parts[-1]
-                    assert entry == (
-                        grammar.piece_ids[piece], *state.parts, state.final,
-                        rules.initials(piece, part) if part else None), (
-                            head, pending, final, pieces[pid])
-                    checked += 1
+        entries, checked, _ = check_entries(*warm, lexicon)
         assert entries > 3000 and checked > 50_000, (entries, checked)
+
+    def test_rewriting_rules_leave_the_final_segment_to_the_word(
+            self, lexicon, rewriting_path):
+        rules = load_rules(rewriting_path)
+        for word in GOLDEN_WORDS:
+            analyse(word, lexicon, rules)
+        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        entries, _, head_bound = check_entries(rules, grammar, lexicon)
+        assert entries > 3000 and head_bound, (entries, head_bound)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_a_rewritten_pending_part_takes_the_final_of_its_word(
+            self, lexicon, rewriting_path, order):
+        # Whichever stem fills an entry first, each word must analyse as
+        # the sequence that generates it.
+        rules = load_rules(rewriting_path)
+        words = []
+        for form, sense, seq in REWRITTEN[::order]:
+            word = generate(lexicon.roots[(form, "verb")], sense, seq,
+                            lexicon, rules)
+            found = analyse(word, lexicon, rules)
+            assert any(a.matches(form, sense, seq) for a in found), word
+            words.append(word)
+        assert sorted(words) == ["anelün", "elun", "kongu", "küpagüu"]
 
     def test_a_warm_grammar_realizes_nothing(self, warm, lexicon,
                                              monkeypatch):
