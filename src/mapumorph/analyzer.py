@@ -3,19 +3,23 @@ inverse: generation of surface forms from a root and suffix ids.
 
 The analyser searches, depth first and with dead-state memoisation, the
 underlying morph sequences whose realization equals the input word.  Each
-path carries the morphotactic fold of every root-sense combination still
-alive: a combination drops at its first violation that no continuation
-can undo, and a piece that leaves none alive is never realized, so the
-pruning loses no analysis.  The grammar numbers the pieces, and a search
-step holds only numbers and strings.  Folds move on through a transition
-table and pieces are realized through a realization table, both kept per
-grammar and filled on first use, so each transition and each boundary is
-computed once, not once per piece tried.  A path's pieces and parts are
-built only once it reaches the end of the word.  The morphotactic
-validator judges each combination that gets there; only zero-violation
-sequences survive.  Ambiguity is deliberately preserved: labile roots
-contribute one analysis per sense row, and homophonous suffixes one per
-reading.
+path carries the number of the set of morphotactic folds that its
+root-sense combinations still reach: a combination drops at its first
+violation that no continuation can undo, and a piece that leaves no fold
+alive is never realized, so the pruning loses no analysis.  A
+zero-surface indicative is licensed by the parts around it as they are
+finalized, and a path that leaves one unlicensed dies there.  The grammar
+numbers the pieces, and a search step holds only numbers and strings.
+Fold sets move on through a transition table and pieces are realized
+through a realization table, both kept per grammar and filled on first
+use, so each transition and each boundary is computed once, not once per
+piece tried.  A path's pieces and parts are built only once it reaches
+the end of the word, and its combinations are replayed through the
+folds; each one whose end checks pass is an analysis, traced by the
+folds it went through.  The search is the only judge: the morphotactic
+validator is the tests' oracle for it.  Ambiguity is deliberately
+preserved: labile roots contribute one analysis per sense row, and
+homophonous suffixes one per reading.
 
 Analyses are ranked by piece count, then lexicographically by morph ids;
 the ranking is a plumbing choice, not a linguistic claim.
@@ -33,10 +37,12 @@ from dataclasses import dataclass
 from . import alphabet, tags
 from .defaults import tables
 from .lexicon import Lexicon, RootEntry, SuffixEntry
+# validate_plan is not called here; it stays importable from this module,
+# where the benchmark's tracer counts its calls
 from .morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE, Fold,
                             RootUse, advance, compound_valency, end_codes,
                             next_floor, start_fold, tags_below,
-                            validate_plan, validate_sequence)
+                            validate_plan, validate_sequence)  # noqa: F401
 from .phonology import (Piece, Realization, RuleTable, extend_realization,
                         new_realization, select_allomorph)
 
@@ -170,42 +176,44 @@ def _tags(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def surface_licensing_ok(shaped: list[tuple[tuple[str, ...], str]]) -> bool:
-    """Surface-level licensing shared by the analyser and test oracles.
-
-    ``shaped`` is a list of (tags, surface) pairs.  The zero-surface
-    indicative is licensed only in its two attested environments: fused
-    into a preceding third-person-patient marker, or in the first-person
-    plural ending (zero first person followed by iñ).
-    """
-    for i, (piece_tags, surface) in enumerate(shaped):
-        if "IND" in piece_tags and surface == "":
-            prev_ok = i > 0 and "3P" in shaped[i - 1][0]
-            nxt = shaped[i + 1] if i + 1 < len(shaped) else ((), None)
-            nxt2 = shaped[i + 2] if i + 2 < len(shaped) else ((), None)
-            plural_ok = ("1" in nxt[0] and nxt[1] == ""
-                         and "PL" in nxt2[0] and nxt2[1] == "iñ")
-            if not (prev_ok or plural_ok):
-                return False
-    return True
-
-
 # an entry not yet computed, and one for a transition into a dead end
 _UNKNOWN, _DEAD = -1, -2
-# the largest fold id a row can hold; a transition into a later fold is
+# the largest state id a row can hold; a transition into a later state is
 # recomputed on each use instead
 _ROW_MAX = 2 ** 15 - 1
 
+# Zero-indicative licensing, judged on the pieces' final parts in order: a
+# zero-surface IND is licensed right after a 3P piece, or when a zero 1
+# and then a PL realized iñ follow it.  Each piece has a code for the one
+# of these tags it carries, or 0; the state says what is owed.
+_IND, _3P, _FIRST, _PL = 1, 2, 3, 4
+_LICENSING_CODES = {"IND": _IND, "3P": _3P, "1": _FIRST, "PL": _PL}
+_FREE, _AFTER_3P, _OWES_1, _OWES_PL, _UNLICENSED = 0, 1, 2, 3, -1
+
+
+def _licensed(owed: int, code: int, part: str) -> int:
+    """The licensing state after a piece of licensing *code* whose final
+    part is *part*, in state *owed*."""
+    if owed == _OWES_1:
+        return _OWES_PL if code == _FIRST and part == "" else _UNLICENSED
+    if owed == _OWES_PL:
+        return _FREE if code == _PL and part == "iñ" else _UNLICENSED
+    if code == _IND and part == "":
+        return _FREE if owed == _AFTER_3P else _OWES_1
+    return _AFTER_3P if code == _3P else _FREE
+
 
 class _Table:
-    """One part of the transition table: its columns, each an (item,
-    follow) pair, and per fold id a row of the fold id each column leads
-    to.  A row is the shared blank until its first entry."""
+    """One part of the transition table: its columns, and per state id a
+    row of the state id each column leads to.  A row is the shared blank
+    until its first entry.  The columns are (item, follow) pairs, or
+    tuples of columns of the table *under* this one, whose entries an
+    entry unites."""
 
-    __slots__ = ("columns", "rows", "blank")
+    __slots__ = ("columns", "rows", "blank", "under")
 
-    def __init__(self, columns: list):
-        self.columns, self.rows = columns, []
+    def __init__(self, columns: list, under: _Table | None = None):
+        self.columns, self.rows, self.under = columns, [], under
         self.blank = array("h", [_UNKNOWN]) * len(columns)
 
 
@@ -217,7 +225,7 @@ class _Grammar:
 
     Every piece the search can try gets a number: each suffix allomorph
     and each root when the grammar is built, and each fused variant that
-    a rule makes the first time it appears.  The searches fill two tables
+    a rule makes the first time it appears.  The searches fill tables
     keyed by these numbers as they go.
 
     The realization table takes ``(previous piece, pending part, final
@@ -252,8 +260,17 @@ class _Grammar:
     search tries a suffix only below the floor, where :func:`advance`
     raises no slot code and gives the same fold whatever the floor.
 
-    The pieces, the folds and so both tables are bounded by the grammar,
-    not by the words analysed.  Lists indexed by piece or fold number
+    A search step carries the set of the folds its root-sense
+    combinations still reach, as one number: a set of one fold has the
+    fold's number, and a larger one a number of its own from the same
+    count.  The table leads a set by a suffix column, or by a member's
+    group of sense columns, to the set of its folds' entries there, or to
+    a dead end when none lives; which combination reaches which fold is
+    read off the fold entries again only for a path that spells the whole
+    word.
+
+    The pieces, the folds, the fold sets and so the tables are bounded by
+    the grammar, not by the words analysed.  Lists indexed by a number
     belong to the grammar and grow under its lock together with the
     number, since a search may meet a number that another thread has just
     given.
@@ -263,9 +280,10 @@ class _Grammar:
         self.lexicon, self.rules = lexicon, rules
         self._lock = threading.Lock()
         # the pieces by number, each one's rule identity (suffix id or
-        # form, category) and the numbers by piece; the realization rows
-        self.pieces, self.idents, self.piece_ids = [], [], {}
-        self.realized = {}
+        # form, category) and licensing code, and the numbers by piece;
+        # the realization rows
+        self.pieces, self.idents, self.licensing = [], [], []
+        self.piece_ids, self.realized = {}, {}
         below = tags_below(lexicon)
         entries = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
         # Suffix columns: each suffix with the stem closed, then each
@@ -291,9 +309,10 @@ class _Grammar:
         # (sense choices as the first member, as a later one) per root; an
         # incorporated demonstrative is a fixed construction, so its
         # citation sense stands for all of them.  Member columns: each
-        # later sense choice with the stem open, then closed.
+        # later sense choice with the stem open, then closed; a root's
+        # groups of them, open then closed, are the group columns.
         self.uses = {}
-        columns, later_columns = [], {}
+        columns, groups, later_groups = [], [], {}
         for key, entry in lexicon.roots.items():
             uses = tuple(RootUse(entry, s) for s in entry.senses)
             later = uses[:1] if entry.category == "demonstrative" else uses
@@ -301,31 +320,39 @@ class _Grammar:
             first = len(columns)
             for use in later:
                 columns += [(use, None), (use, below[OPEN_FLOOR])]
-            later_columns[key] = (tuple(range(first, len(columns), 2)),
-                                  tuple(range(first + 1, len(columns), 2)))
+            later_groups[key] = (len(groups), len(groups) + 1)
+            groups += [tuple(range(first, len(columns), 2)),
+                       tuple(range(first + 1, len(columns), 2))]
         self.member_table = _Table(columns)
-        # (piece id, rewrites_left, starts, (open columns, closed columns)
-        # of its sense choices as a later member)
+        self.group_table = _Table(groups, self.member_table)
+        self._tables = (self.suffix_table, self.member_table,
+                        self.group_table)
+        # (piece id, rewrites_left, starts, (open group, closed group) of
+        # its sense choices as a later member)
         self.roots = [self._numbered(rules.morph(e.form, "root", e.category))
-                      + (later_columns[(e.form, e.category)],)
+                      + (later_groups[(e.form, e.category)],)
                       for e in lexicon.iter_roots() if e.form]
 
-        # the folds by number and the numbers by fold; the seen-tag sets
-        # the folds share
+        # the folds by number (None for a set of folds) and the numbers by
+        # fold, the seen-tag sets the folds share; the sets of two or more
+        # folds (sorted tuples of fold numbers) by number and the numbers
+        # by set
         self.folds, self.fold_ids, self._seen = [], {}, {}
-        # each root alone as a path's first step: (piece id, part, final
-        # segment, live folds with their sense indices)
-        self._firsts = []
+        self.sets, self.set_ids = {}, {}
+        # the fold of each sense choice per first root's piece id, and each
+        # root alone as a path's first step: (piece id, part, final
+        # segment, fold set)
+        self.starts, self._firsts = {}, []
         for pid, _, _, _ in self.roots:
             piece = self.pieces[pid]
             uses = self.uses[(piece.form, piece.category)][0]
-            live = {}
-            for k, use in enumerate(uses):
-                fid = self.fold_id(start_fold(use))
-                live[fid] = live.get(fid, ()) + ((k,),)
-            state = extend_realization(new_realization(), piece, rules,
-                                       lexicon)
-            self._firsts.append((pid, state.parts[-1], state.final, live))
+            starts = self.starts[pid] = tuple(self.fold_id(start_fold(use))
+                                              for use in uses)
+            if starts:
+                state = extend_realization(new_realization(), piece, rules,
+                                           lexicon)
+                self._firsts.append((pid, state.parts[-1], state.final,
+                                     self.set_id(starts)))
         # every piece the search tries has been numbered by now; a fused
         # variant, numbered later, is only ever a result
         self.width = len(self.pieces)
@@ -347,16 +374,26 @@ class _Grammar:
                     self.pieces.append(piece)
                     self.idents.append((piece.suffix_id or piece.form,
                                         piece.category))
+                    self.licensing.append(0 if piece.is_root else
+                                          _LICENSING_CODES.get(
+                                              self.lexicon.suffixes[
+                                                  piece.suffix_id].tag, 0))
                     self.piece_ids[piece] = pid
         return pid
 
-    def options(self, kind: str, char: str | None) -> tuple:
+    def options(self, kind: str, char: str | None,
+                floor: int | None = None) -> tuple:
         """Suffix (kind "V"/"C") or root (kind "R") options worth trying
         when the pending part reads on and is followed by *char* ("" at
         the end of the word), or does not read on (None).  A piece whose
         rule may rewrite the pending part is always worth trying.  A
-        suffix comes with the pieces of it worth trying, if any.
-        Memoised per grammar."""
+        suffix comes with the pieces of it worth trying, if any, and
+        given a *floor*, only if its slot is below it.  Memoised per
+        grammar."""
+        if floor is not None:
+            return tuple(option for option in self.options(kind, char)
+                         if option[1] < floor)
+
         def worth(option):
             return option[1] or (char is not None and (
                 option[2] is None or char in option[2]))
@@ -391,23 +428,58 @@ class _Grammar:
                         seen=self._seen.setdefault(fold.seen, fold.seen))
                     fid = len(self.folds)
                     self.folds.append(fold)
-                    for table in (self.suffix_table, self.member_table):
+                    for table in self._tables:
                         table.rows.append(table.blank)
                     self.fold_ids[fold] = fid
         return fid
 
-    def _fill(self, table: _Table, fid: int, column: int) -> int:
-        """Compute, store and return the entry of fold *fid* in *column*."""
-        item, follow = table.columns[column]
-        fold, codes = advance(self.folds[fid], item)
-        new = _DEAD if codes or end_codes(fold, follow) else self.fold_id(fold)
+    def set_id(self, live) -> int:
+        """The number of the set of the fold numbers *live*, given on first
+        sight: a fold's own for a set of one.  Other threads learn a new
+        number only once its rows exist."""
+        key = tuple(sorted(set(live)))
+        if len(key) == 1:
+            return key[0]
+        sid = self.set_ids.get(key)
+        if sid is None:
+            with self._lock:
+                sid = self.set_ids.get(key)
+                if sid is None:
+                    sid = len(self.folds)
+                    self.folds.append(None)
+                    self.sets[sid] = key
+                    for table in self._tables:
+                        table.rows.append(table.blank)
+                    self.set_ids[key] = sid
+        return sid
+
+    def transition(self, table: _Table, sid: int, column: int) -> int:
+        """The entry of fold set *sid* in *column* of *table*, computed and
+        stored on first use: for a fold, the fold after the column's item,
+        and otherwise the set of the entries of its folds there, or under
+        each column of a group."""
+        new = table.rows[sid][column]
+        if new != _UNKNOWN:
+            return new
+        under, members = table.under, self.sets.get(sid)
+        if under is None and members is None:
+            item, follow = table.columns[column]
+            fold, codes = advance(self.folds[sid], item)
+            new = (_DEAD if codes or end_codes(fold, follow)
+                   else self.fold_id(fold))
+        else:
+            under, columns = ((table, (column,)) if under is None
+                              else (under, table.columns[column]))
+            live = [fid for folded in members or (sid,) for c in columns
+                    if (fid := self.transition(under, folded, c)) != _DEAD]
+            new = self.set_id(live) if live else _DEAD
         if new <= _ROW_MAX:
-            row = table.rows[fid]
+            row = table.rows[sid]
             if row is table.blank:
                 with self._lock:
-                    row = table.rows[fid]
+                    row = table.rows[sid]
                     if row is table.blank:
-                        row = table.rows[fid] = array("h", table.blank)
+                        row = table.rows[sid] = array("h", table.blank)
             row[column] = new
         return new
 
@@ -428,42 +500,11 @@ class _Grammar:
                             self.rules.initials(piece, part) if part else None)
         return entry
 
-    def after_suffix(self, live: dict, column: int) -> dict:
-        """The live folds after the suffix of *column*, each with the
-        combinations that reach it."""
-        after = {}
-        table = self.suffix_table
-        rows = table.rows
-        for fid, combos in live.items():
-            new = rows[fid][column]
-            if new == _UNKNOWN:
-                new = self._fill(table, fid, column)
-            if new != _DEAD:
-                after[new] = after.get(new, ()) + combos
-        return after
-
-    def after_member(self, live: dict, columns: tuple) -> dict:
-        """As :meth:`after_suffix`, for a compound member whose sense
-        choices have *columns*; each combination grows by the index of its
-        sense."""
-        after = {}
-        table = self.member_table
-        rows = table.rows
-        for fid, combos in live.items():
-            for k, column in enumerate(columns):
-                new = rows[fid][column]
-                if new == _UNKNOWN:
-                    new = self._fill(table, fid, column)
-                if new != _DEAD:
-                    after[new] = after.get(new, ()) + tuple(
-                        combo + (k,) for combo in combos)
-        return after
-
     def search(self, word: str) -> list[tuple[tuple[Piece, ...], tuple,
                                               list]]:
         """Depth-first enumeration of the paths matching *word*, each as
-        (pieces, parts, combinations); the results and dead states belong
-        to this call alone.
+        (pieces, parts, survivors); the results and dead states belong to
+        this call alone.
 
         A path extends only with pieces that can still spell the word.  A
         piece whose boundary rule may rewrite the pending part is always
@@ -474,34 +515,42 @@ class _Grammar:
         results come out in that order.
 
         A step holds numbers and strings only: a link to the path so far
-        (``(parent link, piece number, finalized part)``), the number of
+        (``(parent link, piece number, finalized part, column)``, the
+        column being the one that led on to the next piece), the number of
         the last piece, its pending part, the final segment, the position
-        the pending part starts at, the slot floor, the member count and
-        whether another member may follow.  Each piece tried is realized
-        by a lookup in the step's row of the realization table, and the
-        final segment is read off the word when the entry has none; the
-        pieces and parts of a path are built only once it reaches the end
-        of the word.
+        the pending part starts at, the slot floor, the member count,
+        whether another member may follow, the fold set and the licensing
+        state.  Each piece tried is realized by a lookup in the step's row
+        of the realization table, and the final segment is read off the
+        word when the entry has none.
 
-        The path also carries its live root-sense combinations, grouped by
-        the id of their :class:`~mapumorph.morphotactics.Fold`.  A piece
-        moves each fold on by the transition table before it is realized;
-        a combination drops at the first code its next item raises, or
-        once an end check is certain to fail.  A piece that leaves no
-        combination alive is not realized, and a complete path comes out
-        with the combinations whose end checks pass, as sense index
-        tuples in the order of ``itertools.product``.
+        The fold set holds the folds of the root-sense combinations still
+        alive.  A piece moves it on by the transition table before it is
+        realized, and is not realized when no fold lives after it; a
+        combination dies at the first code its next item raises, or once
+        an end check is certain to fail.  A zero-surface indicative must
+        be licensed by the pieces around it: the licensing state moves on
+        with each part as it is finalized, and a path dies once its state
+        is unlicensed or it ends owing a piece.
+
+        A path that spells the whole word is built only then: its root-
+        sense combinations are replayed through the fold table along its
+        columns, and each one whose end checks pass comes out, in the
+        order of ``itertools.product``, as (sense index tuple, the fold id
+        after each item).
         """
-        options, folds, idents = self.options, self.folds, self.idents
-        after_suffix, after_member = self.after_suffix, self.after_member
+        options, idents, licensing = self.options, self.idents, self.licensing
         realized, realize, width = self.realized, self._realize, self.width
+        suffix_table, group_table = self.suffix_table, self.group_table
+        suffix_rows, group_rows = suffix_table.rows, group_table.rows
+        transition, complete = self.transition, self._complete
         results, dead = [], set()
         size = len(word)
 
         def step(link, prev, pending, final, pos, floor, n_members,
-                 member_ok, live):
+                 member_ok, live, owed):
             key = (pos, pending, idents[prev], floor, n_members, member_ok,
-                   frozenset(live))
+                   live, owed)
             if key in dead:
                 return
             produced = len(results)
@@ -512,42 +561,50 @@ class _Grammar:
 
             end = pos + len(pending)
             if word.startswith(pending, pos):
-                if end == size:
-                    bare = link is None and idents[prev][1] == "verb"
-                    combos = sorted(combo for fid, combos in live.items()
-                                    if not end_codes(folds[fid], bare=bare)
-                                    for combo in combos)
-                    if combos:
-                        results.append(self._path(link, prev, pending)
-                                       + (combos,))
+                # a path may end in neither licensing state that owes
+                if end == size and _licensed(owed, licensing[prev],
+                                             pending) in (_FREE, _AFTER_3P):
+                    path = complete(link, prev, pending,
+                                    link is None and idents[prev][1] == "verb")
+                    if path[2]:
+                        results.append(path)
                 char = word[end:end + 1]
             else:
                 char = None
             kind = "V" if alphabet.is_vowel(final) else "C"
-            for columns, slot, next_floor, keeps_stem, pieces in options(
-                    kind, char):
-                if slot < floor:
-                    keeps = member_ok and keeps_stem
-                    after = after_suffix(
-                        live, columns[keeps and n_members < MAX_MEMBERS])
-                    if after:
-                        for pid, _, _ in pieces:
-                            extend(row, link, prev, pending, final, pos,
-                                   pid, next_floor, n_members, keeps, after)
+            after = suffix_rows[live]
+            for columns, _, next_floor, keeps_stem, pieces in options(
+                    kind, char, floor):
+                keeps = member_ok and keeps_stem
+                column = columns[keeps and n_members < MAX_MEMBERS]
+                new = after[column]
+                if new == _UNKNOWN:
+                    new = transition(suffix_table, live, column)
+                    after = suffix_rows[live]
+                if new != _DEAD:
+                    for pid, _, _ in pieces:
+                        extend(row, link, prev, pending, final, pos, pid,
+                               next_floor, n_members, keeps, new, column,
+                               owed)
 
             if member_ok and n_members < MAX_MEMBERS:
-                for pid, _, _, columns in options("R", char):
-                    after = after_member(
-                        live, columns[n_members + 1 >= MAX_MEMBERS])
-                    if after:
+                after = group_rows[live]
+                for pid, _, _, groups in options("R", char):
+                    group = groups[n_members + 1 >= MAX_MEMBERS]
+                    new = after[group]
+                    if new == _UNKNOWN:
+                        new = transition(group_table, live, group)
+                        after = group_rows[live]
+                    if new != _DEAD:
                         extend(row, link, prev, pending, final, pos, pid,
-                               OPEN_FLOOR, n_members + 1, True, after)
+                               OPEN_FLOOR, n_members + 1, True, new, group,
+                               owed)
 
             if len(results) == produced:
                 dead.add(key)
 
         def extend(row, link, prev, pending, final, pos, pid, floor,
-                   n_members, member_ok, live):
+                   n_members, member_ok, live, column, owed):
             entry = row[pid]
             if entry is None:
                 entry = realize(row, prev, pending, final, pid, word[:pos])
@@ -561,30 +618,61 @@ class _Grammar:
             if part and (new_pos >= size or initials is not None
                          and word[new_pos] not in initials):
                 return
+            code = licensing[prev]
+            if owed or code:
+                owed = _licensed(owed, code, finalized)
+                if owed == _UNLICENSED:
+                    return
             if new_final is None:
                 surface = word[:new_pos] + part
                 new_final = alphabet.final_segment(surface) if surface else ""
-            step((link, prev, finalized), new, part, new_final, new_pos,
-                 floor, n_members, member_ok, live)
+            step((link, prev, finalized, column), new, part, new_final,
+                 new_pos, floor, n_members, member_ok, live, owed)
 
         try:
             for pid, part, final, live in self.firsts(word[0]):
-                step(None, pid, part, final, 0, OPEN_FLOOR, 1, True, live)
+                step(None, pid, part, final, 0, OPEN_FLOOR, 1, True, live,
+                     _FREE)
         finally:
             # step and extend refer to each other; unbinding them frees
             # this call's states without the cyclic collector
             step = extend = None
         return results
 
-    def _path(self, link, last: int, pending: str) -> tuple:
-        """(pieces, parts) of the path that *link* leads to, followed by
-        piece *last* with part *pending*."""
-        pieces, parts = [self.pieces[last]], [pending]
+    def _complete(self, link, last: int, pending: str, bare: bool) -> tuple:
+        """(pieces, parts, survivors) of the path that *link* leads to,
+        followed by piece *last* with part *pending*.  The survivors are
+        the path's root-sense combinations replayed through the fold table
+        along its columns, each whose end checks pass (*bare*: the path is
+        a lone verb root) as (sense indices, fold id after each item)."""
+        pids, parts, columns = [last], [pending], []
         while link is not None:
-            link, pid, part = link
-            pieces.append(self.pieces[pid])
+            link, pid, part, column = link
+            pids.append(pid)
             parts.append(part)
-        return tuple(reversed(pieces)), tuple(reversed(parts))
+            columns.append(column)
+        pids.reverse()
+        parts.reverse()
+        columns.reverse()
+        pieces, transition = self.pieces, self.transition
+        suffix_table, member_table = self.suffix_table, self.member_table
+        groups = self.group_table.columns
+        paths = [((k,), (fid,)) for k, fid in enumerate(self.starts[pids[0]])]
+        for pid, column in zip(pids[1:], columns):
+            if pieces[pid].is_root:
+                paths = [(combo + (k,), fids + (new,))
+                         for combo, fids in paths
+                         for k, c in enumerate(groups[column])
+                         if (new := transition(member_table, fids[-1], c))
+                         != _DEAD]
+            else:
+                paths = [(combo, fids + (new,)) for combo, fids in paths
+                         if (new := transition(suffix_table, fids[-1],
+                                               column)) != _DEAD]
+        folds = self.folds
+        return (tuple(pieces[pid] for pid in pids), tuple(parts),
+                [path for path in paths
+                 if not end_codes(folds[path[1][-1]], bare=bare)])
 
 
 def _build_analysis(word: str, pieces: tuple[Piece, ...],
@@ -623,30 +711,25 @@ def _build_analysis(word: str, pieces: tuple[Piece, ...],
 
 
 def _expand_senses(pieces: tuple[Piece, ...], parts: tuple[str, ...],
-                   combos: list, word: str,
+                   survivors: list, word: str,
                    grammar: _Grammar) -> list[Analysis]:
     """Turn one piece path into analyses, one per root-sense combination
-    that the search left alive (index tuples into each root's senses)."""
-    lexicon = grammar.lexicon
-    shaped = [((), part) if piece.is_root
-              else ((lexicon.suffixes[piece.suffix_id].tag,), part)
-              for piece, part in zip(pieces, parts)]
-    if not surface_licensing_ok(shaped):
-        return []
-
+    that survives it (index tuples into each root's senses), each traced
+    by the valency of the folds it went through."""
+    lexicon, folds = grammar.lexicon, grammar.folds
     # the path starts with a root, so any root after piece 0 is a later
     # compound member
     sense_choices = [grammar.uses[(p.form, p.category)][i > 0]
                      for i, p in enumerate(pieces) if p.is_root]
 
     analyses = []
-    for combo in combos:
+    for combo, fids in survivors:
         uses = iter([choices[k] for choices, k in zip(sense_choices, combo)])
         items = [next(uses) if p.is_root
                  else lexicon.suffixes[p.suffix_id] for p in pieces]
-        trace: list = []
-        if validate_plan(items, lexicon, trace):
-            continue
+        trace = [(item.entry.form if p.is_root else item.id,
+                  folds[fid].state)
+                 for p, item, fid in zip(pieces, items, fids)]
         analyses.append(_build_analysis(word, pieces, parts, items, trace))
     return analyses
 

@@ -90,8 +90,8 @@ _PERSON_NUMBER_TAGS = tags.PERSON_TAGS | tags.AGENT_TAGS | {"SG", "DL", "PL"}
 def next_floor(entry: SuffixEntry, floor: int = OPEN_FLOOR) -> int:
     """Slot floor after *entry* under *floor*: the lower of the two.  The
     IND1SG portmanteau fills the mood and person slots 4 and 3, so it
-    leaves 3 whatever the floor was, even a lower one."""
-    return 3 if entry.tag == "IND1SG" else min(floor, entry.slot)
+    counts as slot 3: it leaves 3, or the floor if that is lower."""
+    return min(floor, 3 if entry.tag == "IND1SG" else entry.slot)
 
 
 _INCREASE = {"IV": "TV", "TV": "TV2", "TV2": "TV2"}

@@ -4,9 +4,10 @@ checks and an independent forward-enumeration oracle for the analyser.
 The oracle never touches the analyser's search: it builds every valid
 morph sequence over a miniature lexicon, realizes each through the
 forward phonology (over every context-compatible allomorph choice), and
-string-matches surfaces.  The only shared grammar predicate is the
-surface-licensing function, which is part of the grammar definition
-rather than of the search being checked.
+string-matches surfaces.  It states the surface licensing of the
+zero-surface indicative on whole realizations itself, in
+:func:`surface_licensing_ok`; the search checks the same licensing part
+by part as it finalizes them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 
 from mapumorph.alphabet import final_kind
-from mapumorph.analyzer import surface_licensing_ok
 from mapumorph.lexicon import Lexicon, SuffixEntry
 from mapumorph.morphotactics import STEM_ZONE, RootUse, validate_plan
 from mapumorph.phonology import Piece, extend_realization, new_realization
@@ -141,6 +141,27 @@ def matching_allomorphs(suffix: SuffixEntry,
     """All allomorph surfaces usable after the given realised surface."""
     kind = final_kind(preceding_surface) if preceding_surface else None
     return [a.surface for a in suffix.allomorphs_after(kind)]
+
+
+def surface_licensing_ok(shaped: list[tuple[tuple[str, ...], str]]) -> bool:
+    """Surface-level licensing, the oracle's statement of what the
+    analyser's search checks as it finalizes each part.
+
+    ``shaped`` is a list of (tags, surface) pairs.  The zero-surface
+    indicative is licensed only in its two attested environments: fused
+    into a preceding third-person-patient marker, or in the first-person
+    plural ending (zero first person followed by iñ).
+    """
+    for i, (piece_tags, surface) in enumerate(shaped):
+        if "IND" in piece_tags and surface == "":
+            prev_ok = i > 0 and "3P" in shaped[i - 1][0]
+            nxt = shaped[i + 1] if i + 1 < len(shaped) else ((), None)
+            nxt2 = shaped[i + 2] if i + 2 < len(shaped) else ((), None)
+            plural_ok = ("1" in nxt[0] and nxt[1] == ""
+                         and "PL" in nxt2[0] and nxt2[1] == "iñ")
+            if not (prev_ok or plural_ok):
+                return False
+    return True
 
 
 def _all_realizations(items, lexicon, rules):

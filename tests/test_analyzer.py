@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from mapumorph import analyzer
+from mapumorph import analyzer, morphotactics
 from mapumorph.alphabet import (DIGRAPHS, SINGLE_LETTERS, AlphabetError,
                                 final_segment)
 from mapumorph.analyzer import (GenerationError, analyse, generate,
@@ -15,9 +15,10 @@ from mapumorph.defaults import data_path
 from mapumorph.lexicon import Lexicon, RootEntry, Sense
 from mapumorph.morphotactics import (OPEN_FLOOR, STEM_ZONE, RootUse, advance,
                                      end_codes, next_floor, start_fold,
-                                     tags_below)
+                                     tags_below, validate_plan)
 from mapumorph.phonology import Realization, extend_realization, load_rules
 
+import helpers
 from conftest import DATA, load_gloss_corpus
 from helpers import (build_mini_lexicon, build_random_plan, oracle_map,
                      sample_valid_tuples)
@@ -28,6 +29,23 @@ GOLDEN_WORDS = (DATA / "golden" / "words.txt").read_text(
 
 def glosses(word, lexicon=None, rules=None):
     return gloss_set(analyse(word, lexicon, rules))
+
+
+def run_in_threads(work, count, timeout=120):
+    """Run ``work(k)`` for k < *count* in threads that switch as often as
+    the interpreter allows, and wait for them all."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 class TestAnalyse:
@@ -173,18 +191,7 @@ class TestSharedTables:
             got[k] = [[a.to_json() for a in analyse(w, lexicon, rules)]
                       for w in words[k % len(words):] + words[:k % len(words)]]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,))
-                       for k in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_in_threads(work, 4, timeout=60)
         for k in range(4):
             shift = k % len(words)
             assert got[k] == expected[shift:] + expected[:shift], k
@@ -262,21 +269,77 @@ def test_oracle_equivalence_with_a_mood_in_the_stem_zone(lexicon, rules):
     assert reopened
 
 
-def test_validate_plan_runs_on_surviving_combinations_only(monkeypatch):
-    """The search drops a root-sense combination at its first certain
-    violation, so over the golden words validate_plan sees few of the
-    15,412 combinations an unpruned search hands it."""
+def plan_of(analysis, lexicon):
+    """The validate_plan items and the surface licensing shape of
+    *analysis*."""
+    items, shaped = [], []
+    for piece in analysis.pieces:
+        if piece.kind == "root":
+            entry = lexicon.roots[(piece.morph, piece.category)]
+            items.append(RootUse(entry, next(
+                s for s in entry.senses if s.context == piece.sense_context
+                and s.gloss == piece.gloss)))
+            shaped.append(((), piece.surface))
+        else:
+            items.append(lexicon.suffixes[piece.morph])
+            shaped.append(((items[-1].tag,), piece.surface))
+    return items, shaped
+
+
+def test_analyses_pass_the_plan_and_licensing_oracles(lexicon, monkeypatch):
+    """The search is the only judge at run time: over the golden words it
+    calls neither validate_plan nor the licensing oracle, and each of its
+    analyses is a plan validate_plan accepts, with the same trace, whose
+    surfaces the oracle licenses."""
     calls = []
-    judge = analyzer.validate_plan
 
-    def counting(*args):
-        calls.append(args)
-        return judge(*args)
+    def counting(judge):
+        def wrapper(*args):
+            calls.append(judge.__name__)
+            return judge(*args)
+        return wrapper
 
-    monkeypatch.setattr(analyzer, "validate_plan", counting)
-    analyses = sum(len(analyse(word)) for word in GOLDEN_WORDS)
-    assert analyses == 1007
-    assert len(calls) <= 2000
+    for module, name in ((analyzer, "validate_plan"),
+                         (morphotactics, "validate_plan"),
+                         (helpers, "surface_licensing_ok")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    found = [a for word in GOLDEN_WORDS for a in analyse(word)]
+    assert len(found) == 1007 and not calls
+    monkeypatch.undo()
+    for analysis in found:
+        items, shaped = plan_of(analysis, lexicon)
+        trace = []
+        assert validate_plan(items, lexicon, trace) == [], analysis.word
+        assert tuple(trace) == analysis.trace, analysis.word
+        assert helpers.surface_licensing_ok(shaped), analysis.word
+
+
+def test_search_is_complete_on_a_sample_of_accepted_plans(lexicon, rules):
+    """Every plan validate_plan accepts is found: a seeded sample of
+    single-root plans, 250 each with one to four suffixes in slot order,
+    each generates a word that analyses back to it, with its trace."""
+    rng = random.Random(13)
+    roots = [r for r in lexicon.iter_roots() if r.senses]
+    suffixes = lexicon.iter_suffixes()
+    quota = dict.fromkeys(range(1, 5), 250)
+    while quota:
+        entry = rng.choice(roots)
+        sense = rng.choice(entry.senses)
+        size = rng.choice(list(quota))
+        chain = sorted(rng.sample(suffixes, size), key=lambda s: -s.slot)
+        items = [RootUse(entry, sense)] + chain
+        trace = []
+        if validate_plan(items, lexicon, trace):
+            continue
+        ids = [s.id for s in chain]
+        word = generate(entry, sense.context, ids, lexicon, rules)
+        hits = [a for a in analyse(word, lexicon, rules)
+                if a.matches(entry.form, sense.context, ids)
+                and a.root_pieces[0].gloss == sense.gloss]
+        assert hits and hits[0].trace == tuple(trace), (entry.form, ids, word)
+        quota[size] -= 1
+        if not quota[size]:
+            del quota[size]
 
 
 def test_search_leaves_no_cyclic_garbage(lexicon):
@@ -304,8 +367,9 @@ def warm(lexicon):
 
 
 class TestTransitionTable:
-    """The grammar's morphotactic transition table, filled by the golden
-    words on a grammar of its own."""
+    """The grammar's morphotactic transition table, over folds and over
+    the sets of folds a search step carries, filled by the golden words on
+    a grammar of its own."""
 
     def test_every_filled_entry_is_the_direct_fold(self, warm):
         _, grammar = warm
@@ -324,6 +388,8 @@ class TestTransitionTable:
                 else:
                     assert follow is None and item.slot >= STEM_ZONE
             for fid, row in enumerate(table.rows):
+                if grammar.folds[fid] is None:  # a set of folds
+                    continue
                 for column, new in enumerate(row):
                     if new == analyzer._UNKNOWN:
                         continue
@@ -334,6 +400,43 @@ class TestTransitionTable:
                         else grammar.fold_ids[fold]), (name, fid, column)
                     checked[name] += 1
         assert checked["suffix"] > 3000 and checked["member"] > 500, checked
+
+    def test_every_filled_set_entry_unites_its_folds_entries(self, warm):
+        _, grammar = warm
+        folds, sets = grammar.folds, grammar.sets
+        assert len(grammar.set_ids) == len(sets) > 100
+        for sid, key in sets.items():
+            assert folds[sid] is None and grammar.set_ids[key] == sid
+            assert len(key) > 1 and list(key) == sorted(set(key))
+            assert all(folds[fid] is not None for fid in key)
+
+        def direct(fid, column, table):
+            item, follow = table.columns[column]
+            fold, codes = advance(folds[fid], item)
+            return (None if codes or end_codes(fold, follow)
+                    else grammar.fold_ids[fold])
+
+        checked = dict.fromkeys(("suffix", "group"), 0)
+        for name, table in (("suffix", grammar.suffix_table),
+                            ("group", grammar.group_table)):
+            under = table.under or table
+            for sid, row in enumerate(table.rows):
+                if name == "suffix" and sid not in sets:
+                    continue  # a fold: the direct-fold test checks it
+                for column, new in enumerate(row):
+                    if new == analyzer._UNKNOWN:
+                        continue
+                    columns = (table.columns[column] if table.under
+                               else (column,))
+                    live = {direct(fid, c, under)
+                            for fid in sets.get(sid, (sid,))
+                            for c in columns} - {None}
+                    key = tuple(sorted(live))
+                    assert new == (analyzer._DEAD if not key else key[0]
+                                   if len(key) == 1
+                                   else grammar.set_ids[key]), (name, sid)
+                    checked[name] += 1
+        assert checked["suffix"] > 400 and checked["group"] > 600, checked
 
     def test_a_suffix_folds_alike_under_every_floor_above_its_slot(
             self, lexicon):
@@ -357,6 +460,9 @@ class TestTransitionTable:
                                                    monkeypatch):
         rules, grammar = warm
         n_folds = len(grammar.folds)
+        tables = (grammar.suffix_table, grammar.member_table,
+                  grammar.group_table)
+        filled = [[bytes(row) for row in table.rows] for table in tables]
         calls = []
 
         def counting(*args):
@@ -368,6 +474,8 @@ class TestTransitionTable:
             analyse(word, lexicon, rules)
         assert not calls
         assert len(grammar.folds) == n_folds
+        assert [[bytes(row) for row in table.rows]
+                for table in tables] == filled
 
     def test_folds_beyond_a_rows_reach_are_recomputed(self, lexicon,
                                                       monkeypatch):
@@ -379,7 +487,8 @@ class TestTransitionTable:
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
         assert len(grammar.folds) > 20
         assert all(max(row) <= 20
-                   for table in (grammar.suffix_table, grammar.member_table)
+                   for table in (grammar.suffix_table, grammar.member_table,
+                                 grammar.group_table)
                    for row in table.rows)
 
     def test_threads_filling_a_cold_table_get_the_serial_results(
@@ -393,21 +502,19 @@ class TestTransitionTable:
             words = GOLDEN_WORDS[shift:] + GOLDEN_WORDS[:shift]
             got[k] = [analyse(word, lexicon, rules) for word in words]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,))
-                       for k in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_in_threads(work, 4)
         for k in range(4):
             shift = k * len(GOLDEN_WORDS) // 4
             assert got[k] == expected[shift:] + expected[:shift], k
+        # each fold and each set of folds got one number
+        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        assert len(grammar.fold_ids) + len(grammar.set_ids) == len(
+            grammar.folds)
+        assert {sid: key for key, sid in grammar.set_ids.items()} \
+            == grammar.sets
+        assert all(grammar.fold_ids[fold] == fid
+                   for fid, fold in enumerate(grammar.folds)
+                   if fid not in grammar.sets)
 
 
 # Surfaces to put before a pending part: every segment alone and after a

@@ -96,6 +96,16 @@ class TestValidateSequence:
                                   ["PRPS.nie", "PFPS.kunu", "IND1SG.n"])
         assert "slot_conflict" in codes(found)
 
+    def test_ind1sg_keeps_a_lower_floor(self, lexicon):
+        # IND1SG counts as slot 3, so after a suffix below that it leaves
+        # the floor where it was
+        root = lexicon.roots[("küpa", "verb")]
+        found = validate_sequence((root, "IV"), ["DL.u", "IND1SG.n", "P3.ng"])
+        assert [(v.code, v.at) for v in found] == [("slot_order", 2),
+                                                   ("slot_order", 3)]
+        found = validate_sequence((root, "IV"), ["A3.ew", "IND1SG.n", "SG.0"])
+        assert ("slot_order", 3) in [(v.code, v.at) for v in found]
+
     def test_missing_mood_on_bare_verb_root(self, lexicon):
         root = lexicon.roots[("monge", "verb")]
         assert "missing_mood" in codes(validate_sequence((root, "IV"), []))
