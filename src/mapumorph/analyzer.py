@@ -2,24 +2,24 @@
 inverse: generation of surface forms from a root and suffix ids.
 
 The analyser searches, depth first and with dead-state memoisation, the
-underlying morph sequences whose realization equals the input word.  Each
-path carries the number of the set of morphotactic folds that its
-root-sense combinations still reach: a combination drops at its first
-violation that no continuation can undo, and a piece that leaves no fold
-alive is never realized, so the pruning loses no analysis.  A
-zero-surface indicative is licensed by the parts around it as they are
-finalized, and a path that leaves one unlicensed dies there.  The grammar
-numbers the pieces, and a search step holds only numbers and strings.
-Fold sets move on through a transition table and pieces are realized
-through a realization table, both kept per grammar and filled on first
-use, so each transition and each boundary is computed once, not once per
-piece tried.  A path's pieces and parts are built only once it reaches
-the end of the word, and its combinations are replayed through the
-folds; each one whose end checks pass is an analysis, traced by the
-folds it went through.  The search is the only judge: the morphotactic
-validator is the tests' oracle for it.  Ambiguity is deliberately
-preserved: labile roots contribute one analysis per sense row, and
-homophonous suffixes one per reading.
+underlying morph sequences whose realization equals the input word.  A
+root, as a path's first step or as a later compound member, is tried
+once per sense choice, so each path stands for one root-sense
+combination and carries the number of its morphotactic fold: a path dies
+at its first violation that no continuation can undo, so the pruning
+loses no analysis.  A zero-surface indicative is licensed by the parts
+around it as they are finalized, and a path that leaves one unlicensed
+dies there.  The grammar numbers the pieces, and a search step holds
+only numbers and strings.  Folds move on through a transition table and
+pieces are realized through a realization table, both kept per grammar
+and filled on first use, so each transition and each boundary is
+computed once, not once per piece tried.  A path that spells the word
+and whose fold passes the end checks is an analysis: only then are its
+pieces, parts and items read off its links, traced by the folds it went
+through.  The search is the only judge: the morphotactic validator is
+the tests' oracle for it.  Ambiguity is deliberately preserved: labile
+roots contribute one analysis per sense row, and homophonous suffixes
+one per reading.
 
 Analyses are ranked by piece count, then lexicographically by morph ids;
 the ranking is a plumbing choice, not a linguistic claim.
@@ -178,9 +178,6 @@ def _tags(value) -> tuple[str, ...]:
 
 # an entry not yet computed, and one for a transition into a dead end
 _UNKNOWN, _DEAD = -1, -2
-# the largest state id a row can hold; a transition into a later state is
-# recomputed on each use instead
-_ROW_MAX = 2 ** 15 - 1
 
 # Zero-indicative licensing, judged on the pieces' final parts in order: a
 # zero-surface IND is licensed right after a 3P piece, or when a zero 1
@@ -204,17 +201,15 @@ def _licensed(owed: int, code: int, part: str) -> int:
 
 
 class _Table:
-    """One part of the transition table: its columns, and per state id a
-    row of the state id each column leads to.  A row is the shared blank
-    until its first entry.  The columns are (item, follow) pairs, or
-    tuples of columns of the table *under* this one, whose entries an
-    entry unites."""
+    """One part of the transition table: its (item, follow) columns, and
+    per fold id a row of the fold id each column leads to.  A row is the
+    shared blank until its first entry."""
 
-    __slots__ = ("columns", "rows", "blank", "under")
+    __slots__ = ("columns", "rows", "blank")
 
-    def __init__(self, columns: list, under: _Table | None = None):
-        self.columns, self.rows, self.under = columns, [], under
-        self.blank = array("h", [_UNKNOWN]) * len(columns)
+    def __init__(self, columns: list):
+        self.columns, self.rows = columns, []
+        self.blank = array("i", [_UNKNOWN]) * len(columns)
 
 
 class _Grammar:
@@ -260,20 +255,15 @@ class _Grammar:
     search tries a suffix only below the floor, where :func:`advance`
     raises no slot code and gives the same fold whatever the floor.
 
-    A search step carries the set of the folds its root-sense
-    combinations still reach, as one number: a set of one fold has the
-    fold's number, and a larger one a number of its own from the same
-    count.  The table leads a set by a suffix column, or by a member's
-    group of sense columns, to the set of its folds' entries there, or to
-    a dead end when none lives; which combination reaches which fold is
-    read off the fold entries again only for a path that spells the whole
-    word.
+    A search step carries one fold: a root tried as a path's first step
+    or as a later compound member branches once per sense choice, so each
+    path stands for one root-sense combination, and the fold is that
+    combination's.
 
-    The pieces, the folds, the fold sets and so the tables are bounded by
-    the grammar, not by the words analysed.  Lists indexed by a number
-    belong to the grammar and grow under its lock together with the
-    number, since a search may meet a number that another thread has just
-    given.
+    The pieces, the folds and so the tables are bounded by the grammar,
+    not by the words analysed.  Lists indexed by a number belong to the
+    grammar and grow under its lock together with the number, since a
+    search may meet a number that another thread has just given.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
@@ -306,53 +296,45 @@ class _Grammar:
                                 tuple(self._numbered(rules.morph(
                                     a.surface, "suffix", suffix_id=entry.id))
                                       for a in entry.allomorphs_after(kind))))
-        # (sense choices as the first member, as a later one) per root; an
-        # incorporated demonstrative is a fixed construction, so its
-        # citation sense stands for all of them.  Member columns: each
-        # later sense choice with the stem open, then closed; a root's
-        # groups of them, open then closed, are the group columns.
-        self.uses = {}
-        columns, groups, later_groups = [], [], {}
+        # Member columns: each sense choice of a root as a later member
+        # (an incorporated demonstrative is a fixed construction, so its
+        # citation sense stands for all of them) with the stem open, then
+        # closed.
+        columns, later_columns = [], {}
         for key, entry in lexicon.roots.items():
-            uses = tuple(RootUse(entry, s) for s in entry.senses)
-            later = uses[:1] if entry.category == "demonstrative" else uses
-            self.uses[key] = (uses, later)
+            later = entry.senses[:1] if entry.category == "demonstrative" \
+                else entry.senses
             first = len(columns)
-            for use in later:
+            for sense in later:
+                use = RootUse(entry, sense)
                 columns += [(use, None), (use, below[OPEN_FLOOR])]
-            later_groups[key] = (len(groups), len(groups) + 1)
-            groups += [tuple(range(first, len(columns), 2)),
-                       tuple(range(first + 1, len(columns), 2))]
+            later_columns[key] = (tuple(range(first, len(columns), 2)),
+                                  tuple(range(first + 1, len(columns), 2)))
         self.member_table = _Table(columns)
-        self.group_table = _Table(groups, self.member_table)
-        self._tables = (self.suffix_table, self.member_table,
-                        self.group_table)
-        # (piece id, rewrites_left, starts, (open group, closed group) of
-        # its sense choices as a later member)
+        self._tables = (self.suffix_table, self.member_table)
+        # (piece id, rewrites_left, starts, (open columns, closed columns)
+        # of its sense choices as a later member)
         self.roots = [self._numbered(rules.morph(e.form, "root", e.category))
-                      + (later_groups[(e.form, e.category)],)
+                      + (later_columns[(e.form, e.category)],)
                       for e in lexicon.iter_roots() if e.form]
 
-        # the folds by number (None for a set of folds) and the numbers by
-        # fold, the seen-tag sets the folds share; the sets of two or more
-        # folds (sorted tuples of fold numbers) by number and the numbers
-        # by set
+        # the folds by number and the numbers by fold, the seen-tag sets
+        # the folds share
         self.folds, self.fold_ids, self._seen = [], {}, {}
-        self.sets, self.set_ids = {}, {}
-        # the fold of each sense choice per first root's piece id, and each
-        # root alone as a path's first step: (piece id, part, final
-        # segment, fold set)
-        self.starts, self._firsts = {}, []
+        # each root's sense choices as the first member, by piece id, and
+        # each of them as a path's first step: (piece id, part, final
+        # segment, sense index, start fold)
+        self.first_uses, self._firsts = {}, []
         for pid, _, _, _ in self.roots:
             piece = self.pieces[pid]
-            uses = self.uses[(piece.form, piece.category)][0]
-            starts = self.starts[pid] = tuple(self.fold_id(start_fold(use))
-                                              for use in uses)
-            if starts:
-                state = extend_realization(new_realization(), piece, rules,
-                                           lexicon)
-                self._firsts.append((pid, state.parts[-1], state.final,
-                                     self.set_id(starts)))
+            entry = lexicon.roots[(piece.form, piece.category)]
+            uses = self.first_uses[pid] = tuple(RootUse(entry, sense)
+                                                for sense in entry.senses)
+            state = extend_realization(new_realization(), piece, rules,
+                                       lexicon)
+            self._firsts += [(pid, state.parts[-1], state.final, k,
+                              self.fold_id(start_fold(use)))
+                             for k, use in enumerate(uses)]
         # every piece the search tries has been numbered by now; a fused
         # variant, numbered later, is only ever a result
         self.width = len(self.pieces)
@@ -433,54 +415,19 @@ class _Grammar:
                     self.fold_ids[fold] = fid
         return fid
 
-    def set_id(self, live) -> int:
-        """The number of the set of the fold numbers *live*, given on first
-        sight: a fold's own for a set of one.  Other threads learn a new
-        number only once its rows exist."""
-        key = tuple(sorted(set(live)))
-        if len(key) == 1:
-            return key[0]
-        sid = self.set_ids.get(key)
-        if sid is None:
+    def transition(self, table: _Table, fid: int, column: int) -> int:
+        """Compute, store and return the entry of fold *fid* in *column* of
+        *table*: the fold after the column's item, or a dead end."""
+        item, follow = table.columns[column]
+        fold, codes = advance(self.folds[fid], item)
+        new = _DEAD if codes or end_codes(fold, follow) else self.fold_id(fold)
+        row = table.rows[fid]
+        if row is table.blank:
             with self._lock:
-                sid = self.set_ids.get(key)
-                if sid is None:
-                    sid = len(self.folds)
-                    self.folds.append(None)
-                    self.sets[sid] = key
-                    for table in self._tables:
-                        table.rows.append(table.blank)
-                    self.set_ids[key] = sid
-        return sid
-
-    def transition(self, table: _Table, sid: int, column: int) -> int:
-        """The entry of fold set *sid* in *column* of *table*, computed and
-        stored on first use: for a fold, the fold after the column's item,
-        and otherwise the set of the entries of its folds there, or under
-        each column of a group."""
-        new = table.rows[sid][column]
-        if new != _UNKNOWN:
-            return new
-        under, members = table.under, self.sets.get(sid)
-        if under is None and members is None:
-            item, follow = table.columns[column]
-            fold, codes = advance(self.folds[sid], item)
-            new = (_DEAD if codes or end_codes(fold, follow)
-                   else self.fold_id(fold))
-        else:
-            under, columns = ((table, (column,)) if under is None
-                              else (under, table.columns[column]))
-            live = [fid for folded in members or (sid,) for c in columns
-                    if (fid := self.transition(under, folded, c)) != _DEAD]
-            new = self.set_id(live) if live else _DEAD
-        if new <= _ROW_MAX:
-            row = table.rows[sid]
-            if row is table.blank:
-                with self._lock:
-                    row = table.rows[sid]
-                    if row is table.blank:
-                        row = table.rows[sid] = array("h", table.blank)
-            row[column] = new
+                row = table.rows[fid]
+                if row is table.blank:
+                    row = table.rows[fid] = array("i", table.blank)
+        row[column] = new
         return new
 
     def _realize(self, row: list, prev: int, pending: str, final: str,
@@ -501,59 +448,57 @@ class _Grammar:
         return entry
 
     def search(self, word: str) -> list[tuple[tuple[Piece, ...], tuple,
-                                              list]]:
-        """Depth-first enumeration of the paths matching *word*, each as
-        (pieces, parts, survivors); the results and dead states belong to
-        this call alone.
+                                              list, list]]:
+        """Depth-first enumeration of the analyses of *word*, each as
+        (pieces, parts, items, trace); the results and dead states belong
+        to this call alone.
 
         A path extends only with pieces that can still spell the word.  A
         piece whose boundary rule may rewrite the pending part is always
         tried; any other leaves that part as it is, so it is tried only
         when the part reads on in the word and the piece's own part can
         start at the character that follows.  Pieces are tried in the
-        order of an unpruned search (suffixes by id, then roots), so
-        results come out in that order.
+        order of an unpruned search (suffixes by id, then roots), and each
+        root once per sense choice, so a root-sense combination's results
+        come out in that order.
 
-        A step holds numbers and strings only: a link to the path so far
-        (``(parent link, piece number, finalized part, column)``, the
-        column being the one that led on to the next piece), the number of
-        the last piece, its pending part, the final segment, the position
-        the pending part starts at, the slot floor, the member count,
-        whether another member may follow, the fold set and the licensing
-        state.  Each piece tried is realized by a lookup in the step's row
-        of the realization table, and the final segment is read off the
-        word when the entry has none.
+        A step holds numbers and strings only: a link to the path before
+        the last piece, the number of the last piece, its pending part, the
+        final segment, the position the pending part starts at, the slot
+        floor, the member count, whether another member may follow, the
+        column that led to the last piece (its sense index for the first
+        root), the fold after it and the licensing state.  A link is
+        ``(parent link, piece number, column, fold, finalized part)``.
+        Each piece tried is realized by a lookup in the step's row of the
+        realization table, and the final segment is read off the word when
+        the entry has none.
 
-        The fold set holds the folds of the root-sense combinations still
-        alive.  A piece moves it on by the transition table before it is
-        realized, and is not realized when no fold lives after it; a
-        combination dies at the first code its next item raises, or once
-        an end check is certain to fail.  A zero-surface indicative must
-        be licensed by the pieces around it: the licensing state moves on
-        with each part as it is finalized, and a path dies once its state
-        is unlicensed or it ends owing a piece.
-
-        A path that spells the whole word is built only then: its root-
-        sense combinations are replayed through the fold table along its
-        columns, and each one whose end checks pass comes out, in the
-        order of ``itertools.product``, as (sense index tuple, the fold id
-        after each item).
+        A piece moves the fold on by the transition table before it is
+        realized, and is not realized into a dead end: the first code its
+        item raises, or an end check certain to fail.  A zero-surface
+        indicative must be licensed by the pieces around it: the licensing
+        state moves on with each part as it is finalized, and a path dies
+        once its state is unlicensed or it ends owing a piece.  A path that
+        spells the whole word, and whose fold passes the end checks, is
+        built only then.
         """
         options, idents, licensing = self.options, self.idents, self.licensing
         realized, realize, width = self.realized, self._realize, self.width
-        suffix_table, group_table = self.suffix_table, self.group_table
-        suffix_rows, group_rows = suffix_table.rows, group_table.rows
+        suffix_table, member_table = self.suffix_table, self.member_table
+        suffix_rows, member_rows = suffix_table.rows, member_table.rows
         transition, complete = self.transition, self._complete
+        folds = self.folds
         results, dead = [], set()
         size = len(word)
 
         def step(link, prev, pending, final, pos, floor, n_members,
-                 member_ok, live, owed):
+                 member_ok, column, live, owed):
             key = (pos, pending, idents[prev], floor, n_members, member_ok,
                    live, owed)
             if key in dead:
                 return
             produced = len(results)
+            node = (link, prev, column, live)
             row = realized.get((prev, pending, final))
             if row is None:
                 row = realized.setdefault((prev, pending, final),
@@ -564,10 +509,9 @@ class _Grammar:
                 # a path may end in neither licensing state that owes
                 if end == size and _licensed(owed, licensing[prev],
                                              pending) in (_FREE, _AFTER_3P):
-                    path = complete(link, prev, pending,
-                                    link is None and idents[prev][1] == "verb")
-                    if path[2]:
-                        results.append(path)
+                    bare = link is None and idents[prev][1] == "verb"
+                    if not end_codes(folds[live], bare=bare):
+                        results.append(complete(node + (pending,)))
                 char = word[end:end + 1]
             else:
                 char = None
@@ -583,28 +527,28 @@ class _Grammar:
                     after = suffix_rows[live]
                 if new != _DEAD:
                     for pid, _, _ in pieces:
-                        extend(row, link, prev, pending, final, pos, pid,
-                               next_floor, n_members, keeps, new, column,
+                        extend(row, node, prev, pending, final, pos, pid,
+                               next_floor, n_members, keeps, column, new,
                                owed)
 
             if member_ok and n_members < MAX_MEMBERS:
-                after = group_rows[live]
-                for pid, _, _, groups in options("R", char):
-                    group = groups[n_members + 1 >= MAX_MEMBERS]
-                    new = after[group]
-                    if new == _UNKNOWN:
-                        new = transition(group_table, live, group)
-                        after = group_rows[live]
-                    if new != _DEAD:
-                        extend(row, link, prev, pending, final, pos, pid,
-                               OPEN_FLOOR, n_members + 1, True, new, group,
-                               owed)
+                after = member_rows[live]
+                for pid, _, _, sense_columns in options("R", char):
+                    for column in sense_columns[n_members + 1 >= MAX_MEMBERS]:
+                        new = after[column]
+                        if new == _UNKNOWN:
+                            new = transition(member_table, live, column)
+                            after = member_rows[live]
+                        if new != _DEAD:
+                            extend(row, node, prev, pending, final, pos, pid,
+                                   OPEN_FLOOR, n_members + 1, True, column,
+                                   new, owed)
 
             if len(results) == produced:
                 dead.add(key)
 
-        def extend(row, link, prev, pending, final, pos, pid, floor,
-                   n_members, member_ok, live, column, owed):
+        def extend(row, node, prev, pending, final, pos, pid, floor,
+                   n_members, member_ok, column, live, owed):
             entry = row[pid]
             if entry is None:
                 entry = realize(row, prev, pending, final, pid, word[:pos])
@@ -626,53 +570,41 @@ class _Grammar:
             if new_final is None:
                 surface = word[:new_pos] + part
                 new_final = alphabet.final_segment(surface) if surface else ""
-            step((link, prev, finalized, column), new, part, new_final,
-                 new_pos, floor, n_members, member_ok, live, owed)
+            step(node + (finalized,), new, part, new_final, new_pos, floor,
+                 n_members, member_ok, column, live, owed)
 
         try:
-            for pid, part, final, live in self.firsts(word[0]):
-                step(None, pid, part, final, 0, OPEN_FLOOR, 1, True, live,
-                     _FREE)
+            for pid, part, final, sense, live in self.firsts(word[0]):
+                step(None, pid, part, final, 0, OPEN_FLOOR, 1, True, sense,
+                     live, _FREE)
         finally:
             # step and extend refer to each other; unbinding them frees
             # this call's states without the cyclic collector
             step = extend = None
         return results
 
-    def _complete(self, link, last: int, pending: str, bare: bool) -> tuple:
-        """(pieces, parts, survivors) of the path that *link* leads to,
-        followed by piece *last* with part *pending*.  The survivors are
-        the path's root-sense combinations replayed through the fold table
-        along its columns, each whose end checks pass (*bare*: the path is
-        a lone verb root) as (sense indices, fold id after each item)."""
-        pids, parts, columns = [last], [pending], []
+    def _complete(self, link) -> tuple:
+        """(pieces, parts, items, trace) of the path that ends in *link*:
+        each piece's item is its column's, or its sense choice for the
+        first root, and its trace step holds the valency of the fold after
+        it."""
+        pieces, parts, items, trace = [], [], [], []
         while link is not None:
-            link, pid, part, column = link
-            pids.append(pid)
-            parts.append(part)
-            columns.append(column)
-        pids.reverse()
-        parts.reverse()
-        columns.reverse()
-        pieces, transition = self.pieces, self.transition
-        suffix_table, member_table = self.suffix_table, self.member_table
-        groups = self.group_table.columns
-        paths = [((k,), (fid,)) for k, fid in enumerate(self.starts[pids[0]])]
-        for pid, column in zip(pids[1:], columns):
-            if pieces[pid].is_root:
-                paths = [(combo + (k,), fids + (new,))
-                         for combo, fids in paths
-                         for k, c in enumerate(groups[column])
-                         if (new := transition(member_table, fids[-1], c))
-                         != _DEAD]
+            link, pid, column, fid, part = link
+            piece = self.pieces[pid]
+            if link is None:
+                item = self.first_uses[pid][column]
             else:
-                paths = [(combo, fids + (new,)) for combo, fids in paths
-                         if (new := transition(suffix_table, fids[-1],
-                                               column)) != _DEAD]
-        folds = self.folds
-        return (tuple(pieces[pid] for pid in pids), tuple(parts),
-                [path for path in paths
-                 if not end_codes(folds[path[1][-1]], bare=bare)])
+                table = self.member_table if piece.is_root \
+                    else self.suffix_table
+                item = table.columns[column][0]
+            pieces.append(piece)
+            parts.append(part)
+            items.append(item)
+            trace.append((item.entry.form if piece.is_root else item.id,
+                          self.folds[fid].state))
+        return (tuple(pieces[::-1]), tuple(parts[::-1]), items[::-1],
+                trace[::-1])
 
 
 def _build_analysis(word: str, pieces: tuple[Piece, ...],
@@ -710,30 +642,6 @@ def _build_analysis(word: str, pieces: tuple[Piece, ...],
     return Analysis(word, tuple(out_pieces), tuple(trace), stem_valency)
 
 
-def _expand_senses(pieces: tuple[Piece, ...], parts: tuple[str, ...],
-                   survivors: list, word: str,
-                   grammar: _Grammar) -> list[Analysis]:
-    """Turn one piece path into analyses, one per root-sense combination
-    that survives it (index tuples into each root's senses), each traced
-    by the valency of the folds it went through."""
-    lexicon, folds = grammar.lexicon, grammar.folds
-    # the path starts with a root, so any root after piece 0 is a later
-    # compound member
-    sense_choices = [grammar.uses[(p.form, p.category)][i > 0]
-                     for i, p in enumerate(pieces) if p.is_root]
-
-    analyses = []
-    for combo, fids in survivors:
-        uses = iter([choices[k] for choices, k in zip(sense_choices, combo)])
-        items = [next(uses) if p.is_root
-                 else lexicon.suffixes[p.suffix_id] for p in pieces]
-        trace = [(item.entry.form if p.is_root else item.id,
-                  folds[fid].state)
-                 for p, item, fid in zip(pieces, items, fids)]
-        analyses.append(_build_analysis(word, pieces, parts, items, trace))
-    return analyses
-
-
 def analyse(word: str, lexicon: Lexicon | None = None,
             rules: RuleTable | None = None) -> list[Analysis]:
     """All licit glossed analyses of a surface word, best ranked first.
@@ -752,13 +660,13 @@ def analyse(word: str, lexicon: Lexicon | None = None,
     analyses: list[Analysis] = []
     seen = set()
     grammar = rules.for_lexicon(lexicon, _Grammar)
-    for pieces, parts, combos in grammar.search(word):
-        for analysis in _expand_senses(pieces, parts, combos, word, grammar):
-            marker = (analysis.key(),
-                      tuple((p.start, p.end) for p in analysis.pieces))
-            if marker not in seen:
-                seen.add(marker)
-                analyses.append(analysis)
+    for path in grammar.search(word):
+        analysis = _build_analysis(word, *path)
+        marker = (analysis.key(),
+                  tuple((p.start, p.end) for p in analysis.pieces))
+        if marker not in seen:
+            seen.add(marker)
+            analyses.append(analysis)
     analyses.sort(key=lambda a: a.score)
     return analyses
 

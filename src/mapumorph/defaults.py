@@ -27,6 +27,6 @@ def default_rules() -> RuleTable:
 def tables(lexicon: Lexicon | None = None,
            rules: RuleTable | None = None) -> tuple[Lexicon, RuleTable]:
     """The given lexicon and rule table, with the shipped one in place of
-    each that is None.  (An empty lexicon is falsy, so test for None.)"""
+    each that is None."""
     return (default_lexicon() if lexicon is None else lexicon,
             default_rules() if rules is None else rules)

@@ -115,9 +115,6 @@ class Lexicon:
             object.__setattr__(self, name,
                                MappingProxyType(dict(getattr(self, name))))
 
-    def __len__(self) -> int:
-        return len(self.roots) + len(self.suffixes)
-
     def roots_by_form(self, form: str) -> list[RootEntry]:
         return sorted((r for r in self.roots.values() if r.form == form),
                       key=lambda r: r.category)

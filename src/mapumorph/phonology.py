@@ -416,11 +416,11 @@ def select_allomorph(suffix: SuffixEntry, stem_final: str) -> str:
     kind = None
     if stem_final:
         kind = "V" if alphabet.is_vowel(stem_final) else "C"
-    for allomorph in suffix.allomorphs:
-        if kind is None or allomorph.requires in ("any", kind):
-            return allomorph.surface
-    raise PhonologyError(
-        f"no allomorph of {suffix.id} fits after {stem_final!r}")
+    fitting = suffix.allomorphs_after(kind)
+    if not fitting:
+        raise PhonologyError(
+            f"no allomorph of {suffix.id} fits after {stem_final!r}")
+    return fitting[0].surface
 
 
 def realize(seq, lexicon: Lexicon | None = None,

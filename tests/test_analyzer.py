@@ -366,10 +366,31 @@ def warm(lexicon):
     return rules, rules.for_lexicon(lexicon, analyzer._Grammar)
 
 
+def test_every_path_built_is_an_analysis(warm, lexicon, monkeypatch):
+    """The search builds a path only once its fold passes the end checks,
+    so on a warm golden pass each path built becomes one analysis before
+    duplicates are dropped."""
+    built, analysed = [], []
+
+    def counting(calls, function):
+        def wrapper(*args):
+            calls.append(args)
+            return function(*args)
+        return wrapper
+
+    rules, grammar = warm
+    monkeypatch.setattr(grammar, "_complete",
+                        counting(built, grammar._complete))
+    monkeypatch.setattr(analyzer, "_build_analysis",
+                        counting(analysed, analyzer._build_analysis))
+    found = sum(len(analyse(word, lexicon, rules)) for word in GOLDEN_WORDS)
+    assert found == 1007
+    assert len(built) == len(analysed) >= found
+
+
 class TestTransitionTable:
-    """The grammar's morphotactic transition table, over folds and over
-    the sets of folds a search step carries, filled by the golden words on
-    a grammar of its own."""
+    """The grammar's morphotactic transition table, filled by the golden
+    words on a grammar of its own."""
 
     def test_every_filled_entry_is_the_direct_fold(self, warm):
         _, grammar = warm
@@ -388,8 +409,6 @@ class TestTransitionTable:
                 else:
                     assert follow is None and item.slot >= STEM_ZONE
             for fid, row in enumerate(table.rows):
-                if grammar.folds[fid] is None:  # a set of folds
-                    continue
                 for column, new in enumerate(row):
                     if new == analyzer._UNKNOWN:
                         continue
@@ -400,43 +419,6 @@ class TestTransitionTable:
                         else grammar.fold_ids[fold]), (name, fid, column)
                     checked[name] += 1
         assert checked["suffix"] > 3000 and checked["member"] > 500, checked
-
-    def test_every_filled_set_entry_unites_its_folds_entries(self, warm):
-        _, grammar = warm
-        folds, sets = grammar.folds, grammar.sets
-        assert len(grammar.set_ids) == len(sets) > 100
-        for sid, key in sets.items():
-            assert folds[sid] is None and grammar.set_ids[key] == sid
-            assert len(key) > 1 and list(key) == sorted(set(key))
-            assert all(folds[fid] is not None for fid in key)
-
-        def direct(fid, column, table):
-            item, follow = table.columns[column]
-            fold, codes = advance(folds[fid], item)
-            return (None if codes or end_codes(fold, follow)
-                    else grammar.fold_ids[fold])
-
-        checked = dict.fromkeys(("suffix", "group"), 0)
-        for name, table in (("suffix", grammar.suffix_table),
-                            ("group", grammar.group_table)):
-            under = table.under or table
-            for sid, row in enumerate(table.rows):
-                if name == "suffix" and sid not in sets:
-                    continue  # a fold: the direct-fold test checks it
-                for column, new in enumerate(row):
-                    if new == analyzer._UNKNOWN:
-                        continue
-                    columns = (table.columns[column] if table.under
-                               else (column,))
-                    live = {direct(fid, c, under)
-                            for fid in sets.get(sid, (sid,))
-                            for c in columns} - {None}
-                    key = tuple(sorted(live))
-                    assert new == (analyzer._DEAD if not key else key[0]
-                                   if len(key) == 1
-                                   else grammar.set_ids[key]), (name, sid)
-                    checked[name] += 1
-        assert checked["suffix"] > 400 and checked["group"] > 600, checked
 
     def test_a_suffix_folds_alike_under_every_floor_above_its_slot(
             self, lexicon):
@@ -460,8 +442,7 @@ class TestTransitionTable:
                                                    monkeypatch):
         rules, grammar = warm
         n_folds = len(grammar.folds)
-        tables = (grammar.suffix_table, grammar.member_table,
-                  grammar.group_table)
+        tables = (grammar.suffix_table, grammar.member_table)
         filled = [[bytes(row) for row in table.rows] for table in tables]
         calls = []
 
@@ -476,20 +457,6 @@ class TestTransitionTable:
         assert len(grammar.folds) == n_folds
         assert [[bytes(row) for row in table.rows]
                 for table in tables] == filled
-
-    def test_folds_beyond_a_rows_reach_are_recomputed(self, lexicon,
-                                                      monkeypatch):
-        words = GOLDEN_WORDS[::8]
-        expected = [analyse(word, lexicon) for word in words]
-        monkeypatch.setattr(analyzer, "_ROW_MAX", 20)
-        rules = load_rules(data_path("rules.tsv"))
-        assert [analyse(word, lexicon, rules) for word in words] == expected
-        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
-        assert len(grammar.folds) > 20
-        assert all(max(row) <= 20
-                   for table in (grammar.suffix_table, grammar.member_table,
-                                 grammar.group_table)
-                   for row in table.rows)
 
     def test_threads_filling_a_cold_table_get_the_serial_results(
             self, lexicon):
@@ -506,15 +473,13 @@ class TestTransitionTable:
         for k in range(4):
             shift = k * len(GOLDEN_WORDS) // 4
             assert got[k] == expected[shift:] + expected[:shift], k
-        # each fold and each set of folds got one number
+        # each fold got one number, and a row in each table
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
-        assert len(grammar.fold_ids) + len(grammar.set_ids) == len(
-            grammar.folds)
-        assert {sid: key for key, sid in grammar.set_ids.items()} \
-            == grammar.sets
+        assert len(grammar.fold_ids) == len(grammar.folds)
         assert all(grammar.fold_ids[fold] == fid
-                   for fid, fold in enumerate(grammar.folds)
-                   if fid not in grammar.sets)
+                   for fid, fold in enumerate(grammar.folds))
+        assert all(len(table.rows) == len(grammar.folds)
+                   for table in (grammar.suffix_table, grammar.member_table))
 
 
 # Surfaces to put before a pending part: every segment alone and after a

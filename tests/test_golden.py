@@ -65,8 +65,8 @@ def test_analyse_gloss_text():
 
 def test_a_cold_grammar_fed_in_reverse_gives_the_same_text():
     # --rules loads a rule table of its own, so its grammar starts empty
-    # and numbers its pieces, folds and fold sets in the order the
-    # reversed words meet them; the output must not depend on that order.
+    # and numbers its pieces and folds in the order the reversed words
+    # meet them; the output must not depend on that order.
     words = read("words.txt").split()
     out = invoke(["analyse", "--rules", str(data_path("rules.tsv"))],
                  "\n".join(reversed(words)) + "\n")

@@ -20,7 +20,7 @@ def test_empty_file_gives_empty_lexicon(tmp_path):
     path = tmp_path / "roots.tsv"
     path.write_text("# nothing here\n", encoding="utf-8")
     lex = load_lexicon(path)
-    assert len(lex) == 0
+    assert not lex.roots and not lex.suffixes
 
 
 def test_lexicon_mappings_are_read_only(lexicon):
