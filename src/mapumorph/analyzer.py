@@ -39,12 +39,11 @@ from .defaults import tables
 from .lexicon import Lexicon, RootEntry, SuffixEntry
 # validate_plan is not called here; it stays importable from this module,
 # where the benchmark's tracer counts its calls
-from .morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE, Fold,
-                            RootUse, advance, compound_valency, end_codes,
-                            next_floor, start_fold, tags_below,
+from .morphotactics import (Fold, RootUse, advance, compound_valency,
+                            end_codes, follows, start_fold, tags_below,
                             validate_plan, validate_sequence)  # noqa: F401
 from .phonology import (Piece, Realization, RuleTable, extend_realization,
-                        new_realization, select_allomorph)
+                        select_allomorph)
 
 
 class GenerationError(ValueError):
@@ -201,7 +200,7 @@ def _licensed(owed: int, code: int, part: str) -> int:
 
 
 class _Table:
-    """One part of the transition table: its (item, follow) columns, and
+    """One part of the transition table: its columns, one item each, and
     per fold id a row of the fold id each column leads to.  A row is the
     shared blank until its first entry."""
 
@@ -245,15 +244,12 @@ class _Grammar:
     final segment, and the search reads it off the word.
 
     The morphotactic transition table numbers each
-    :class:`~mapumorph.morphotactics.Fold` met, and ``(fold, item,
-    closed)`` leads to the number of the fold after *item* (a suffix
-    entry, or a root sense as a later compound member), or to a dead end,
-    computed by :func:`advance` and :func:`end_codes` on first use.
-    *closed* says that the stem cannot reopen after *item*, so the end
-    checks count as certain under the suffix tags that may still follow;
-    while it can, no end check is.  The key needs no slot floor: the
-    search tries a suffix only below the floor, where :func:`advance`
-    raises no slot code and gives the same fold whatever the floor.
+    :class:`~mapumorph.morphotactics.Fold` met, the slot template's state
+    included, and ``(fold, item)`` leads to the number of the fold after
+    *item* (a suffix entry, or a root sense as a later compound member),
+    or to a dead end, computed by :func:`advance`, :func:`follows` and
+    :func:`end_codes` on first use.  Each fold also records whether a
+    compound member may follow it.
 
     A search step carries one fold: a root tried as a path's first step
     or as a later compound member branches once per sense choice, so each
@@ -274,53 +270,42 @@ class _Grammar:
         # the realization rows
         self.pieces, self.idents, self.licensing = [], [], []
         self.piece_ids, self.realized = {}, {}
-        below = tags_below(lexicon)
+        self.below = tags_below(lexicon)
+        # one suffix column per suffix, by id
         entries = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
-        # Suffix columns: each suffix with the stem closed, then each
-        # stem-zone suffix with it open (a suffix below the zone closes it)
-        columns = [(entry, below[next_floor(entry)]) for entry in entries]
-        opens = {}
-        for entry in entries:
-            if entry.slot >= STEM_ZONE:
-                opens[entry.id] = len(columns)
-                columns.append((entry, None))
-        self.suffix_table = _Table(columns)
-        # ((closed column, open column), slot, next floor, keeps the stem
-        # open, its pieces) per suffix, with a (piece id, rewrites_left,
-        # starts) per allomorph usable after a vowel / consonant
+        self.suffix_table = _Table(entries)
+        # (column, slot, its pieces) per suffix, with a (piece id,
+        # rewrites_left, starts) per allomorph usable after a vowel /
+        # consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
         for column, entry in enumerate(entries):
             for kind, options in self.suffixes.items():
-                options.append(((column, opens.get(entry.id)), entry.slot,
-                                next_floor(entry), entry.slot >= STEM_ZONE,
+                options.append((column, entry.slot,
                                 tuple(self._numbered(rules.morph(
                                     a.surface, "suffix", suffix_id=entry.id))
                                       for a in entry.allomorphs_after(kind))))
-        # Member columns: each sense choice of a root as a later member
-        # (an incorporated demonstrative is a fixed construction, so its
-        # citation sense stands for all of them) with the stem open, then
-        # closed.
+        # Member columns: each sense choice of a root as a later member (an
+        # incorporated demonstrative is a fixed construction, so its
+        # citation sense stands for all of them)
         columns, later_columns = [], {}
         for key, entry in lexicon.roots.items():
             later = entry.senses[:1] if entry.category == "demonstrative" \
                 else entry.senses
-            first = len(columns)
-            for sense in later:
-                use = RootUse(entry, sense)
-                columns += [(use, None), (use, below[OPEN_FLOOR])]
-            later_columns[key] = (tuple(range(first, len(columns), 2)),
-                                  tuple(range(first + 1, len(columns), 2)))
+            later_columns[key] = tuple(range(len(columns),
+                                             len(columns) + len(later)))
+            columns += [RootUse(entry, sense) for sense in later]
         self.member_table = _Table(columns)
         self._tables = (self.suffix_table, self.member_table)
-        # (piece id, rewrites_left, starts, (open columns, closed columns)
-        # of its sense choices as a later member)
+        # (piece id, rewrites_left, starts, the columns of its sense
+        # choices as a later member)
         self.roots = [self._numbered(rules.morph(e.form, "root", e.category))
                       + (later_columns[(e.form, e.category)],)
                       for e in lexicon.iter_roots() if e.form]
 
-        # the folds by number and the numbers by fold, the seen-tag sets
-        # the folds share
-        self.folds, self.fold_ids, self._seen = [], {}, {}
+        # the folds by number, whether a member may follow each, the
+        # numbers by fold, and the seen-tag sets the folds share
+        self.folds, self.member_follows = [], []
+        self.fold_ids, self._seen = {}, {}
         # each root's sense choices as the first member, by piece id, and
         # each of them as a path's first step: (piece id, part, final
         # segment, sense index, start fold)
@@ -330,8 +315,7 @@ class _Grammar:
             entry = lexicon.roots[(piece.form, piece.category)]
             uses = self.first_uses[pid] = tuple(RootUse(entry, sense)
                                                 for sense in entry.senses)
-            state = extend_realization(new_realization(), piece, rules,
-                                       lexicon)
+            state = extend_realization(Realization(), piece, rules, lexicon)
             self._firsts += [(pid, state.parts[-1], state.final, k,
                               self.fold_id(start_fold(use)))
                              for k, use in enumerate(uses)]
@@ -382,9 +366,9 @@ class _Grammar:
 
         if kind == "R":
             return tuple(filter(worth, self.roots))
-        return tuple(suffix[:4] + (pieces,)
+        return tuple(suffix[:2] + (pieces,)
                      for suffix in self.suffixes[kind]
-                     if (pieces := tuple(filter(worth, suffix[4]))))
+                     if (pieces := tuple(filter(worth, suffix[2]))))
 
     def firsts(self, char: str) -> tuple:
         """The first steps of the paths for a word that starts with
@@ -400,7 +384,7 @@ class _Grammar:
     def fold_id(self, fold: Fold) -> int:
         """The number of *fold*, given on first sight.  A new fold is
         stored with a shared ``seen``, and other threads learn its number
-        only once its rows exist."""
+        only once its rows and its member flag exist."""
         fid = self.fold_ids.get(fold)
         if fid is None:
             with self._lock:
@@ -410,6 +394,8 @@ class _Grammar:
                         seen=self._seen.setdefault(fold.seen, fold.seen))
                     fid = len(self.folds)
                     self.folds.append(fold)
+                    self.member_follows.append(
+                        follows(fold, self.below) is None)
                     for table in self._tables:
                         table.rows.append(table.blank)
                     self.fold_ids[fold] = fid
@@ -418,9 +404,9 @@ class _Grammar:
     def transition(self, table: _Table, fid: int, column: int) -> int:
         """Compute, store and return the entry of fold *fid* in *column* of
         *table*: the fold after the column's item, or a dead end."""
-        item, follow = table.columns[column]
-        fold, codes = advance(self.folds[fid], item)
-        new = _DEAD if codes or end_codes(fold, follow) else self.fold_id(fold)
+        fold, codes = advance(self.folds[fid], table.columns[column])
+        new = _DEAD if codes or end_codes(fold, follows(fold, self.below)) \
+            else self.fold_id(fold)
         row = table.rows[fid]
         if row is table.blank:
             with self._lock:
@@ -464,8 +450,7 @@ class _Grammar:
 
         A step holds numbers and strings only: a link to the path before
         the last piece, the number of the last piece, its pending part, the
-        final segment, the position the pending part starts at, the slot
-        floor, the member count, whether another member may follow, the
+        final segment, the position the pending part starts at, the
         column that led to the last piece (its sense index for the first
         root), the fold after it and the licensing state.  A link is
         ``(parent link, piece number, column, fold, finalized part)``.
@@ -475,26 +460,25 @@ class _Grammar:
 
         A piece moves the fold on by the transition table before it is
         realized, and is not realized into a dead end: the first code its
-        item raises, or an end check certain to fail.  A zero-surface
-        indicative must be licensed by the pieces around it: the licensing
-        state moves on with each part as it is finalized, and a path dies
-        once its state is unlicensed or it ends owing a piece.  A path that
-        spells the whole word, and whose fold passes the end checks, is
-        built only then.
+        item raises, or an end check certain to fail.  Suffixes are tried
+        only below the fold's slot floor, and roots only where the fold
+        lets a member follow.  A zero-surface indicative must be licensed
+        by the pieces around it: the licensing state moves on with each
+        part as it is finalized, and a path dies once its state is
+        unlicensed or it ends owing a piece.  A path that spells the whole
+        word, and whose fold passes the end checks, is built only then.
         """
         options, idents, licensing = self.options, self.idents, self.licensing
         realized, realize, width = self.realized, self._realize, self.width
         suffix_table, member_table = self.suffix_table, self.member_table
         suffix_rows, member_rows = suffix_table.rows, member_table.rows
         transition, complete = self.transition, self._complete
-        folds = self.folds
+        folds, member_follows = self.folds, self.member_follows
         results, dead = [], set()
         size = len(word)
 
-        def step(link, prev, pending, final, pos, floor, n_members,
-                 member_ok, column, live, owed):
-            key = (pos, pending, idents[prev], floor, n_members, member_ok,
-                   live, owed)
+        def step(link, prev, pending, final, pos, column, live, owed):
+            key = (pos, pending, idents[prev], live, owed)
             if key in dead:
                 return
             produced = len(results)
@@ -517,10 +501,7 @@ class _Grammar:
                 char = None
             kind = "V" if alphabet.is_vowel(final) else "C"
             after = suffix_rows[live]
-            for columns, _, next_floor, keeps_stem, pieces in options(
-                    kind, char, floor):
-                keeps = member_ok and keeps_stem
-                column = columns[keeps and n_members < MAX_MEMBERS]
+            for column, _, pieces in options(kind, char, folds[live].floor):
                 new = after[column]
                 if new == _UNKNOWN:
                     new = transition(suffix_table, live, column)
@@ -528,27 +509,25 @@ class _Grammar:
                 if new != _DEAD:
                     for pid, _, _ in pieces:
                         extend(row, node, prev, pending, final, pos, pid,
-                               next_floor, n_members, keeps, column, new,
-                               owed)
+                               column, new, owed)
 
-            if member_ok and n_members < MAX_MEMBERS:
+            if member_follows[live]:
                 after = member_rows[live]
-                for pid, _, _, sense_columns in options("R", char):
-                    for column in sense_columns[n_members + 1 >= MAX_MEMBERS]:
+                for pid, _, _, columns in options("R", char):
+                    for column in columns:
                         new = after[column]
                         if new == _UNKNOWN:
                             new = transition(member_table, live, column)
                             after = member_rows[live]
                         if new != _DEAD:
                             extend(row, node, prev, pending, final, pos, pid,
-                                   OPEN_FLOOR, n_members + 1, True, column,
-                                   new, owed)
+                                   column, new, owed)
 
             if len(results) == produced:
                 dead.add(key)
 
-        def extend(row, node, prev, pending, final, pos, pid, floor,
-                   n_members, member_ok, column, live, owed):
+        def extend(row, node, prev, pending, final, pos, pid, column, live,
+                   owed):
             entry = row[pid]
             if entry is None:
                 entry = realize(row, prev, pending, final, pid, word[:pos])
@@ -570,13 +549,12 @@ class _Grammar:
             if new_final is None:
                 surface = word[:new_pos] + part
                 new_final = alphabet.final_segment(surface) if surface else ""
-            step(node + (finalized,), new, part, new_final, new_pos, floor,
-                 n_members, member_ok, column, live, owed)
+            step(node + (finalized,), new, part, new_final, new_pos, column,
+                 live, owed)
 
         try:
             for pid, part, final, sense, live in self.firsts(word[0]):
-                step(None, pid, part, final, 0, OPEN_FLOOR, 1, True, sense,
-                     live, _FREE)
+                step(None, pid, part, final, 0, sense, live, _FREE)
         finally:
             # step and extend refer to each other; unbinding them frees
             # this call's states without the cyclic collector
@@ -597,7 +575,7 @@ class _Grammar:
             else:
                 table = self.member_table if piece.is_root \
                     else self.suffix_table
-                item = table.columns[column][0]
+                item = table.columns[column]
             pieces.append(piece)
             parts.append(part)
             items.append(item)
@@ -704,7 +682,7 @@ def generate(root, sense_context: str, suffix_ids,
     if violations:
         raise GenerationError(f"invalid sequence for {entry.form!r}",
                               violations)
-    state = extend_realization(new_realization(),
+    state = extend_realization(Realization(),
                                Piece(entry.form, "root",
                                      category=entry.category),
                                rules, lexicon)

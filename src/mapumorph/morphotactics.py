@@ -6,9 +6,11 @@ word; a new compound member reopens the slot range.  Validation walks the
 sequence once, folding a small :class:`Fold` with :func:`advance` and
 running :func:`end_codes` at the end of the word, and collects
 :class:`Violation` records; an empty list means the sequence is well
-formed.  The analyser's search folds each prefix the same way and runs
-the end checks under the suffixes that may still follow, so it drops a
-sequence at its first violation that no continuation can undo.
+formed.  The fold holds the slot template too (the floor, the members so
+far, whether the stem is open), so it is the whole morphotactic state.
+The analyser's search folds each prefix the same way and runs the end
+checks under the suffixes that may still follow (:func:`follows`), so it
+drops a sequence at its first violation that no continuation can undo.
 
 Hard constraints only: the stative suffix is deliberately NOT treated as
 an intransitivity test (transitive roots with the stative are attested
@@ -137,14 +139,12 @@ def _member_effective_valency(root: RootEntry) -> str:
 
 
 class Fold(NamedTuple):
-    """What later items and the end checks read of a plan so far.  The
-    slot template's part (the floor, the members so far, whether the stem
-    is open) is left to the caller: :func:`validate_plan` and the
-    analyser's search each carry it.  Folds are built with
-    ``tuple.__new__``, which skips the keyword handling of the NamedTuple
-    constructor: :func:`validate_plan` builds one for every item it
-    judges.  The analyser numbers the folds it meets and builds each
-    transition once per grammar."""
+    """What later items and the end checks read of a plan so far, the slot
+    template's state included.  Folds are built with ``tuple.__new__``,
+    which skips the keyword handling of the NamedTuple constructor:
+    :func:`validate_plan` builds one for every item it judges.  The
+    analyser numbers the folds it meets and builds each transition once
+    per grammar."""
 
     state: str              # the valency: IV, TV or TV2
     pending: str | None     # the code a non-verbal member raises unless
@@ -159,6 +159,10 @@ class Fold(NamedTuple):
     inflected: bool         # a suffix sits in slot <= INFLECTION_ZONE
     seen: frozenset         # the tags seen that the end checks read
     slot6: bool             # a suffix sits in slot 6
+    floor: int              # the next suffix's slot must be below it
+    members: int            # the stem members so far
+    stem_open: bool         # every suffix since the latest member is in
+                            # the stem zone, so a new member may come
 
 
 # the tags the end checks read
@@ -174,18 +178,20 @@ def start_fold(first: RootUse) -> Fold:
     return tuple.__new__(Fold, (
         first.sense.context, None, None, entry.valency,
         _member_effective_valency(entry) == "IV", entry.loan, None, False,
-        frozenset(), False))
+        frozenset(), False, OPEN_FLOOR, 1, True))
 
 
-def advance(fold: Fold, item, floor: int = OPEN_FLOOR) -> tuple[Fold, list]:
+def advance(fold: Fold, item) -> tuple[Fold, list]:
     """The fold after *item*, a later member or a suffix, and the codes
-    *item* raises, in order.  *floor* is the slot floor before a suffix;
-    the member checks of the template (``member_position``,
-    ``compound_depth``) are the caller's."""
+    *item* raises, in order, the slot template's among them."""
     (state, pending, prev_ca, lone, last_iv, last_loan, mood, inflected,
-     seen, slot6) = fold
+     seen, slot6, floor, members, stem_open) = fold
     codes = []
     if isinstance(item, RootUse):
+        if not stem_open:
+            codes.append("member_position")
+        if members >= MAX_MEMBERS:
+            codes.append("compound_depth")
         if pending is not None:
             codes.append(pending)
             pending = None
@@ -205,7 +211,7 @@ def advance(fold: Fold, item, floor: int = OPEN_FLOOR) -> tuple[Fold, list]:
         return tuple.__new__(Fold, (
             state, pending, None, None,
             _member_effective_valency(entry) == "IV", entry.loan, mood,
-            inflected, seen, slot6)), codes
+            inflected, seen, slot6, OPEN_FLOOR, members + 1, True)), codes
 
     tag, slot = item.tag, item.slot
     if pending is not None:
@@ -246,7 +252,19 @@ def advance(fold: Fold, item, floor: int = OPEN_FLOOR) -> tuple[Fold, list]:
         codes.append("nom_requires_causative")
     return tuple.__new__(Fold, (
         state, None, tag == "CA", lone, last_iv, last_loan, mood,
-        inflected or slot <= INFLECTION_ZONE, seen, slot6 or slot == 6)), codes
+        inflected or slot <= INFLECTION_ZONE, seen, slot6 or slot == 6,
+        next_floor(item, floor), members,
+        stem_open and slot >= STEM_ZONE)), codes
+
+
+def follows(fold: Fold, below: dict[int, frozenset]) -> frozenset | None:
+    """The ``follow`` of :func:`end_codes` mid-word after *fold*: None
+    while another compound member may come, which reopens every slot,
+    else the tags in *below* (:func:`tags_below`) under the fold's
+    floor."""
+    if fold.stem_open and fold.members < MAX_MEMBERS:
+        return None
+    return below[fold.floor]
 
 
 def _settled(follow: frozenset | None, clearing) -> bool:
@@ -258,10 +276,10 @@ def end_codes(fold: Fold, follow: frozenset | None = frozenset(),
               bare: bool = False) -> list:
     """The codes the end of the word raises on *fold*, in order, that no
     continuation can clear.  *follow* holds the tags of the suffixes that
-    may still come: none at the end of the word; mid-word, those below the
-    slot floor, or None while another compound member may come, which
-    reopens every slot.  *bare* marks a plan that is a lone verb root."""
-    (_, pending, _, _, _, _, mood, inflected, seen, slot6) = fold
+    may still come: none at the end of the word, and mid-word those that
+    :func:`follows` gives (None while another compound member may come).
+    *bare* marks a plan that is a lone verb root."""
+    (_, pending, _, _, _, _, mood, inflected, seen, slot6, _, _, _) = fold
     codes = []
     nothing_follows = follow is not None and not follow
     if pending is not None and nothing_follows:
@@ -305,8 +323,8 @@ def end_codes(fold: Fold, follow: frozenset | None = frozenset(),
 
 def tags_below(lexicon: Lexicon) -> dict[int, frozenset]:
     """For each slot floor a suffix can leave (and the open floor), the
-    tags of the lexicon's suffixes that may follow under it: the
-    ``follow`` of :func:`end_codes` while the stem cannot reopen."""
+    tags of the lexicon's suffixes that may follow under it, which
+    :func:`follows` reads while the stem cannot reopen."""
     entries = list(lexicon.suffixes.values())
     floors = {OPEN_FLOOR} | {next_floor(entry) for entry in entries}
     return {floor: frozenset(entry.tag for entry in entries
@@ -318,40 +336,26 @@ def validate_plan(items: list, lexicon: Lexicon | None = None,
                   trace: list | None = None) -> list[Violation]:
     """Validate a mixed sequence of RootUse and SuffixEntry items.
 
-    Walks *items* once, carrying the slot template (the ``floor``, the
-    stem members so far and whether every suffix since the latest is in
-    the stem zone) and folding a :class:`Fold` with :func:`advance`, then
-    runs :func:`end_codes` at the end of the word (*lexicon* is not read).
-    When *trace* is a list, each step's (root form or suffix id, state
-    after it) is appended to it.
+    Walks *items* once, folding a :class:`Fold` with :func:`advance`,
+    then runs :func:`end_codes` at the end of the word (*lexicon* is not
+    read).  When *trace* is a list, each step's (root form or suffix id,
+    state after it) is appended to it.
     """
     if not items or not isinstance(items[0], RootUse):
         raise ValueError("sequence must start with a root")
     first = items[0]
     violations: list[Violation] = []
     fold = start_fold(first)
-    floor, n_members, stem_open = OPEN_FLOOR, 1, True
     if trace is not None:
         trace.append((first.entry.form, fold.state))
 
     for i, item in enumerate(items[1:], 1):
-        if isinstance(item, RootUse):
-            if not stem_open:
-                violations.append(Violation("member_position", i))
-            if n_members >= MAX_MEMBERS:
-                violations.append(Violation("compound_depth", i))
-            fold, codes = advance(fold, item)
-            floor, n_members, stem_open = OPEN_FLOOR, n_members + 1, True
-            step = item.entry.form
-        else:
-            fold, codes = advance(fold, item, floor)
-            floor = next_floor(item, floor)
-            stem_open = stem_open and item.slot >= STEM_ZONE
-            step = item.id
+        fold, codes = advance(fold, item)
         for code in codes:
             violations.append(Violation(code, i))
         if trace is not None:
-            trace.append((step, fold.state))
+            trace.append((item.entry.form if isinstance(item, RootUse)
+                          else item.id, fold.state))
 
     end = len(items)
     for code in end_codes(fold, bare=end == 1

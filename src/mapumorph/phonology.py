@@ -437,7 +437,7 @@ def realize(seq, lexicon: Lexicon | None = None,
     lexicon, rules = tables(lexicon, rules)
     if not seq:
         raise PhonologyError("empty morph sequence")
-    state = new_realization()
+    state = Realization()
     for i, item in enumerate(seq):
         piece = normalize_piece(item, i == 0, lexicon)
         try:
@@ -453,7 +453,3 @@ def extend_realization(state: Realization, piece: Piece, rules: RuleTable,
     """*state* followed by *piece*: the one realization step that
     :func:`realize`, generation and the analyser's search all take."""
     return rules.extend(state, piece, lexicon)
-
-
-def new_realization() -> Realization:
-    return Realization()

@@ -17,7 +17,7 @@ import itertools
 from mapumorph.alphabet import final_kind
 from mapumorph.lexicon import Lexicon, SuffixEntry
 from mapumorph.morphotactics import STEM_ZONE, RootUse, validate_plan
-from mapumorph.phonology import Piece, extend_realization, new_realization
+from mapumorph.phonology import Piece, Realization, extend_realization
 
 MOODS_FINITE = ["IND.y", "IND1SG.n"]
 MOODS_NOMINAL = ["OVN.el", "SVN.lu", "PVN.n", "IVN.m"]
@@ -187,7 +187,7 @@ def _all_realizations(items, lexicon, rules):
 
     first = items[0]
     state = extend_realization(
-        new_realization(),
+        Realization(),
         Piece(first.entry.form, "root", category=first.entry.category),
         rules, lexicon)
     walk(state, 1, [((), first.entry.form)])

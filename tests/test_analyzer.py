@@ -13,9 +13,9 @@ from mapumorph.analyzer import (GenerationError, analyse, generate,
                                 gloss_render, gloss_set, normalize_gloss)
 from mapumorph.defaults import data_path
 from mapumorph.lexicon import Lexicon, RootEntry, Sense
-from mapumorph.morphotactics import (OPEN_FLOOR, STEM_ZONE, RootUse, advance,
-                                     end_codes, next_floor, start_fold,
-                                     tags_below, validate_plan)
+from mapumorph.morphotactics import (OPEN_FLOOR, RootUse, advance, end_codes,
+                                     follows, start_fold, tags_below,
+                                     validate_plan)
 from mapumorph.phonology import Realization, extend_realization, load_rules
 
 import helpers
@@ -398,32 +398,30 @@ class TestTransitionTable:
         tables = {"suffix": grammar.suffix_table,
                   "member": grammar.member_table}
         checked = dict.fromkeys(tables, 0)
+        assert grammar.suffix_table.columns == sorted(
+            grammar.lexicon.suffixes.values(), key=lambda entry: entry.id)
+        assert all(isinstance(item, RootUse)
+                   for item in grammar.member_table.columns)
+        assert grammar.member_follows == [follows(fold, below) is None
+                                   for fold in grammar.folds]
         for name, table in tables.items():
-            for column, (item, follow) in enumerate(table.columns):
-                if name == "member":
-                    assert isinstance(item, RootUse)
-                    closed = column % 2
-                    assert follow == (below[OPEN_FLOOR] if closed else None)
-                elif column < len(grammar.lexicon.suffixes):
-                    assert follow == below[next_floor(item)]
-                else:
-                    assert follow is None and item.slot >= STEM_ZONE
             for fid, row in enumerate(table.rows):
                 for column, new in enumerate(row):
                     if new == analyzer._UNKNOWN:
                         continue
-                    item, follow = table.columns[column]
-                    fold, codes = advance(grammar.folds[fid], item)
+                    fold, codes = advance(grammar.folds[fid],
+                                          table.columns[column])
                     assert new == (
-                        analyzer._DEAD if codes or end_codes(fold, follow)
+                        analyzer._DEAD
+                        if codes or end_codes(fold, follows(fold, below))
                         else grammar.fold_ids[fold]), (name, fid, column)
                     checked[name] += 1
         assert checked["suffix"] > 3000 and checked["member"] > 500, checked
 
     def test_a_suffix_folds_alike_under_every_floor_above_its_slot(
             self, lexicon):
-        # the search tries a suffix only below the floor, so the table
-        # may leave the floor out of its key
+        # the search tries a suffix only below the floor, so folds that
+        # differ only in a floor above its slot lead to one fold
         rng = random.Random(10)
         checked = 0
         for _ in range(400):
@@ -431,9 +429,10 @@ class TestTransitionTable:
             fold = start_fold(plan[0])
             for item in plan[1:]:
                 if not isinstance(item, RootUse):
-                    moved = advance(fold, item)
+                    moved = advance(fold._replace(floor=OPEN_FLOOR), item)
                     for floor in range(item.slot + 1, OPEN_FLOOR):
-                        assert advance(fold, item, floor) == moved
+                        assert advance(fold._replace(floor=floor),
+                                       item) == moved
                         checked += 1
                 fold = advance(fold, item)[0]
         assert checked > 10_000

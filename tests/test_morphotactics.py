@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from mapumorph import tags
 from mapumorph.lexicon import Lexicon
-from mapumorph.morphotactics import (MAX_MEMBERS, OPEN_FLOOR, STEM_ZONE,
-                                     RootUse, advance, compound_valency,
-                                     end_codes, next_floor, start_fold,
-                                     tags_below, valency_step, validate_plan,
+from mapumorph.morphotactics import (MAX_MEMBERS, STEM_ZONE, RootUse,
+                                     advance, compound_valency, end_codes,
+                                     follows, start_fold, tags_below,
+                                     valency_step, validate_plan,
                                      validate_sequence)
 
 from helpers import build_random_plan
@@ -226,27 +226,43 @@ class TestMemberLicensing:
 def _search_drop(plan, below):
     """The number of items after which the analyser's search drops *plan*:
     its fold raises a code, or an end check is certain to fail under the
-    suffixes that may still come.  None when no prefix is dropped, or when
-    the plan breaks the slot template, which the search never builds."""
+    suffixes that may still come.  None when no prefix is dropped."""
     fold = start_fold(plan[0])
-    floor, n_members, stem_open = OPEN_FLOOR, 1, True
     for i, item in enumerate(plan[1:], 2):
-        if isinstance(item, RootUse):
-            if not stem_open or n_members >= MAX_MEMBERS:
-                return None
-            fold, codes = advance(fold, item)
-            floor, n_members = OPEN_FLOOR, n_members + 1
-        else:
-            if item.slot >= floor:
-                return None
-            fold, codes = advance(fold, item, floor)
-            floor = next_floor(item, floor)
-            stem_open = stem_open and item.slot >= STEM_ZONE
-        follow = None if stem_open and n_members < MAX_MEMBERS \
-            else below[floor]
-        if codes or end_codes(fold, follow):
+        fold, codes = advance(fold, item)
+        if codes or end_codes(fold, follows(fold, below)):
             return i
     return None
+
+
+def test_the_fold_keeps_the_slot_template(lexicon):
+    """advance raises the template's member codes itself, and follows
+    leaves the suffixes open exactly while a member may still come."""
+    below = tags_below(lexicon)
+    küpa = lexicon.roots[("küpa", "verb")]
+    nie = lexicon.roots[("nie", "verb")]
+    fold = start_fold(RootUse(küpa, küpa.senses[0]))
+    assert follows(fold, below) is None
+    member = RootUse(nie, nie.senses[0])
+    # a stem-zone suffix keeps the stem open, one below it closes it
+    ca, hab = lexicon.suffixes["CA.l"], lexicon.suffixes["HAB.ke"]
+    assert ca.slot >= STEM_ZONE > hab.slot
+    stem = advance(fold, ca)[0]
+    assert stem.stem_open and follows(stem, below) is None
+    assert advance(stem, member)[1] == []
+    closed = advance(fold, hab)[0]
+    assert not closed.stem_open
+    assert follows(closed, below) == below[hab.slot]
+    assert advance(closed, member)[1] == ["member_position"]
+    # the third member closes the compound, and a fourth is too deep
+    for members in range(2, MAX_MEMBERS + 1):
+        fold, codes = advance(fold, member)
+        assert codes == [] and fold.members == members
+        assert (follows(fold, below) is None) == (members < MAX_MEMBERS)
+    assert follows(fold, below) == below[fold.floor]
+    assert advance(fold, member)[1] == ["compound_depth"]
+    assert advance(closed._replace(members=MAX_MEMBERS), member)[1] == [
+        "member_position", "compound_depth"]
 
 
 def _in_slot_order(plan):
