@@ -42,8 +42,7 @@ from .lexicon import Lexicon, RootEntry, SuffixEntry
 from .morphotactics import (Fold, RootUse, advance, compound_valency,
                             end_codes, follows, start_fold, tags_below,
                             validate_plan, validate_sequence)  # noqa: F401
-from .phonology import (Piece, Realization, RuleTable, extend_realization,
-                        select_allomorph)
+from .phonology import Piece, RuleTable, extend_realization, select_allomorph
 
 
 class GenerationError(ValueError):
@@ -223,25 +222,19 @@ class _Grammar:
     keyed by these numbers as they go.
 
     The realization table takes ``(previous piece, pending part, final
-    segment)`` to a row indexed by the next piece, whose entries are
-    ``(new piece, finalized part, new pending part, new final segment,
-    initials of the new pending part)``: what
-    :func:`~mapumorph.phonology.extend_realization` gives on first use,
-    or None before it.  The pending part is the last piece's part, which
-    the rule at the next boundary may still rewrite; the final segment is
-    that of the whole surface so far, which the key needs because a
-    digraph can straddle the pending part's start.  The initials are
+    segment)`` to a row indexed by the next piece: the arguments of the
+    boundary step :func:`~mapumorph.phonology.extend_realization`, which
+    reads nothing else.  Its entries are what the step gives on first
+    use, ``(new piece, finalized part, new pending part, new final
+    segment)``, with the
     :meth:`~mapumorph.phonology.RuleTable.initials` of the new pending
-    part (None when it is empty).
-
-    The key decides every field but one.  Greedy segmentation splits a
-    surface ``s + t`` as ``s`` up to its final segment, then that segment
-    followed by ``t``, so while the finalized part is the pending part
-    with something appended, the new final segment follows from the old
-    one.  A rule that rewrites the pending part instead (a fusion, or a
-    final-segment rewrite) sets a new segment next to the surface before
-    it, which the key leaves out: such an entry holds None for the new
-    final segment, and the search reads it off the word.
+    part (None when it is empty) appended, or None before first use.  The
+    pending part is the last piece's part, which the rule at the next
+    boundary may still rewrite; the final segment is that of the whole
+    surface so far, which a digraph can make straddle the pending part's
+    start.  After a rule that rewrites the pending part the step leaves
+    the new final segment to the caller (None), and the search reads it
+    off the word.
 
     The morphotactic transition table numbers each
     :class:`~mapumorph.morphotactics.Fold` met, the slot template's state
@@ -315,8 +308,8 @@ class _Grammar:
             entry = lexicon.roots[(piece.form, piece.category)]
             uses = self.first_uses[pid] = tuple(RootUse(entry, sense)
                                                 for sense in entry.senses)
-            state = extend_realization(Realization(), piece, rules, lexicon)
-            self._firsts += [(pid, state.parts[-1], state.final, k,
+            self._firsts += [(pid, piece.form,
+                              alphabet.final_segment(piece.form), k,
                               self.fold_id(start_fold(use)))
                              for k, use in enumerate(uses)]
         # every piece the search tries has been numbered by now; a fused
@@ -417,19 +410,14 @@ class _Grammar:
         return new
 
     def _realize(self, row: list, prev: int, pending: str, final: str,
-                 pid: int, head: str) -> tuple:
+                 pid: int) -> tuple:
         """Compute, store in *row* and return the realization entry of
-        piece *pid* after piece *prev*, whose part *pending* follows *head*
-        in a surface ending in *final*."""
-        pieces = self.pieces
-        state = extend_realization(
-            Realization((pieces[prev],), (pending,), head + pending, final),
-            pieces[pid], self.rules, self.lexicon)
-        piece = state.pieces[-1]
-        finalized, part = state.parts
-        entry = row[pid] = (self.piece_id(piece), finalized, part,
-                            state.final if finalized.startswith(pending)
-                            else None,
+        piece *pid* after piece *prev*, whose part *pending* ends a surface
+        ending in *final*."""
+        piece, finalized, part, new_final = extend_realization(
+            self.pieces[prev], pending, final, self.pieces[pid], self.rules,
+            self.lexicon)
+        entry = row[pid] = (self.piece_id(piece), finalized, part, new_final,
                             self.rules.initials(piece, part) if part else None)
         return entry
 
@@ -530,7 +518,7 @@ class _Grammar:
                    owed):
             entry = row[pid]
             if entry is None:
-                entry = realize(row, prev, pending, final, pid, word[:pos])
+                entry = realize(row, prev, pending, final, pid)
             new, finalized, part, new_final, initials = entry
             if not word.startswith(finalized, pos):
                 return
@@ -636,6 +624,8 @@ def analyse(word: str, lexicon: Lexicon | None = None,
     lexicon, rules = tables(lexicon, rules)
 
     analyses: list[Analysis] = []
+    # validate_lexicon allows a repeated sense row or allomorph, and the
+    # search finds one path per copy: keep one analysis of each
     seen = set()
     grammar = rules.for_lexicon(lexicon, _Grammar)
     for path in grammar.search(word):
@@ -682,16 +672,19 @@ def generate(root, sense_context: str, suffix_ids,
     if violations:
         raise GenerationError(f"invalid sequence for {entry.form!r}",
                               violations)
-    state = extend_realization(Realization(),
-                               Piece(entry.form, "root",
-                                     category=entry.category),
-                               rules, lexicon)
+    prev = Piece(entry.form, "root", category=entry.category)
+    surface = pending = entry.form
+    final = alphabet.final_segment(surface) if surface else ""
     for suffix in suffix_entries:
-        chosen = select_allomorph(suffix, state.final)
-        state = extend_realization(
-            state, Piece(chosen, "suffix", suffix_id=suffix.id),
-            rules, lexicon)
-    return state.surface
+        piece = Piece(select_allomorph(suffix, final), "suffix",
+                      suffix_id=suffix.id)
+        prev, finalized, part, final = extend_realization(
+            prev, pending, final, piece, rules, lexicon)
+        surface = surface[:len(surface) - len(pending)] + finalized + part
+        pending = part
+        if final is None:
+            final = alphabet.final_segment(surface) if surface else ""
+    return surface
 
 
 def gloss_render(analysis: Analysis) -> str:

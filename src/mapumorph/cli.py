@@ -138,7 +138,7 @@ def violations_json(violations) -> str:
 def _cmd_generate(args, stdin, stdout, stderr) -> int:
     lexicon, rules = _load_tables(args)
     for raw in stdin:
-        line = raw.strip()
+        line = raw.rstrip()  # a leading tab opens an empty first column
         if not line:
             continue
         cols = line.split("\t")

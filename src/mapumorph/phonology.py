@@ -17,18 +17,22 @@ Rules live in a TSV table (``id kind left right rewrite exceptions``):
 Each line is parsed once, at load, straight into the compiled
 :class:`BoundaryRule`; a malformed line fails there with its file and
 line.  Application is single pass, one rule per boundary, in table
-order.  Generation applies the rules forward, and the analyser searches
-forward through the same :class:`RuleTable` rather than undoing them: its
-grammar keeps what :func:`extend_realization` gives for each (previous
-piece, pending part, final segment, next piece) it meets, so a search
-carries no realization state.  Tables change only by filling their memos.
+order, and happens in one place, :func:`extend_realization`: a pure
+function of the previous piece, its pending part (the part the rule at
+the next boundary may still rewrite), the final segment of the surface
+so far and the next piece.  It never reads the surface before the
+pending part.  :func:`realize` and generation fold it over a running
+surface, and the analyser searches forward through it rather than
+undoing the rules: its grammar keeps what the step gives for each
+(previous piece, pending part, final segment, next piece) it meets, so a
+search carries no realization state.  Tables change only by filling
+their memos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 from . import alphabet
 from .lexicon import Lexicon, SuffixEntry
@@ -53,20 +57,11 @@ class Piece:
     kind: str                      # "root" or "suffix"
     category: str | None = None    # lexical category, for roots
     suffix_id: str | None = None   # suffix entry id, when known
-    fused: bool = False            # set by extend on the piece a fusion ate
+    fused: bool = False            # set on the piece a fusion ate
 
     @property
     def is_root(self) -> bool:
         return self.kind == "root"
-
-
-class Realization(NamedTuple):
-    """A morph sequence realised so far; the last part may still change."""
-
-    pieces: tuple[Piece, ...] = ()
-    parts: tuple[str, ...] = ()     # per-piece surfaces
-    surface: str = ""               # the parts joined
-    final: str = ""                 # final segment of surface, "" if empty
 
 
 def replace_final(surface: str, segment: str) -> str:
@@ -334,53 +329,6 @@ class RuleTable:
             chars.add(target[0])
         return frozenset(chars)
 
-    def extend(self, state: Realization, piece: Piece,
-               lexicon: Lexicon | None) -> Realization:
-        """*state* followed by *piece*, with at most one rule applied at
-        the new boundary."""
-        if not state.pieces:
-            if not piece.is_root:
-                raise PhonologyError("sequence must start with a root")
-            return Realization((piece,), (piece.form,), piece.form,
-                               alphabet.final_segment(piece.form)
-                               if piece.form else "")
-        surface = piece.form
-        candidates = self.candidates(piece)
-        if not candidates:
-            joined = state.surface + surface
-            return Realization(state.pieces + (piece,),
-                               state.parts + (surface,), joined,
-                               alphabet.final_segment(joined) if surface
-                               else state.final)
-        prev = state.pieces[-1]
-        left = state.parts[-1]
-        for rule in candidates:
-            if rule.excepts(prev) or rule.excepts(piece):
-                continue
-            if not (_matches(rule.left, prev, state.final, lexicon)
-                    and _matches(rule.right, piece, state.final, lexicon)):
-                continue
-            if rule.left_final is not None and not left:
-                continue  # no final segment to rewrite
-            if rule.fuse is not None:
-                left, surface = rule.fuse, ""
-                piece = replace(piece, fused=True)
-                break
-            if rule.left_append is not None:
-                left = left + rule.left_append
-            if rule.left_final is not None:
-                left = replace_final(left, rule.left_final)
-            if rule.right_set is not None:
-                surface = rule.right_set
-            if rule.right_prefix is not None:
-                surface = rule.right_prefix + surface
-            break  # at most one rule per boundary
-        head = state.surface[:len(state.surface) - len(state.parts[-1])]
-        joined = head + left + surface
-        return Realization(state.pieces + (piece,),
-                           state.parts[:-1] + (left, surface), joined,
-                           alphabet.final_segment(joined) if joined else "")
-
 
 def normalize_piece(item, first: bool, lexicon: Lexicon | None) -> Piece:
     """Coerce a str / (form, category) / Piece into a Piece.
@@ -437,19 +385,67 @@ def realize(seq, lexicon: Lexicon | None = None,
     lexicon, rules = tables(lexicon, rules)
     if not seq:
         raise PhonologyError("empty morph sequence")
-    state = Realization()
+    prev = None
     for i, item in enumerate(seq):
         piece = normalize_piece(item, i == 0, lexicon)
         try:
             alphabet.segments(piece.form)  # rules read only part ends
-            state = extend_realization(state, piece, rules, lexicon)
+            if prev is None:
+                if not piece.is_root:
+                    raise PhonologyError("sequence must start with a root")
+                surface = pending = piece.form
+                final = alphabet.final_segment(surface) if surface else ""
+            else:
+                piece, finalized, part, final = extend_realization(
+                    prev, pending, final, piece, rules, lexicon)
+                surface = surface[:len(surface) - len(pending)] \
+                    + finalized + part
+                pending = part
+                if final is None:
+                    final = alphabet.final_segment(surface) if surface else ""
         except alphabet.AlphabetError as err:
             raise PhonologyError(f"boundary {i}: {err}") from None
-    return state.surface
+        prev = piece
+    return surface
 
 
-def extend_realization(state: Realization, piece: Piece, rules: RuleTable,
-                       lexicon: Lexicon | None) -> Realization:
-    """*state* followed by *piece*: the one realization step that
-    :func:`realize`, generation and the analyser's search all take."""
-    return rules.extend(state, piece, lexicon)
+def extend_realization(prev: Piece, pending: str, final: str, piece: Piece,
+                       rules: RuleTable, lexicon: Lexicon | None) -> tuple:
+    """The boundary step: *piece* placed after *prev*, whose part
+    *pending* ends a surface whose final segment is *final*, with at most
+    one rule applied at the boundary.  The one step that :func:`realize`,
+    generation and the analyser's search all take.
+
+    Returns ``(piece as placed, finalized pending part, new part, new
+    final segment)``.  While the rule appends to the pending part (or no
+    rule fires), the new final segment follows from *final*: greedy
+    segmentation splits a surface ``s + t`` as ``s`` up to its final
+    segment, then that segment followed by ``t``.  A rule that rewrites
+    the pending part instead (a fusion, or a final-segment rewrite) sets a
+    new segment next to the surface before it, which the step does not
+    see: then the new final segment is None, for the caller to read off
+    the whole surface.
+    """
+    appended, part = "", piece.form
+    for rule in rules.candidates(piece):
+        if rule.excepts(prev) or rule.excepts(piece):
+            continue
+        if not (_matches(rule.left, prev, final, lexicon)
+                and _matches(rule.right, piece, final, lexicon)):
+            continue
+        if rule.left_final is not None and not pending:
+            continue  # no final segment to rewrite
+        if rule.fuse is not None:
+            return replace(piece, fused=True), rule.fuse, "", None
+        if rule.right_set is not None:
+            part = rule.right_set
+        if rule.right_prefix is not None:
+            part = rule.right_prefix + part
+        appended = rule.left_append or ""
+        if rule.left_final is not None:
+            return (piece, replace_final(pending + appended, rule.left_final),
+                    part, None)
+        break  # at most one rule per boundary
+    joined = final + appended + part
+    return (piece, pending + appended, part,
+            alphabet.final_segment(joined) if joined else "")

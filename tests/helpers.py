@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 
-from mapumorph.alphabet import final_kind
+from mapumorph.alphabet import final_kind, final_segment
 from mapumorph.lexicon import Lexicon, SuffixEntry
 from mapumorph.morphotactics import STEM_ZONE, RootUse, validate_plan
-from mapumorph.phonology import Piece, Realization, extend_realization
+from mapumorph.phonology import Piece, extend_realization
 
 MOODS_FINITE = ["IND.y", "IND1SG.n"]
 MOODS_NOMINAL = ["OVN.el", "SVN.lu", "PVN.n", "IVN.m"]
@@ -165,32 +165,36 @@ def surface_licensing_ok(shaped: list[tuple[tuple[str, ...], str]]) -> bool:
 
 
 def _all_realizations(items, lexicon, rules):
-    """Every surface an item sequence can take over allomorph choices."""
+    """Every surface an item sequence can take over allomorph choices,
+    each boundary taken by the boundary step with the final segment read
+    off the surface so far."""
     results = []
 
-    def walk(state, index, shaped):
+    def walk(prev, surface, pending, index, shaped):
         if index == len(items):
             if surface_licensing_ok(shaped):
-                results.append(state.surface)
+                results.append(surface)
             return
         item = items[index]
         if isinstance(item, RootUse):
-            piece = Piece(item.entry.form, "root",
-                          category=item.entry.category)
-            new = extend_realization(state, piece, rules, lexicon)
-            walk(new, index + 1, shaped + [((), new.parts[-1])])
+            tags = ()
+            pieces = [Piece(item.entry.form, "root",
+                            category=item.entry.category)]
         else:
-            for surface in matching_allomorphs(item, state.surface):
-                piece = Piece(surface, "suffix", suffix_id=item.id)
-                new = extend_realization(state, piece, rules, lexicon)
-                walk(new, index + 1, shaped + [((item.tag,), new.parts[-1])])
+            tags = (item.tag,)
+            pieces = [Piece(form, "suffix", suffix_id=item.id)
+                      for form in matching_allomorphs(item, surface)]
+        final = final_segment(surface) if surface else ""
+        head = surface[:len(surface) - len(pending)]
+        for piece in pieces:
+            piece, finalized, part, _ = extend_realization(
+                prev, pending, final, piece, rules, lexicon)
+            walk(piece, head + finalized + part, part, index + 1,
+                 shaped + [(tags, part)])
 
-    first = items[0]
-    state = extend_realization(
-        Realization(),
-        Piece(first.entry.form, "root", category=first.entry.category),
-        rules, lexicon)
-    walk(state, 1, [((), first.entry.form)])
+    first = items[0].entry
+    walk(Piece(first.form, "root", category=first.category), first.form,
+         first.form, 1, [((), first.form)])
     return results
 
 

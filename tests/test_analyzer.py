@@ -12,11 +12,11 @@ from mapumorph.alphabet import (DIGRAPHS, SINGLE_LETTERS, AlphabetError,
 from mapumorph.analyzer import (GenerationError, analyse, generate,
                                 gloss_render, gloss_set, normalize_gloss)
 from mapumorph.defaults import data_path
-from mapumorph.lexicon import Lexicon, RootEntry, Sense
+from mapumorph.lexicon import Lexicon, RootEntry, Sense, validate_lexicon
 from mapumorph.morphotactics import (OPEN_FLOOR, RootUse, advance, end_codes,
                                      follows, start_fold, tags_below,
                                      validate_plan)
-from mapumorph.phonology import Realization, extend_realization, load_rules
+from mapumorph.phonology import extend_realization, load_rules
 
 import helpers
 from conftest import DATA, load_gloss_corpus
@@ -138,6 +138,31 @@ class TestAmbiguity:
         for word in words:
             after = {a.key() for a in analyse(word, bigger)}
             assert before[word] <= after
+
+    @pytest.mark.parametrize("repeated, paths", [("sense", 4),
+                                                 ("allomorph", 3)])
+    def test_a_repeated_lexicon_row_adds_no_analysis(self, lexicon,
+                                                     repeated, paths):
+        # validate_lexicon passes a root with a repeated sense row and a
+        # suffix with a repeated allomorph; the search takes one path per
+        # copy, and analyse keeps one analysis of each
+        roots, suffixes = dict(lexicon.roots), dict(lexicon.suffixes)
+        if repeated == "sense":
+            root = roots["küpa", "verb"]
+            roots["küpa", "verb"] = dataclasses.replace(
+                root, senses=root.senses * 2)
+        else:
+            suffix = suffixes["IND1SG.n"]
+            suffixes["IND1SG.n"] = dataclasses.replace(
+                suffix, allomorphs=suffix.allomorphs + suffix.allomorphs[:1])
+        doubled = Lexicon(roots, suffixes)
+        assert validate_lexicon(doubled) == validate_lexicon(lexicon) == []
+        rules = load_rules(data_path("rules.tsv"))
+        grammar = rules.for_lexicon(doubled, analyzer._Grammar)
+        assert len(grammar.search("küpan")) == paths
+        assert [a.to_json() for a in analyse("küpan", doubled, rules)] == [
+            a.to_json() for a in analyse("küpan", lexicon)]
+        assert len(analyse("küpan", lexicon)) == 2
 
     def test_compound_label_can_differ_from_the_fold(self):
         # The -CR label reads the labile root aye as IV whatever its
@@ -516,10 +541,11 @@ def rewriting_path(tmp_path_factory):
 
 
 def check_entries(rules, grammar, lexicon):
-    """Check every filled realization entry against a direct
-    RuleTable.extend after each head of its final segment: equal, but for
-    a final segment left to the word after a rewritten pending part.
-    Returns (entries, checks, entries whose final differs by head)."""
+    """Check every filled realization entry against one direct boundary
+    step, and its final segment, where it has one, against the whole
+    surface after each head of the key's final segment.  Returns
+    (entries, checks, entries without a final segment whose surface's
+    final differs by head)."""
     pieces = grammar.pieces
     entries = checked = head_bound = 0
     for (prev, pending, final), row in grammar.realized.items():
@@ -531,22 +557,21 @@ def check_entries(rules, grammar, lexicon):
             if entry is None:
                 continue
             entries += 1
+            piece, finalized, part, new_final = extend_realization(
+                pieces[prev], pending, final, pieces[pid], rules, lexicon)
+            assert entry == (
+                grammar.piece_ids[piece], finalized, part, new_final,
+                rules.initials(piece, part) if part else None), (
+                    pending, final, pieces[pid])
             finals = set()
             for head in heads:
-                state = rules.extend(
-                    Realization((pieces[prev],), (pending,),
-                                head + pending, final),
-                    pieces[pid], lexicon)
-                piece = state.pieces[-1]
-                finalized, part = state.parts
-                kept = state.final if finalized.startswith(pending) else None
-                assert entry == (
-                    grammar.piece_ids[piece], finalized, part, kept,
-                    rules.initials(piece, part) if part else None), (
-                        head, pending, final, pieces[pid])
-                finals.add(state.final)
+                surface = head + finalized + part
+                finals.add(final_segment(surface) if surface else "")
                 checked += 1
-            head_bound += len(finals) > 1
+            if new_final is None:
+                head_bound += len(finals) > 1
+            else:
+                assert finals == {new_final}, (pending, final, pieces[pid])
     return entries, checked, head_bound
 
 

@@ -110,6 +110,12 @@ class TestGenerate:
         assert "ERROR" in out and "missing_mood" in out
         assert "missing_mood" in err
 
+    def test_an_empty_first_column_is_kept(self):
+        code, out, err = invoke(["generate"], "\tIV\tIND1SG.n\r\n")
+        assert code == 0
+        assert out == "\tIV\tIND1SG.n\tERROR\t\"unknown root ''\"\n"
+        assert err == "generate: \"unknown root ''\"\n"
+
 
 class TestValidateLexicon:
     def test_clean_lexicon_exits_zero(self):

@@ -5,10 +5,13 @@ word generated from each of the first 100 tuples of
 ``sample_valid_tuples(Random(36))`` followed by its near-miss probes
 ``w[:-1]``, ``w + "a"`` and ``w + "m"``.  The pinned outputs are
 ``analyse`` in gloss text, the sha256 of ``analyse --format json-lines
---source kona`` and ``classify`` on that JSON.  To regenerate them after
-an intended output change, from the repository root in bash:
+--source kona`` and ``classify`` on that JSON.  ``generate.tsv`` holds
+those 100 tuples as ``generate`` input lines, then lines that fire the
+prothesis, both sandhi rules and both fusions, and invalid lines; its
+``generate`` output is pinned in ``generate.txt``.  To regenerate them
+after an intended output change, from the repository root in bash:
 
-    cd tests/data/golden && export PYTHONPATH=../../../src && python -m mapumorph analyse < words.txt > analyse.txt && python -m mapumorph analyse --format json-lines --source kona < words.txt | tee >(sha256sum | cut -d' ' -f1 > analyse-kona.sha256) | python -m mapumorph classify > classify.tsv
+    cd tests/data/golden && export PYTHONPATH=../../../src && python -m mapumorph analyse < words.txt > analyse.txt && python -m mapumorph analyse --format json-lines --source kona < words.txt | tee >(sha256sum | cut -d' ' -f1 > analyse-kona.sha256) | python -m mapumorph classify > classify.tsv && python -m mapumorph generate < generate.tsv > generate.txt
 
 The morphotactic fold is pinned too: the sha256 of the violations
 (code, position, message) and traces ``validate_plan`` gives on 3,000
@@ -83,6 +86,18 @@ def test_analyse_json_lines(kona_json):
 
 def test_classify(kona_json):
     assert invoke(["classify"], kona_json) == read("classify.tsv")
+
+
+def test_generate(lexicon):
+    lines = read("generate.tsv").splitlines()
+    assert lines[:100] == [
+        f"{root.form}\t{sense.context}\t{' '.join(seq)}"
+        for root, sense, seq in sample_valid_tuples(Random(36), lexicon, 100)]
+    out = invoke(["generate"], read("generate.tsv"))
+    assert out == read("generate.txt")
+    words = read("words.txt").split()
+    assert [line.rsplit("\t", 1)[1] for line in out.splitlines()[:100]] \
+        == words[-400::4]
 
 
 def test_validate_plan_fold(lexicon):
