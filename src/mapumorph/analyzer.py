@@ -9,17 +9,17 @@ combination and carries the number of its morphotactic fold: a path dies
 at its first violation that no continuation can undo, so the pruning
 loses no analysis.  A zero-surface indicative is licensed by the parts
 around it as they are finalized, and a path that leaves one unlicensed
-dies there.  The grammar numbers the pieces, and a search step holds
-only numbers and strings.  Folds move on through a transition table and
-pieces are realized through a realization table, both kept per grammar
-and filled on first use, so each transition and each boundary is
-computed once, not once per piece tried.  A path that spells the word
-and whose fold passes the end checks is an analysis: only then are its
-pieces, parts and items read off its links, traced by the folds it went
-through.  The search is the only judge: the morphotactic validator is
-the tests' oracle for it.  Ambiguity is deliberately preserved: labile
-roots contribute one analysis per sense row, and homophonous suffixes
-one per reading.
+dies there.  The grammar numbers the pieces, and a search step holds only
+numbers and strings.  Folds move on through a transition table compiled
+with the grammar, and pieces are realized through a realization table
+kept per grammar and filled on first use, so each transition and each
+boundary is computed once, not once per piece tried.  A path that spells
+the word and whose fold passes the end checks is an analysis: only then
+are its pieces, parts and items read off its links, traced by the folds
+it went through.  The search is the only judge: the morphotactic
+validator is the tests' oracle for it.  Ambiguity is deliberately
+preserved: labile roots contribute one analysis per sense row, and
+homophonous suffixes one per reading.
 
 Analyses are ranked by piece count, then lexicographically by morph ids;
 the ranking is a plumbing choice, not a linguistic claim.
@@ -40,8 +40,9 @@ from .lexicon import Lexicon, RootEntry, SuffixEntry
 # validate_plan is not called here; it stays importable from this module,
 # where the benchmark's tracer counts its calls
 from .morphotactics import (Fold, RootUse, advance, compound_valency,
-                            end_codes, follows, start_fold, tags_below,
-                            validate_plan, validate_sequence)  # noqa: F401
+                            end_codes, follows, settle, start_fold,
+                            tags_below, tags_reading_lone, validate_plan,
+                            validate_sequence)  # noqa: F401
 from .phonology import Piece, RuleTable, extend_realization, select_allomorph
 
 
@@ -174,8 +175,8 @@ def _tags(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-# an entry not yet computed, and one for a transition into a dead end
-_UNKNOWN, _DEAD = -1, -2
+# a transition into a dead end, or one the search never reads
+_DEAD = -1
 
 # Zero-indicative licensing, judged on the pieces' final parts in order: a
 # zero-surface IND is licensed right after a 3P piece, or when a zero 1
@@ -198,28 +199,15 @@ def _licensed(owed: int, code: int, part: str) -> int:
     return _AFTER_3P if code == _3P else _FREE
 
 
-class _Table:
-    """One part of the transition table: its columns, one item each, and
-    per fold id a row of the fold id each column leads to.  A row is the
-    shared blank until its first entry."""
-
-    __slots__ = ("columns", "rows", "blank")
-
-    def __init__(self, columns: list):
-        self.columns, self.rows = columns, []
-        self.blank = array("i", [_UNKNOWN]) * len(columns)
-
-
 class _Grammar:
     """The search's tables for one (lexicon, rules), built once and shared
     by every :func:`analyse` call with them: the suffix options per
     preceding V/C, the root options, their filter by the character that
-    follows and each root's sense choices.
+    follows, each root's sense choices and the transition table.
 
     Every piece the search can try gets a number: each suffix allomorph
     and each root when the grammar is built, and each fused variant that
-    a rule makes the first time it appears.  The searches fill tables
-    keyed by these numbers as they go.
+    a rule makes the first time it appears.
 
     The realization table takes ``(previous piece, pending part, final
     segment)`` to a row indexed by the next piece: the arguments of the
@@ -236,23 +224,25 @@ class _Grammar:
     the new final segment to the caller (None), and the search reads it
     off the word.
 
-    The morphotactic transition table numbers each
-    :class:`~mapumorph.morphotactics.Fold` met, the slot template's state
-    included, and ``(fold, item)`` leads to the number of the fold after
-    *item* (a suffix entry, or a root sense as a later compound member),
-    or to a dead end, computed by :func:`advance`, :func:`follows` and
-    :func:`end_codes` on first use.  Each fold also records whether a
-    compound member may follow it.
+    The morphotactic transition table, compiled with the grammar, has a
+    column per item (each suffix entry by id, then each root sense as a
+    later compound member) and a row per settled
+    :class:`~mapumorph.morphotactics.Fold` that the start folds lead to
+    (:func:`settle`): the number of the fold after each column's item, or
+    a dead end where the item raises a code or an end check is certain to
+    fail.  Only suffixes below the fold's floor, and members where one may
+    follow, are tried: the search reads no other entry.  Each fold also
+    records whether a compound member may follow it.
 
     A search step carries one fold: a root tried as a path's first step
     or as a later compound member branches once per sense choice, so each
     path stands for one root-sense combination, and the fold is that
     combination's.
 
-    The pieces, the folds and so the tables are bounded by the grammar,
-    not by the words analysed.  Lists indexed by a number belong to the
-    grammar and grow under its lock together with the number, since a
-    search may meet a number that another thread has just given.
+    The pieces and so the realization table are bounded by the grammar,
+    not by the words analysed.  The piece lists grow under the grammar's
+    lock together with the numbers, since a search may meet a number
+    that another thread has just given.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
@@ -264,41 +254,38 @@ class _Grammar:
         self.pieces, self.idents, self.licensing = [], [], []
         self.piece_ids, self.realized = {}, {}
         self.below = tags_below(lexicon)
-        # one suffix column per suffix, by id
-        entries = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
-        self.suffix_table = _Table(entries)
+        self.reading_lone = tags_reading_lone(lexicon)
+        # the transition table's columns: one per suffix, by id, ...
+        self.columns = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
+        n_suffixes = len(self.columns)
         # (column, slot, its pieces) per suffix, with a (piece id,
         # rewrites_left, starts) per allomorph usable after a vowel /
         # consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
-        for column, entry in enumerate(entries):
+        for column, entry in enumerate(self.columns):
             for kind, options in self.suffixes.items():
                 options.append((column, entry.slot,
                                 tuple(self._numbered(rules.morph(
                                     a.surface, "suffix", suffix_id=entry.id))
                                       for a in entry.allomorphs_after(kind))))
-        # Member columns: each sense choice of a root as a later member (an
+        # ... then one per sense choice of a root as a later member (an
         # incorporated demonstrative is a fixed construction, so its
         # citation sense stands for all of them)
-        columns, later_columns = [], {}
+        later_columns = {}
         for key, entry in lexicon.roots.items():
             later = entry.senses[:1] if entry.category == "demonstrative" \
                 else entry.senses
-            later_columns[key] = tuple(range(len(columns),
-                                             len(columns) + len(later)))
-            columns += [RootUse(entry, sense) for sense in later]
-        self.member_table = _Table(columns)
-        self._tables = (self.suffix_table, self.member_table)
+            later_columns[key] = tuple(range(len(self.columns),
+                                             len(self.columns) + len(later)))
+            self.columns += [RootUse(entry, sense) for sense in later]
         # (piece id, rewrites_left, starts, the columns of its sense
         # choices as a later member)
         self.roots = [self._numbered(rules.morph(e.form, "root", e.category))
                       + (later_columns[(e.form, e.category)],)
                       for e in lexicon.iter_roots() if e.form]
 
-        # the folds by number, whether a member may follow each, the
-        # numbers by fold, and the seen-tag sets the folds share
-        self.folds, self.member_follows = [], []
-        self.fold_ids, self._seen = {}, {}
+        # the settled folds by number and the numbers by fold
+        self.folds, self.fold_ids = [], {}
         # each root's sense choices as the first member, by piece id, and
         # each of them as a path's first step: (piece id, part, final
         # segment, sense index, start fold)
@@ -310,13 +297,40 @@ class _Grammar:
                                                 for sense in entry.senses)
             self._firsts += [(pid, piece.form,
                               alphabet.final_segment(piece.form), k,
-                              self.fold_id(start_fold(use)))
+                              self._fold_id(start_fold(use)))
                              for k, use in enumerate(uses)]
+        # per fold, whether a member may follow it and its row; the loop
+        # meets the folds it numbers as it goes, and judges each fold met once
+        self.member_follows, self.transitions = [], []
+        under = {floor: [column for column, slot, _ in self.suffixes["V"]
+                         if slot < floor] for floor in self.below}
+        members, met = list(range(n_suffixes, len(self.columns))), {}
+        for fold in self.folds:
+            row = array("i", [_DEAD]) * len(self.columns)
+            may_member = follows(fold, self.below) is None
+            tried = under[fold.floor] + (members if may_member else [])
+            for column in tried:
+                new, codes = advance(fold, self.columns[column])
+                if not codes:
+                    if new not in met:
+                        met[new] = _DEAD if end_codes(new, follows(
+                            new, self.below)) else self._fold_id(new)
+                    row[column] = met[new]
+            self.member_follows.append(may_member)
+            self.transitions.append(row)
         # every piece the search tries has been numbered by now; a fused
         # variant, numbered later, is only ever a result
         self.width = len(self.pieces)
         self.options = functools.cache(self.options)
         self.firsts = functools.cache(self.firsts)
+
+    def _fold_id(self, fold: Fold) -> int:
+        """The number of *fold* settled, given on first sight."""
+        fold = settle(fold, follows(fold, self.below), self.reading_lone)
+        fid = self.fold_ids.setdefault(fold, len(self.folds))
+        if fid == len(self.folds):
+            self.folds.append(fold)
+        return fid
 
     def _numbered(self, morph: tuple) -> tuple:
         """A :meth:`RuleTable.morph` triple with its piece numbered."""
@@ -374,41 +388,6 @@ class _Grammar:
 
         return tuple(filter(may_start, self._firsts))
 
-    def fold_id(self, fold: Fold) -> int:
-        """The number of *fold*, given on first sight.  A new fold is
-        stored with a shared ``seen``, and other threads learn its number
-        only once its rows and its member flag exist."""
-        fid = self.fold_ids.get(fold)
-        if fid is None:
-            with self._lock:
-                fid = self.fold_ids.get(fold)
-                if fid is None:
-                    fold = fold._replace(
-                        seen=self._seen.setdefault(fold.seen, fold.seen))
-                    fid = len(self.folds)
-                    self.folds.append(fold)
-                    self.member_follows.append(
-                        follows(fold, self.below) is None)
-                    for table in self._tables:
-                        table.rows.append(table.blank)
-                    self.fold_ids[fold] = fid
-        return fid
-
-    def transition(self, table: _Table, fid: int, column: int) -> int:
-        """Compute, store and return the entry of fold *fid* in *column* of
-        *table*: the fold after the column's item, or a dead end."""
-        fold, codes = advance(self.folds[fid], table.columns[column])
-        new = _DEAD if codes or end_codes(fold, follows(fold, self.below)) \
-            else self.fold_id(fold)
-        row = table.rows[fid]
-        if row is table.blank:
-            with self._lock:
-                row = table.rows[fid]
-                if row is table.blank:
-                    row = table.rows[fid] = array("i", table.blank)
-        row[column] = new
-        return new
-
     def _realize(self, row: list, prev: int, pending: str, final: str,
                  pid: int) -> tuple:
         """Compute, store in *row* and return the realization entry of
@@ -458,9 +437,7 @@ class _Grammar:
         """
         options, idents, licensing = self.options, self.idents, self.licensing
         realized, realize, width = self.realized, self._realize, self.width
-        suffix_table, member_table = self.suffix_table, self.member_table
-        suffix_rows, member_rows = suffix_table.rows, member_table.rows
-        transition, complete = self.transition, self._complete
+        transitions, complete = self.transitions, self._complete
         folds, member_follows = self.folds, self.member_follows
         results, dead = [], set()
         size = len(word)
@@ -488,25 +465,18 @@ class _Grammar:
             else:
                 char = None
             kind = "V" if alphabet.is_vowel(final) else "C"
-            after = suffix_rows[live]
+            after = transitions[live]
             for column, _, pieces in options(kind, char, folds[live].floor):
                 new = after[column]
-                if new == _UNKNOWN:
-                    new = transition(suffix_table, live, column)
-                    after = suffix_rows[live]
                 if new != _DEAD:
                     for pid, _, _ in pieces:
                         extend(row, node, prev, pending, final, pos, pid,
                                column, new, owed)
 
             if member_follows[live]:
-                after = member_rows[live]
                 for pid, _, _, columns in options("R", char):
                     for column in columns:
                         new = after[column]
-                        if new == _UNKNOWN:
-                            new = transition(member_table, live, column)
-                            after = member_rows[live]
                         if new != _DEAD:
                             extend(row, node, prev, pending, final, pos, pid,
                                    column, new, owed)
@@ -558,12 +528,8 @@ class _Grammar:
         while link is not None:
             link, pid, column, fid, part = link
             piece = self.pieces[pid]
-            if link is None:
-                item = self.first_uses[pid][column]
-            else:
-                table = self.member_table if piece.is_root \
-                    else self.suffix_table
-                item = table.columns[column]
+            item = self.first_uses[pid][column] if link is None \
+                else self.columns[column]
             pieces.append(piece)
             parts.append(part)
             items.append(item)
@@ -642,12 +608,14 @@ def analyse(word: str, lexicon: Lexicon | None = None,
 def _resolve_root(root, lexicon: Lexicon) -> RootEntry:
     if isinstance(root, RootEntry):
         return root
-    entries = lexicon.roots_by_form(str(root))
+    form, colon, category = str(root).partition(":")
+    entries = [e for e in lexicon.roots_by_form(form)
+               if not colon or e.category == category]
     if not entries:
         raise KeyError(f"unknown root {root!r}")
     verbs = [e for e in entries if e.category == "verb"]
     if len(entries) > 1 and not verbs:
-        raise KeyError(f"ambiguous root {root!r}; pass a RootEntry")
+        raise KeyError(f"ambiguous root {root!r}; pass form:category")
     return verbs[0] if verbs else entries[0]
 
 
@@ -656,9 +624,10 @@ def generate(root, sense_context: str, suffix_ids,
              rules: RuleTable | None = None) -> str:
     """Surface form for a root sense plus an ordered list of suffix ids.
 
-    The sequence is validated first; any violations are surfaced verbatim
-    on the raised :class:`GenerationError`.  Deterministic: allomorphs
-    are picked by the first context match.
+    *root* is a :class:`RootEntry`, a form (its verb entry, if it has one)
+    or ``form:category``.  The sequence is validated first; any violations
+    are surfaced verbatim on the raised :class:`GenerationError`.
+    Deterministic: allomorphs are picked by the first context match.
     """
     lexicon, rules = tables(lexicon, rules)
     entry = _resolve_root(root, lexicon)

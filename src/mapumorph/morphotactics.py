@@ -143,8 +143,8 @@ class Fold(NamedTuple):
     template's state included.  Folds are built with ``tuple.__new__``,
     which skips the keyword handling of the NamedTuple constructor:
     :func:`validate_plan` builds one for every item it judges.  The
-    analyser numbers the folds it meets and builds each transition once
-    per grammar."""
+    analyser compiles the transitions between settled folds
+    (:func:`settle`) once per grammar."""
 
     state: str              # the valency: IV, TV or TV2
     pending: str | None     # the code a non-verbal member raises unless
@@ -330,6 +330,36 @@ def tags_below(lexicon: Lexicon) -> dict[int, frozenset]:
     return {floor: frozenset(entry.tag for entry in entries
                              if entry.slot < floor)
             for floor in floors}
+
+
+def tags_reading_lone(lexicon: Lexicon) -> frozenset:
+    """The tags of the suffixes that read ``lone`` in :func:`advance`: the
+    causatives and those that need a transitive stem."""
+    return frozenset(entry.tag for entry in lexicon.suffixes.values()
+                     if entry.tag == "CA"
+                     or entry.attach_constraint == "tv_stem_only")
+
+
+def settle(fold: Fold, follow: frozenset | None,
+           reading_lone: frozenset) -> Fold:
+    """*fold* without what no later item or end check reads, given the
+    tags that may still *follow* (:func:`follows`) and those that read
+    ``lone`` (:func:`tags_reading_lone`): folds that settle alike go on,
+    item by item, to folds that settle alike, valency and end codes."""
+    member = follow is None  # may follow, and then so may every suffix
+    causative = member or "CA" in follow
+    # a lone TV root reads as IV: only None, labile and unknown differ
+    lone = ("IV" if fold.lone == "TV" else fold.lone) \
+        if member or not follow.isdisjoint(reading_lone) else None
+    return fold._replace(
+        lone=lone,
+        # read only by a causative right after a later member
+        last_iv=fold.last_iv and causative and fold.prev_ca is None
+        and lone is None,
+        last_loan=fold.last_loan and causative,
+        slot6=fold.slot6 and (member or "ST" in fold.seen or "ST" in follow),
+        members=fold.members if member else MAX_MEMBERS,
+        stem_open=fold.stem_open and member)
 
 
 def validate_plan(items: list, lexicon: Lexicon | None = None,

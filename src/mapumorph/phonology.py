@@ -275,7 +275,7 @@ class RuleTable:
 
     def for_lexicon(self, lexicon: Lexicon, build):
         """``build(lexicon, self)``, kept until another lexicon object asks;
-        a process serves one lexicon at a time, and a build is cheap."""
+        a process serves one lexicon at a time, and a build is not cheap."""
         built = self._built
         if built is None or built[0] is not lexicon:
             built = self._built = (lexicon, build(lexicon, self))

@@ -14,8 +14,8 @@ from mapumorph.analyzer import (GenerationError, analyse, generate,
 from mapumorph.defaults import data_path
 from mapumorph.lexicon import Lexicon, RootEntry, Sense, validate_lexicon
 from mapumorph.morphotactics import (OPEN_FLOOR, RootUse, advance, end_codes,
-                                     follows, start_fold, tags_below,
-                                     validate_plan)
+                                     follows, settle, start_fold, tags_below,
+                                     tags_reading_lone, validate_plan)
 from mapumorph.phonology import extend_realization, load_rules
 
 import helpers
@@ -414,34 +414,39 @@ def test_every_path_built_is_an_analysis(warm, lexicon, monkeypatch):
 
 
 class TestTransitionTable:
-    """The grammar's morphotactic transition table, filled by the golden
-    words on a grammar of its own."""
+    """The grammar's morphotactic transition table, compiled with the
+    grammar."""
 
     def test_every_filled_entry_is_the_direct_fold(self, warm):
         _, grammar = warm
         below = tags_below(grammar.lexicon)
-        tables = {"suffix": grammar.suffix_table,
-                  "member": grammar.member_table}
-        checked = dict.fromkeys(tables, 0)
-        assert grammar.suffix_table.columns == sorted(
-            grammar.lexicon.suffixes.values(), key=lambda entry: entry.id)
+        reading_lone = tags_reading_lone(grammar.lexicon)
+        suffixes = sorted(grammar.lexicon.suffixes.values(),
+                          key=lambda entry: entry.id)
+        assert grammar.columns[:len(suffixes)] == suffixes
         assert all(isinstance(item, RootUse)
-                   for item in grammar.member_table.columns)
+                   for item in grammar.columns[len(suffixes):])
         assert grammar.member_follows == [follows(fold, below) is None
-                                   for fold in grammar.folds]
-        for name, table in tables.items():
-            for fid, row in enumerate(table.rows):
-                for column, new in enumerate(row):
-                    if new == analyzer._UNKNOWN:
-                        continue
-                    fold, codes = advance(grammar.folds[fid],
-                                          table.columns[column])
-                    assert new == (
-                        analyzer._DEAD
-                        if codes or end_codes(fold, follows(fold, below))
-                        else grammar.fold_ids[fold]), (name, fid, column)
-                    checked[name] += 1
-        assert checked["suffix"] > 3000 and checked["member"] > 500, checked
+                                          for fold in grammar.folds]
+        # with each fold's number checked below, every fold number in a row
+        # has a row of its own
+        assert len(grammar.transitions) == len(grammar.folds) \
+            == len(grammar.fold_ids)
+        live = 0
+        for fid, row in enumerate(grammar.transitions):
+            fold = grammar.folds[fid]
+            assert grammar.fold_ids[fold] == fid
+            assert settle(fold, follows(fold, below), reading_lone) == fold
+            assert len(row) == len(grammar.columns)
+            for column, new in enumerate(row):
+                moved, codes = advance(fold, grammar.columns[column])
+                follow = follows(moved, below)
+                assert new == (
+                    analyzer._DEAD if codes or end_codes(moved, follow)
+                    else grammar.fold_ids[settle(moved, follow,
+                                                 reading_lone)]), (fid, column)
+                live += new != analyzer._DEAD
+        assert live > 10_000, live
 
     def test_a_suffix_folds_alike_under_every_floor_above_its_slot(
             self, lexicon):
@@ -462,12 +467,13 @@ class TestTransitionTable:
                 fold = advance(fold, item)[0]
         assert checked > 10_000
 
-    def test_a_warm_grammar_computes_no_transition(self, warm, lexicon,
+    def test_a_warm_grammar_computes_no_transition(self, lexicon,
                                                    monkeypatch):
-        rules, grammar = warm
-        n_folds = len(grammar.folds)
-        tables = (grammar.suffix_table, grammar.member_table)
-        filled = [[bytes(row) for row in table.rows] for table in tables]
+        # the table is whole once the grammar is built, before any word
+        rules = load_rules(data_path("rules.tsv"))
+        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        folds = list(grammar.folds)
+        filled = [bytes(row) for row in grammar.transitions]
         calls = []
 
         def counting(*args):
@@ -478,9 +484,8 @@ class TestTransitionTable:
         for word in GOLDEN_WORDS:
             analyse(word, lexicon, rules)
         assert not calls
-        assert len(grammar.folds) == n_folds
-        assert [[bytes(row) for row in table.rows]
-                for table in tables] == filled
+        assert grammar.folds == folds
+        assert [bytes(row) for row in grammar.transitions] == filled
 
     def test_threads_filling_a_cold_table_get_the_serial_results(
             self, lexicon):
@@ -497,13 +502,15 @@ class TestTransitionTable:
         for k in range(4):
             shift = k * len(GOLDEN_WORDS) // 4
             assert got[k] == expected[shift:] + expected[:shift], k
-        # each fold got one number, and a row in each table
+        # each piece got one number, and every realization row the threads
+        # filled holds what one boundary step gives
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
-        assert len(grammar.fold_ids) == len(grammar.folds)
-        assert all(grammar.fold_ids[fold] == fid
-                   for fid, fold in enumerate(grammar.folds))
-        assert all(len(table.rows) == len(grammar.folds)
-                   for table in (grammar.suffix_table, grammar.member_table))
+        assert len(grammar.piece_ids) == len(grammar.pieces) \
+            == len(grammar.idents) == len(grammar.licensing)
+        assert all(grammar.piece_ids[piece] == pid
+                   for pid, piece in enumerate(grammar.pieces))
+        entries, _, _ = check_entries(rules, grammar, lexicon)
+        assert entries > 3000, entries
 
 
 # Surfaces to put before a pending part: every segment alone and after a
@@ -575,6 +582,34 @@ def check_entries(rules, grammar, lexicon):
     return entries, checked, head_bound
 
 
+def check_initials(rules, grammar, lexicon):
+    """Collect each (piece, pending part, final segment) that a filled
+    realization entry leads to, with the part's initials, taking the
+    finals after each head of the key's final segment where the entry has
+    none.  Returns (the number of these triples, those whose part the
+    boundary step before some next piece finalizes to a string that does
+    not start with one of its initials)."""
+    pieces, triples = grammar.pieces, {}
+    for (prev, pending, final), row in grammar.realized.items():
+        heads = [h for h in HEADS if h + pending
+                 and final_segment(h + pending) == final]
+        for entry in row:
+            if entry is None or not entry[2]:
+                continue
+            new, finalized, part, new_final, initials = entry
+            finals = {new_final} if new_final is not None else {
+                final_segment(head + finalized + part) for head in heads}
+            for end in finals:
+                triples[new, part, end] = initials
+    return len(triples), [
+        (pieces[new], part, final, pieces[pid])
+        for (new, part, final), initials in triples.items()
+        for pid in range(grammar.width)
+        if initials is not None and extend_realization(
+            pieces[new], part, final, pieces[pid], rules,
+            lexicon)[1][:1] not in initials]
+
+
 class TestRealizationTable:
     """The grammar's realization table, filled by the golden words on a
     grammar of its own."""
@@ -610,6 +645,20 @@ class TestRealizationTable:
             assert any(a.matches(form, sense, seq) for a in found), word
             words.append(word)
         assert sorted(words) == ["anelün", "elun", "kongu", "küpagüu"]
+
+    def test_the_next_step_keeps_a_pending_part_within_its_initials(
+            self, warm, lexicon, rewriting_path):
+        # The search drops a path whose pending part, once finalized, could
+        # not start at the next character of the word; the initials it
+        # probes must hold every first character the part can take.
+        rewriting = load_rules(rewriting_path)
+        for word in GOLDEN_WORDS:
+            analyse(word, lexicon, rewriting)
+        for rules, grammar in (warm, (rewriting, rewriting.for_lexicon(
+                lexicon, analyzer._Grammar))):
+            triples, violations = check_initials(rules, grammar, lexicon)
+            assert not violations, violations[:5]
+            assert triples > 100, triples
 
     def test_a_warm_grammar_realizes_nothing(self, warm, lexicon,
                                              monkeypatch):

@@ -110,6 +110,33 @@ class TestGenerate:
         assert "ERROR" in out and "missing_mood" in out
         assert "missing_mood" in err
 
+    def test_a_category_picks_a_homograph(self):
+        # nag is a verb and an adverb; a bare form means the verb, whose
+        # g-sandhi exception keeps its g before the m-causative
+        code, out, err = invoke(["generate"],
+                                "nag:adverb\tIV\tCA.m IND1SG.n\n"
+                                "nag\tIV\tCA.m IND1SG.n\n"
+                                "nag:noun\tIV\tCA.m IND1SG.n\n")
+        assert code == 0
+        assert out.splitlines() == [
+            "nag:adverb\tIV\tCA.m IND1SG.n\tnakümün",
+            "nag\tIV\tCA.m IND1SG.n\tnagümün",
+            "nag:noun\tIV\tCA.m IND1SG.n\tERROR\t\"unknown root 'nag:noun'\""]
+        assert err == "generate: \"unknown root 'nag:noun'\"\n"
+
+    def test_a_form_with_no_verb_entry_needs_its_category(self, tmp_path):
+        path = tmp_path / "roots.tsv"
+        path.write_text("kura\tnoun\tIV\tIV:stone\n"
+                        "kura\tadjective\tIV\tIV:stony\n", encoding="utf-8")
+        code, out, _ = invoke(["generate", "--lexicon", str(path)],
+                              "kura\tIV\tCA.m IND1SG.n\n"
+                              "kura:noun\tIV\tCA.m IND1SG.n\n")
+        assert code == 0
+        assert out.splitlines() == [
+            "kura\tIV\tCA.m IND1SG.n\tERROR\t"
+            "\"ambiguous root 'kura'; pass form:category\"",
+            "kura:noun\tIV\tCA.m IND1SG.n\tkuramün"]
+
     def test_an_empty_first_column_is_kept(self):
         code, out, err = invoke(["generate"], "\tIV\tIND1SG.n\r\n")
         assert code == 0

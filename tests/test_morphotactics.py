@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapumorph import tags
+from mapumorph import analyzer, tags
 from mapumorph.lexicon import Lexicon
 from mapumorph.morphotactics import (MAX_MEMBERS, STEM_ZONE, RootUse,
                                      advance, compound_valency, end_codes,
-                                     follows, start_fold, tags_below,
-                                     valency_step, validate_plan,
-                                     validate_sequence)
+                                     follows, settle, start_fold, tags_below,
+                                     tags_reading_lone, valency_step,
+                                     validate_plan, validate_sequence)
 
 from helpers import build_random_plan
 
@@ -308,3 +308,62 @@ def test_search_drops_only_rejected_plans(lexicon):
                     unsound.append((plan, dropped))
     assert not unsound, unsound[:3]
     assert drops > 6_000 and accepted > 1_000, (drops, accepted)
+
+
+def test_settle_forgets_only_what_no_continuation_reads(lexicon, rules):
+    """Folds that settle alike are equivalent: on the closure of the
+    shipped start folds, unsettled, under the items the search tries,
+    Moore refinement from the valency and the word-end checks (with and
+    without a bare verb root) puts every two folds that settle alike in one
+    class.  The grammar the analyser compiles is the settled closure."""
+    below, reading_lone = tags_below(lexicon), tags_reading_lone(lexicon)
+    items = sorted(lexicon.suffixes.values(), key=lambda entry: entry.id)
+    n_suffixes = len(items)
+    items += [RootUse(entry, sense) for entry in lexicon.iter_roots()
+              for sense in entry.senses]
+
+    def tried(fold):
+        follow = follows(fold, below)
+        return [column for column, item in enumerate(items)
+                if (follow is None if column >= n_suffixes
+                    else item.slot < fold.floor)]
+
+    folds = list(dict.fromkeys(start_fold(RootUse(entry, sense))
+                               for entry in lexicon.iter_roots() if entry.form
+                               for sense in entry.senses))
+    ids = {fold: fid for fid, fold in enumerate(folds)}
+    rows = []  # per fold, its live (column, fold number) pairs
+    for fold in folds:
+        row = []
+        for column in tried(fold):
+            new, codes = advance(fold, items[column])
+            if not codes and not end_codes(new, follows(new, below)):
+                if new not in ids:
+                    ids[new] = len(folds)
+                    folds.append(new)
+                row.append((column, ids[new]))
+        rows.append(row)
+
+    blocks = {}
+    classes = [blocks.setdefault((fold.state, not end_codes(fold),
+                                  not end_codes(fold, bare=True)),
+                                 len(blocks))
+               for fold in folds]
+    while True:
+        blocks = {}
+        refined = [blocks.setdefault((classes[fid], tuple(
+            (column, classes[new]) for column, new in row)), len(blocks))
+                   for fid, row in enumerate(rows)]
+        if len(blocks) == len(set(classes)):
+            break
+        classes = refined
+
+    settled = {}
+    for fid, fold in enumerate(folds):
+        settled.setdefault(settle(fold, follows(fold, below), reading_lone),
+                           set()).add(classes[fid])
+    assert all(len(found) == 1 for found in settled.values())
+    assert len(folds) > 5000 and len(set(classes)) < len(settled) < 1000, (
+        len(folds), len(set(classes)), len(settled))
+    grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+    assert set(grammar.folds) == set(settled)
