@@ -4,22 +4,24 @@ inverse: generation of surface forms from a root and suffix ids.
 The analyser searches, depth first and with dead-state memoisation, the
 underlying morph sequences whose realization equals the input word.  A
 root, as a path's first step or as a later compound member, is tried
-once per sense choice, so each path stands for one root-sense
+once per distinct sense choice, so each path stands for one root-sense
 combination and carries the number of its morphotactic fold: a path dies
 at its first violation that no continuation can undo, so the pruning
 loses no analysis.  A zero-surface indicative is licensed by the parts
 around it as they are finalized, and a path that leaves one unlicensed
-dies there.  The grammar numbers the pieces, and a search step holds only
+dies there.  The grammar numbers every piece when it is built, the fused
+variants a rule can place included, and a search step holds only
 numbers and strings.  Folds move on through a transition table compiled
 with the grammar, and pieces are realized through a realization table
 kept per grammar and filled on first use, so each transition and each
-boundary is computed once, not once per piece tried.  A path that spells
-the word and whose fold passes the end checks is an analysis: only then
-are its pieces, parts and items read off its links, traced by the folds
-it went through.  The search is the only judge: the morphotactic
-validator is the tests' oracle for it.  Ambiguity is deliberately
-preserved: labile roots contribute one analysis per sense row, and
-homophonous suffixes one per reading.
+boundary is computed once, not once per piece tried.  Each distinct
+sense and allomorph is tried once, so no path is walked twice.  A path
+that spells the word and whose fold passes the end checks is an
+analysis, built straight off its links, traced by the folds it went
+through.  The search is the only judge: the morphotactic validator is
+the tests' oracle for it.  Ambiguity is deliberately preserved: labile
+roots contribute one analysis per sense row, homographs one per entry,
+and homophonous suffixes one per reading.
 
 Analyses are ranked by piece count, then lexicographically by morph ids;
 the ranking is a plumbing choice, not a linguistic claim.
@@ -29,14 +31,13 @@ from __future__ import annotations
 
 import functools
 import json
-import threading
 import unicodedata
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import alphabet, tags
 from .defaults import tables
-from .lexicon import Lexicon, RootEntry, SuffixEntry
+from .lexicon import Lexicon, RootEntry
 # validate_plan is not called here; it stays importable from this module,
 # where the benchmark's tracer counts its calls
 from .morphotactics import (Fold, RootUse, advance, compound_valency,
@@ -134,11 +135,12 @@ class Analysis:
 
     @classmethod
     def from_json(cls, data: dict) -> "Analysis":
-        """Inverse of :meth:`to_json`; a field of the wrong JSON type, or a
-        trace step that is not a [morph, state] pair of strings with state
-        IV, TV or TV2, raises TypeError."""
+        """Inverse of :meth:`to_json`; a field of the wrong JSON type, a
+        span that is not a list of two ints, or a trace step that is not a
+        [morph, state] pair of strings with state IV, TV or TV2, raises
+        TypeError."""
         pieces = tuple(
-            AnalysisPiece(p["span"][0], p["span"][1], _text(p, "kind"),
+            AnalysisPiece(*_span(p["span"]), _text(p, "kind"),
                           _text(p, "morph"), p.get("surface", ""),
                           _tags(p.get("tags", [])), p.get("gloss"),
                           p.get("category"), p.get("sense_context"),
@@ -158,6 +160,13 @@ def _text(data: dict, name: str) -> str:
         raise TypeError(f"{name} must be a string, not "
                         f"{type(value).__name__}")
     return value
+
+
+def _span(span) -> tuple[int, int]:
+    if not (isinstance(span, list) and len(span) == 2
+            and all(type(end) is int for end in span)):
+        raise TypeError(f"span must be a list of two ints, not {span!r}")
+    return span[0], span[1]
 
 
 def _trace_step(step) -> tuple[str, str]:
@@ -205,9 +214,11 @@ class _Grammar:
     preceding V/C, the root options, their filter by the character that
     follows, each root's sense choices and the transition table.
 
-    Every piece the search can try gets a number: each suffix allomorph
-    and each root when the grammar is built, and each fused variant that
-    a rule makes the first time it appears.
+    Every piece gets a number when the grammar is built: each distinct
+    suffix allomorph, each root, and the fused variant of each of them
+    that a fusion rule can place.  A search reads the grammar and writes
+    only to the realization table, so the pieces, their numbers and the
+    transition table never change after the build.
 
     The realization table takes ``(previous piece, pending part, final
     segment)`` to a row indexed by the next piece: the arguments of the
@@ -235,19 +246,18 @@ class _Grammar:
     records whether a compound member may follow it.
 
     A search step carries one fold: a root tried as a path's first step
-    or as a later compound member branches once per sense choice, so each
-    path stands for one root-sense combination, and the fold is that
-    combination's.
+    or as a later compound member branches once per distinct sense
+    choice, so each path stands for one root-sense combination, and the
+    fold is that combination's.
 
-    The pieces and so the realization table are bounded by the grammar,
-    not by the words analysed.  The piece lists grow under the grammar's
-    lock together with the numbers, since a search may meet a number
-    that another thread has just given.
+    The realization table is bounded by the grammar, not by the words
+    analysed, and needs no lock: an entry is what one pure boundary step
+    gives, so threads that fill it race only to store equal values, and a
+    row is installed by a single ``dict.setdefault``.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
-        self._lock = threading.Lock()
         # the pieces by number, each one's rule identity (suffix id or
         # form, category) and licensing code, and the numbers by piece;
         # the realization rows
@@ -259,22 +269,22 @@ class _Grammar:
         self.columns = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
         n_suffixes = len(self.columns)
         # (column, slot, its pieces) per suffix, with a (piece id,
-        # rewrites_left, starts) per allomorph usable after a vowel /
-        # consonant
+        # rewrites_left, starts) per distinct allomorph usable after a
+        # vowel / consonant
         self.suffixes = {kind: [] for kind in ("V", "C")}
         for column, entry in enumerate(self.columns):
             for kind, options in self.suffixes.items():
-                options.append((column, entry.slot,
-                                tuple(self._numbered(rules.morph(
-                                    a.surface, "suffix", suffix_id=entry.id))
-                                      for a in entry.allomorphs_after(kind))))
-        # ... then one per sense choice of a root as a later member (an
-        # incorporated demonstrative is a fixed construction, so its
-        # citation sense stands for all of them)
+                options.append((column, entry.slot, tuple(dict.fromkeys(
+                    self._numbered(rules.morph(a.surface, "suffix",
+                                               suffix_id=entry.id))
+                    for a in entry.allomorphs_after(kind)))))
+        # ... then one per distinct sense choice of a root as a later
+        # member (an incorporated demonstrative is a fixed construction,
+        # so its citation sense stands for all of them)
         later_columns = {}
         for key, entry in lexicon.roots.items():
-            later = entry.senses[:1] if entry.category == "demonstrative" \
-                else entry.senses
+            later = dict.fromkeys(entry.senses[:1] if entry.category ==
+                                  "demonstrative" else entry.senses)
             later_columns[key] = tuple(range(len(self.columns),
                                              len(self.columns) + len(later)))
             self.columns += [RootUse(entry, sense) for sense in later]
@@ -283,18 +293,24 @@ class _Grammar:
         self.roots = [self._numbered(rules.morph(e.form, "root", e.category))
                       + (later_columns[(e.form, e.category)],)
                       for e in lexicon.iter_roots() if e.form]
+        # every piece the search tries has been numbered by now; the fused
+        # variants a rule can place come after them, only ever a result
+        self.width = len(self.pieces)
+        for piece in self.pieces[:self.width]:
+            if any(rule.fuse is not None for rule in rules.candidates(piece)):
+                self._piece_id(replace(piece, fused=True))
 
         # the settled folds by number and the numbers by fold
         self.folds, self.fold_ids = [], {}
-        # each root's sense choices as the first member, by piece id, and
-        # each of them as a path's first step: (piece id, part, final
-        # segment, sense index, start fold)
+        # each root's distinct sense choices as the first member, by piece
+        # id, and each of them as a path's first step: (piece id, part,
+        # final segment, sense index, start fold)
         self.first_uses, self._firsts = {}, []
         for pid, _, _, _ in self.roots:
             piece = self.pieces[pid]
             entry = lexicon.roots[(piece.form, piece.category)]
-            uses = self.first_uses[pid] = tuple(RootUse(entry, sense)
-                                                for sense in entry.senses)
+            uses = self.first_uses[pid] = tuple(
+                RootUse(entry, sense) for sense in dict.fromkeys(entry.senses))
             self._firsts += [(pid, piece.form,
                               alphabet.final_segment(piece.form), k,
                               self._fold_id(start_fold(use)))
@@ -318,9 +334,6 @@ class _Grammar:
                     row[column] = met[new]
             self.member_follows.append(may_member)
             self.transitions.append(row)
-        # every piece the search tries has been numbered by now; a fused
-        # variant, numbered later, is only ever a result
-        self.width = len(self.pieces)
         self.options = functools.cache(self.options)
         self.firsts = functools.cache(self.firsts)
 
@@ -334,24 +347,17 @@ class _Grammar:
 
     def _numbered(self, morph: tuple) -> tuple:
         """A :meth:`RuleTable.morph` triple with its piece numbered."""
-        return (self.piece_id(morph[0]),) + morph[1:]
+        return (self._piece_id(morph[0]),) + morph[1:]
 
-    def piece_id(self, piece: Piece) -> int:
+    def _piece_id(self, piece: Piece) -> int:
         """The number of *piece*, given on first sight."""
-        pid = self.piece_ids.get(piece)
-        if pid is None:
-            with self._lock:
-                pid = self.piece_ids.get(piece)
-                if pid is None:
-                    pid = len(self.pieces)
-                    self.pieces.append(piece)
-                    self.idents.append((piece.suffix_id or piece.form,
-                                        piece.category))
-                    self.licensing.append(0 if piece.is_root else
-                                          _LICENSING_CODES.get(
-                                              self.lexicon.suffixes[
-                                                  piece.suffix_id].tag, 0))
-                    self.piece_ids[piece] = pid
+        pid = self.piece_ids.setdefault(piece, len(self.pieces))
+        if pid == len(self.pieces):
+            self.pieces.append(piece)
+            self.idents.append((piece.suffix_id or piece.form,
+                                piece.category))
+            self.licensing.append(0 if piece.is_root else _LICENSING_CODES.get(
+                self.lexicon.suffixes[piece.suffix_id].tag, 0))
         return pid
 
     def options(self, kind: str, char: str | None,
@@ -396,24 +402,23 @@ class _Grammar:
         piece, finalized, part, new_final = extend_realization(
             self.pieces[prev], pending, final, self.pieces[pid], self.rules,
             self.lexicon)
-        entry = row[pid] = (self.piece_id(piece), finalized, part, new_final,
+        entry = row[pid] = (self.piece_ids[piece], finalized, part, new_final,
                             self.rules.initials(piece, part) if part else None)
         return entry
 
-    def search(self, word: str) -> list[tuple[tuple[Piece, ...], tuple,
-                                              list, list]]:
-        """Depth-first enumeration of the analyses of *word*, each as
-        (pieces, parts, items, trace); the results and dead states belong
-        to this call alone.
+    def search(self, word: str) -> list[Analysis]:
+        """Depth-first enumeration of the analyses of *word*, one per path;
+        the results and dead states belong to this call alone.
 
         A path extends only with pieces that can still spell the word.  A
         piece whose boundary rule may rewrite the pending part is always
         tried; any other leaves that part as it is, so it is tried only
         when the part reads on in the word and the piece's own part can
         start at the character that follows.  Pieces are tried in the
-        order of an unpruned search (suffixes by id, then roots), and each
-        root once per sense choice, so a root-sense combination's results
-        come out in that order.
+        order of an unpruned search (suffixes by id, then roots), each
+        distinct allomorph once and each root once per distinct sense
+        choice, so no path is walked twice and a root-sense combination's
+        results come out in that order.
 
         A step holds numbers and strings only: a link to the path before
         the last piece, the number of the last piece, its pending part, the
@@ -433,11 +438,12 @@ class _Grammar:
         by the pieces around it: the licensing state moves on with each
         part as it is finalized, and a path dies once its state is
         unlicensed or it ends owing a piece.  A path that spells the whole
-        word, and whose fold passes the end checks, is built only then.
+        word, and whose fold passes the end checks, is built into its
+        analysis only then, straight off its links.
         """
         options, idents, licensing = self.options, self.idents, self.licensing
         realized, realize, width = self.realized, self._realize, self.width
-        transitions, complete = self.transitions, self._complete
+        transitions, build = self.transitions, self._analysis
         folds, member_follows = self.folds, self.member_follows
         results, dead = [], set()
         size = len(word)
@@ -460,7 +466,7 @@ class _Grammar:
                                              pending) in (_FREE, _AFTER_3P):
                     bare = link is None and idents[prev][1] == "verb"
                     if not end_codes(folds[live], bare=bare):
-                        results.append(complete(node + (pending,)))
+                        results.append(build(word, node + (pending,)))
                 char = word[end:end + 1]
             else:
                 char = None
@@ -519,59 +525,40 @@ class _Grammar:
             step = extend = None
         return results
 
-    def _complete(self, link) -> tuple:
-        """(pieces, parts, items, trace) of the path that ends in *link*:
-        each piece's item is its column's, or its sense choice for the
-        first root, and its trace step holds the valency of the fold after
-        it."""
-        pieces, parts, items, trace = [], [], [], []
+    def _analysis(self, word: str, link) -> Analysis:
+        """The analysis of *word* whose path ends in *link*, read off the
+        links from the last piece back: each piece's item is its column's,
+        or its sense choice for the first root, its part ends where the
+        next one starts, and its trace step holds the valency of the fold
+        after it.  A root with a causative right after it is a compound
+        member with that causative."""
+        pieces, trace, members = [], [], []
+        end, causative = len(word), None
         while link is not None:
             link, pid, column, fid, part = link
             piece = self.pieces[pid]
             item = self.first_uses[pid][column] if link is None \
                 else self.columns[column]
-            pieces.append(piece)
-            parts.append(part)
-            items.append(item)
-            trace.append((item.entry.form if piece.is_root else item.id,
-                          self.folds[fid].state))
-        return (tuple(pieces[::-1]), tuple(parts[::-1]), items[::-1],
-                trace[::-1])
-
-
-def _build_analysis(word: str, pieces: tuple[Piece, ...],
-                    parts: tuple[str, ...], items: list,
-                    trace: list) -> Analysis:
-    offsets = []
-    pos = 0
-    for part in parts:
-        offsets.append((pos, pos + len(part)))
-        pos += len(part)
-
-    out_pieces = []
-    members: list[tuple[RootEntry, SuffixEntry | None]] = []
-    for i, piece in enumerate(pieces):
-        start, end = offsets[i]
-        item = items[i]
-        if piece.is_root:
-            use: RootUse = item
-            out_pieces.append(AnalysisPiece(
-                start, end, "root", use.entry.form, parts[i],
-                (use.sense.context,), use.sense.gloss, use.entry.category,
-                use.sense.context))
-            members.append((use.entry, None))
-        else:
-            entry: SuffixEntry = item
-            if entry.tag == "CA" and members and members[-1][1] is None \
-                    and pieces[i - 1].is_root:
-                members[-1] = (members[-1][0], entry)
-            out_pieces.append(AnalysisPiece(
-                start, end, "suffix", entry.id, parts[i], (entry.tag,),
-                effect=entry.valency_effect, slot=entry.slot,
-                fused_with_prev=piece.fused))
-
-    stem_valency = compound_valency(members) if len(members) >= 2 else None
-    return Analysis(word, tuple(out_pieces), tuple(trace), stem_valency)
+            start = end - len(part)
+            if piece.is_root:
+                entry, sense = item.entry, item.sense
+                pieces.append(AnalysisPiece(
+                    start, end, "root", entry.form, part, (sense.context,),
+                    sense.gloss, entry.category, sense.context))
+                members.append((entry, causative))
+                causative = None
+            else:
+                pieces.append(AnalysisPiece(
+                    start, end, "suffix", item.id, part, (item.tag,),
+                    effect=item.valency_effect, slot=item.slot,
+                    fused_with_prev=piece.fused))
+                causative = item if item.tag == "CA" else None
+            trace.append((pieces[-1].morph, self.folds[fid].state))
+            end = start
+        stem_valency = compound_valency(members[::-1]) \
+            if len(members) >= 2 else None
+        return Analysis(word, tuple(pieces[::-1]), tuple(trace[::-1]),
+                        stem_valency)
 
 
 def analyse(word: str, lexicon: Lexicon | None = None,
@@ -589,20 +576,8 @@ def analyse(word: str, lexicon: Lexicon | None = None,
     alphabet.segments(word)
     lexicon, rules = tables(lexicon, rules)
 
-    analyses: list[Analysis] = []
-    # validate_lexicon allows a repeated sense row or allomorph, and the
-    # search finds one path per copy: keep one analysis of each
-    seen = set()
-    grammar = rules.for_lexicon(lexicon, _Grammar)
-    for path in grammar.search(word):
-        analysis = _build_analysis(word, *path)
-        marker = (analysis.key(),
-                  tuple((p.start, p.end) for p in analysis.pieces))
-        if marker not in seen:
-            seen.add(marker)
-            analyses.append(analysis)
-    analyses.sort(key=lambda a: a.score)
-    return analyses
+    return sorted(rules.for_lexicon(lexicon, _Grammar).search(word),
+                  key=lambda a: a.score)
 
 
 def _resolve_root(root, lexicon: Lexicon) -> RootEntry:

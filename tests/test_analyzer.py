@@ -139,13 +139,13 @@ class TestAmbiguity:
             after = {a.key() for a in analyse(word, bigger)}
             assert before[word] <= after
 
-    @pytest.mark.parametrize("repeated, paths", [("sense", 4),
-                                                 ("allomorph", 3)])
+    @pytest.mark.parametrize("repeated", ["sense", "allomorph"])
     def test_a_repeated_lexicon_row_adds_no_analysis(self, lexicon,
-                                                     repeated, paths):
+                                                     repeated):
         # validate_lexicon passes a root with a repeated sense row and a
-        # suffix with a repeated allomorph; the search takes one path per
-        # copy, and analyse keeps one analysis of each
+        # suffix with a repeated allomorph; the grammar takes each
+        # distinct sense and allomorph once, so the search walks no path
+        # twice
         roots, suffixes = dict(lexicon.roots), dict(lexicon.suffixes)
         if repeated == "sense":
             root = roots["küpa", "verb"]
@@ -159,10 +159,23 @@ class TestAmbiguity:
         assert validate_lexicon(doubled) == validate_lexicon(lexicon) == []
         rules = load_rules(data_path("rules.tsv"))
         grammar = rules.for_lexicon(doubled, analyzer._Grammar)
-        assert len(grammar.search("küpan")) == paths
+        assert len(grammar.search("küpan")) == 2
         assert [a.to_json() for a in analyse("küpan", doubled, rules)] == [
             a.to_json() for a in analyse("küpan", lexicon)]
         assert len(analyse("küpan", lexicon)) == 2
+
+    def test_homographs_sharing_a_sense_both_read(self, lexicon):
+        # the adverb nag given the verb nag's sense: the two entries differ
+        # only in category, and each gives its own analyses
+        roots = dict(lexicon.roots)
+        roots["nag", "adverb"] = dataclasses.replace(
+            roots["nag", "adverb"], senses=(Sense("IV", "go-down"),))
+        homographs = Lexicon(roots, dict(lexicon.suffixes))
+        assert validate_lexicon(homographs) == []
+        found = [gloss_render(a) for a in analyse("nagel", homographs)]
+        assert len(found) == 12
+        assert sum(g.startswith("AV.go-down ") for g in found) == 6
+        assert sum(g.startswith("IV.go-down ") for g in found) == 6
 
     def test_compound_label_can_differ_from_the_fold(self):
         # The -CR label reads the labile root aye as IV whatever its
@@ -393,24 +406,20 @@ def warm(lexicon):
 
 def test_every_path_built_is_an_analysis(warm, lexicon, monkeypatch):
     """The search builds a path only once its fold passes the end checks,
-    so on a warm golden pass each path built becomes one analysis before
-    duplicates are dropped."""
-    built, analysed = [], []
-
-    def counting(calls, function):
-        def wrapper(*args):
-            calls.append(args)
-            return function(*args)
-        return wrapper
-
+    and walks no path twice, so on a warm golden pass each analysis built
+    is one analysis found."""
+    built = []
     rules, grammar = warm
-    monkeypatch.setattr(grammar, "_complete",
-                        counting(built, grammar._complete))
-    monkeypatch.setattr(analyzer, "_build_analysis",
-                        counting(analysed, analyzer._build_analysis))
+    build = grammar._analysis
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(grammar, "_analysis", counting)
     found = sum(len(analyse(word, lexicon, rules)) for word in GOLDEN_WORDS)
     assert found == 1007
-    assert len(built) == len(analysed) >= found
+    assert len(built) == found
 
 
 class TestTransitionTable:
@@ -502,9 +511,12 @@ class TestTransitionTable:
         for k in range(4):
             shift = k * len(GOLDEN_WORDS) // 4
             assert got[k] == expected[shift:] + expected[:shift], k
-        # each piece got one number, and every realization row the threads
+        # the threads numbered no piece, and every realization row they
         # filled holds what one boundary step gives
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        fresh = analyzer._Grammar(lexicon, rules)
+        assert grammar.pieces == fresh.pieces
+        assert grammar.piece_ids == fresh.piece_ids
         assert len(grammar.piece_ids) == len(grammar.pieces) \
             == len(grammar.idents) == len(grammar.licensing)
         assert all(grammar.piece_ids[piece] == pid

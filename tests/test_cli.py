@@ -228,8 +228,12 @@ class TestClassify:
          "trace step must be [morph, IV|TV|TV2], not ['püna', 'IV', 'TV']"),
         ("trace", "püna",
          "trace step must be [morph, IV|TV|TV2], not 'püna'"),
+        ("span", "ab", "span must be a list of two ints, not 'ab'"),
+        ("span", [0.5, None],
+         "span must be a list of two ints, not [0.5, None]"),
     ], ids=["source", "morph", "tags", "trace-state-int",
-            "trace-state-lowercase", "trace-step-of-three", "trace-step-str"])
+            "trace-state-lowercase", "trace-step-of-three", "trace-step-str",
+            "span-str", "span-of-non-ints"])
     def test_field_of_wrong_type_is_located(self, field, value, message):
         # next to a well-formed line: pünamün, IV.stick +CA +IND1SG
         _, line, _ = invoke(["analyse", "--format", "json-lines", "--best"],
@@ -241,6 +245,8 @@ class TestClassify:
             bad["pieces"][0]["morph"] = value  # the root
         elif field == "trace":
             bad["trace"][0] = value            # the root's step
+        elif field == "span":
+            bad["pieces"][0]["span"] = value   # the root's
         else:
             bad["pieces"][1]["tags"] = value   # the causative
         code, out, err = invoke(["classify"], line + json.dumps(bad) + "\n")

@@ -11,7 +11,7 @@ prothesis, both sandhi rules and both fusions, and invalid lines; its
 ``generate`` output is pinned in ``generate.txt``.  To regenerate them
 after an intended output change, from the repository root in bash:
 
-    cd tests/data/golden && export PYTHONPATH=../../../src && python -m mapumorph analyse < words.txt > analyse.txt && python -m mapumorph analyse --format json-lines --source kona < words.txt | tee >(sha256sum | cut -d' ' -f1 > analyse-kona.sha256) | python -m mapumorph classify > classify.tsv && python -m mapumorph generate < generate.tsv > generate.txt
+    cd tests/data/golden && export PYTHONPATH=../../../src && python -S -m mapumorph analyse < words.txt > analyse.txt && python -S -m mapumorph analyse --format json-lines --source kona < words.txt | tee >(sha256sum | cut -d' ' -f1 > analyse-kona.sha256) | python -S -m mapumorph classify > classify.tsv && python -S -m mapumorph generate < generate.tsv > generate.txt
 
 The morphotactic fold is pinned too: the sha256 of the violations
 (code, position, message) and traces ``validate_plan`` gives on 3,000
