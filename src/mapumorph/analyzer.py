@@ -30,7 +30,6 @@ the ranking is a plumbing choice, not a linguistic claim.
 from __future__ import annotations
 
 import functools
-import json
 import unicodedata
 from array import array
 from dataclasses import dataclass, replace
@@ -130,28 +129,54 @@ class Analysis:
             "source": self.source,
         }
 
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True)
-
     @classmethod
     def from_json(cls, data: dict) -> "Analysis":
         """Inverse of :meth:`to_json`; a field of the wrong JSON type, a
         span that is not a list of two ints, or a trace step that is not a
         [morph, state] pair of strings with state IV, TV or TV2, raises
         TypeError."""
-        pieces = tuple(
-            AnalysisPiece(*_span(p["span"]), _text(p, "kind"),
-                          _text(p, "morph"), p.get("surface", ""),
-                          _tags(p.get("tags", [])), p.get("gloss"),
-                          p.get("category"), p.get("sense_context"),
-                          p.get("effect"), p.get("slot"),
-                          p.get("fused_with_prev", False))
-            for p in data["pieces"])
+        pieces = []
+        for p in data["pieces"]:
+            values = surface, gloss, category, context, effect, slot, fused = (
+                p.get("surface", ""), p.get("gloss"), p.get("category"),
+                p.get("sense_context"), p.get("effect"), p.get("slot"),
+                p.get("fused_with_prev", False))
+            # _PIECE_FIELDS, spelled out: this runs once per piece read
+            if not (type(surface) is str and type(gloss) in _STR_OR_NULL
+                    and type(category) in _STR_OR_NULL
+                    and type(context) in _STR_OR_NULL
+                    and type(effect) in _STR_OR_NULL
+                    and type(slot) in _INT_OR_NULL and type(fused) is bool):
+                for (name, types), value in zip(_PIECE_FIELDS, values):
+                    _typed(name, value, types)
+            pieces.append(AnalysisPiece(
+                *_span(p["span"]), _text(p, "kind"), _text(p, "morph"),
+                surface, _tags(p.get("tags", [])), gloss, category, context,
+                effect, slot, fused))
         trace = tuple(_trace_step(step) for step in data.get("trace", ()))
-        source = data.get("source")
-        return cls(_text(data, "word"), pieces, trace,
-                   data.get("stem_valency"),
+        stem_valency, source = data.get("stem_valency"), data.get("source")
+        _typed("stem_valency", stem_valency, _STR_OR_NULL)
+        return cls(_text(data, "word"), tuple(pieces), trace, stem_valency,
                    None if source is None else _text(data, "source"))
+
+
+# the JSON types a piece's fields after its morph may take, exactly: a
+# bool is no int here
+_STR_OR_NULL, _INT_OR_NULL = (str, type(None)), (int, type(None))
+_PIECE_FIELDS = (("surface", (str,)), ("gloss", _STR_OR_NULL),
+                 ("category", _STR_OR_NULL), ("sense_context", _STR_OR_NULL),
+                 ("effect", _STR_OR_NULL), ("slot", _INT_OR_NULL),
+                 ("fused_with_prev", (bool,)))
+_TYPE_NAMES = {str: "a string", bool: "a bool", int: "an int",
+               type(None): "null"}
+
+
+def _typed(name: str, value, types: tuple) -> None:
+    """Raise TypeError unless *value* has exactly one of *types*."""
+    if type(value) not in types:
+        raise TypeError(f"{name} must be "
+                        + " or ".join(_TYPE_NAMES[t] for t in types)
+                        + f", not {type(value).__name__}")
 
 
 def _text(data: dict, name: str) -> str:
@@ -164,7 +189,7 @@ def _text(data: dict, name: str) -> str:
 
 def _span(span) -> tuple[int, int]:
     if not (isinstance(span, list) and len(span) == 2
-            and all(type(end) is int for end in span)):
+            and type(span[0]) is int and type(span[1]) is int):
         raise TypeError(f"span must be a list of two ints, not {span!r}")
     return span[0], span[1]
 
@@ -210,9 +235,10 @@ def _licensed(owed: int, code: int, part: str) -> int:
 
 class _Grammar:
     """The search's tables for one (lexicon, rules), built once and shared
-    by every :func:`analyse` call with them: the suffix options per
-    preceding V/C, the root options, their filter by the character that
-    follows, each root's sense choices and the transition table.
+    by every :func:`analyse` call with them: per preceding V/C, the
+    transition table's columns with the pieces that spell each one, their
+    filter by the character that follows, each root's sense choices as a
+    first step and the transition table.
 
     Every piece gets a number when the grammar is built: each distinct
     suffix allomorph, each root, and the fused variant of each of them
@@ -241,9 +267,9 @@ class _Grammar:
     :class:`~mapumorph.morphotactics.Fold` that the start folds lead to
     (:func:`settle`): the number of the fold after each column's item, or
     a dead end where the item raises a code or an end check is certain to
-    fail.  Only suffixes below the fold's floor, and members where one may
-    follow, are tried: the search reads no other entry.  Each fold also
-    records whether a compound member may follow it.
+    fail.  The build moves a fold on only by the suffixes below its floor,
+    and by members where one may follow: every other entry is a dead end,
+    so the row alone says what may follow the fold.
 
     A search step carries one fold: a root tried as a path's first step
     or as a later compound member branches once per distinct sense
@@ -265,34 +291,44 @@ class _Grammar:
         self.piece_ids, self.realized = {}, {}
         self.below = tags_below(lexicon)
         self.reading_lone = tags_reading_lone(lexicon)
+        # the settled folds by number and the numbers by fold
+        self.folds, self.fold_ids = [], {}
         # the transition table's columns: one per suffix, by id, ...
         self.columns = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
         n_suffixes = len(self.columns)
-        # (column, slot, its pieces) per suffix, with a (piece id,
-        # rewrites_left, starts) per distinct allomorph usable after a
-        # vowel / consonant
-        self.suffixes = {kind: [] for kind in ("V", "C")}
+        # per preceding V/C, (column, the pieces that spell its item) in
+        # the order they are tried, with a (piece id, rewrites_left,
+        # starts) per distinct allomorph usable there
+        self.spellings = {kind: [] for kind in ("V", "C")}
         for column, entry in enumerate(self.columns):
-            for kind, options in self.suffixes.items():
-                options.append((column, entry.slot, tuple(dict.fromkeys(
+            for kind, spellings in self.spellings.items():
+                spellings.append((column, tuple(dict.fromkeys(
                     self._numbered(rules.morph(a.surface, "suffix",
                                                suffix_id=entry.id))
                     for a in entry.allomorphs_after(kind)))))
         # ... then one per distinct sense choice of a root as a later
         # member (an incorporated demonstrative is a fixed construction,
-        # so its citation sense stands for all of them)
-        later_columns = {}
-        for key, entry in lexicon.roots.items():
-            later = dict.fromkeys(entry.senses[:1] if entry.category ==
-                                  "demonstrative" else entry.senses)
-            later_columns[key] = tuple(range(len(self.columns),
-                                             len(self.columns) + len(later)))
-            self.columns += [RootUse(entry, sense) for sense in later]
-        # (piece id, rewrites_left, starts, the columns of its sense
-        # choices as a later member)
-        self.roots = [self._numbered(rules.morph(e.form, "root", e.category))
-                      + (later_columns[(e.form, e.category)],)
-                      for e in lexicon.iter_roots() if e.form]
+        # so its citation sense stands for all of them); each root's
+        # distinct sense choices as the first member, by piece id, and
+        # each of them as a path's first step: (piece id, part, final
+        # segment, sense index, start fold)
+        self.first_uses, self._firsts = {}, []
+        for entry in lexicon.iter_roots():
+            if not entry.form:
+                continue
+            root = self._numbered(rules.morph(entry.form, "root",
+                                              entry.category))
+            for sense in dict.fromkeys(entry.senses[:1] if entry.category
+                                       == "demonstrative" else entry.senses):
+                for spellings in self.spellings.values():
+                    spellings.append((len(self.columns), (root,)))
+                self.columns.append(RootUse(entry, sense))
+            uses = self.first_uses[root[0]] = tuple(
+                RootUse(entry, sense) for sense in dict.fromkeys(entry.senses))
+            self._firsts += [(root[0], entry.form,
+                              alphabet.final_segment(entry.form), k,
+                              self._fold_id(start_fold(use)))
+                             for k, use in enumerate(uses)]
         # every piece the search tries has been numbered by now; the fused
         # variants a rule can place come after them, only ever a result
         self.width = len(self.pieces)
@@ -300,31 +336,18 @@ class _Grammar:
             if any(rule.fuse is not None for rule in rules.candidates(piece)):
                 self._piece_id(replace(piece, fused=True))
 
-        # the settled folds by number and the numbers by fold
-        self.folds, self.fold_ids = [], {}
-        # each root's distinct sense choices as the first member, by piece
-        # id, and each of them as a path's first step: (piece id, part,
-        # final segment, sense index, start fold)
-        self.first_uses, self._firsts = {}, []
-        for pid, _, _, _ in self.roots:
-            piece = self.pieces[pid]
-            entry = lexicon.roots[(piece.form, piece.category)]
-            uses = self.first_uses[pid] = tuple(
-                RootUse(entry, sense) for sense in dict.fromkeys(entry.senses))
-            self._firsts += [(pid, piece.form,
-                              alphabet.final_segment(piece.form), k,
-                              self._fold_id(start_fold(use)))
-                             for k, use in enumerate(uses)]
-        # per fold, whether a member may follow it and its row; the loop
-        # meets the folds it numbers as it goes, and judges each fold met once
-        self.member_follows, self.transitions = [], []
-        under = {floor: [column for column, slot, _ in self.suffixes["V"]
-                         if slot < floor] for floor in self.below}
+        # each fold's row; the loop meets the folds it numbers as it goes,
+        # and judges each fold met once.  Only the suffixes below the
+        # fold's floor, and members where one may follow, can move it on.
+        self.transitions = []
+        under = {floor: [column for column, entry
+                         in enumerate(self.columns[:n_suffixes])
+                         if entry.slot < floor] for floor in self.below}
         members, met = list(range(n_suffixes, len(self.columns))), {}
         for fold in self.folds:
             row = array("i", [_DEAD]) * len(self.columns)
-            may_member = follows(fold, self.below) is None
-            tried = under[fold.floor] + (members if may_member else [])
+            tried = under[fold.floor] + (
+                members if follows(fold, self.below) is None else [])
             for column in tried:
                 new, codes = advance(fold, self.columns[column])
                 if not codes:
@@ -332,7 +355,6 @@ class _Grammar:
                         met[new] = _DEAD if end_codes(new, follows(
                             new, self.below)) else self._fold_id(new)
                     row[column] = met[new]
-            self.member_follows.append(may_member)
             self.transitions.append(row)
         self.options = functools.cache(self.options)
         self.firsts = functools.cache(self.firsts)
@@ -360,28 +382,20 @@ class _Grammar:
                 self.lexicon.suffixes[piece.suffix_id].tag, 0))
         return pid
 
-    def options(self, kind: str, char: str | None,
-                floor: int | None = None) -> tuple:
-        """Suffix (kind "V"/"C") or root (kind "R") options worth trying
-        when the pending part reads on and is followed by *char* ("" at
-        the end of the word), or does not read on (None).  A piece whose
-        rule may rewrite the pending part is always worth trying.  A
-        suffix comes with the pieces of it worth trying, if any, and
-        given a *floor*, only if its slot is below it.  Memoised per
-        grammar."""
-        if floor is not None:
-            return tuple(option for option in self.options(kind, char)
-                         if option[1] < floor)
-
-        def worth(option):
-            return option[1] or (char is not None and (
-                option[2] is None or char in option[2]))
-
-        if kind == "R":
-            return tuple(filter(worth, self.roots))
-        return tuple(suffix[:2] + (pieces,)
-                     for suffix in self.suffixes[kind]
-                     if (pieces := tuple(filter(worth, suffix[2]))))
+    def options(self, kind: str, char: str | None) -> tuple:
+        """The columns worth trying after a final segment of *kind* ("V"
+        or "C") when the pending part reads on and is followed by *char*
+        ("" at the end of the word), or does not read on (None): each
+        column, in the order they are tried, with the numbers of the
+        pieces that spell its item and are worth trying.  A piece whose
+        rule may rewrite the pending part is always worth trying.
+        Memoised per grammar."""
+        return tuple(
+            (column, pids) for column, pieces in self.spellings[kind]
+            if (pids := tuple(
+                pid for pid, rewrites, starts in pieces
+                if rewrites or char is not None and (starts is None
+                                                     or char in starts))))
 
     def firsts(self, char: str) -> tuple:
         """The first steps of the paths for a word that starts with
@@ -415,10 +429,10 @@ class _Grammar:
         tried; any other leaves that part as it is, so it is tried only
         when the part reads on in the word and the piece's own part can
         start at the character that follows.  Pieces are tried in the
-        order of an unpruned search (suffixes by id, then roots), each
-        distinct allomorph once and each root once per distinct sense
-        choice, so no path is walked twice and a root-sense combination's
-        results come out in that order.
+        order of an unpruned search, by column (suffixes by id, then
+        roots), each distinct allomorph once and each root once per
+        distinct sense choice, so no path is walked twice and a root-sense
+        combination's results come out in that order.
 
         A step holds numbers and strings only: a link to the path before
         the last piece, the number of the last piece, its pending part, the
@@ -432,19 +446,19 @@ class _Grammar:
 
         A piece moves the fold on by the transition table before it is
         realized, and is not realized into a dead end: the first code its
-        item raises, or an end check certain to fail.  Suffixes are tried
-        only below the fold's slot floor, and roots only where the fold
-        lets a member follow.  A zero-surface indicative must be licensed
-        by the pieces around it: the licensing state moves on with each
-        part as it is finalized, and a path dies once its state is
-        unlicensed or it ends owing a piece.  A path that spells the whole
-        word, and whose fold passes the end checks, is built into its
-        analysis only then, straight off its links.
+        item raises, an end check certain to fail, a suffix at or above the
+        fold's slot floor, or a member where none may follow.  A step makes
+        one pass over the columns, and the row alone gates each one.  A
+        zero-surface indicative must be licensed by the pieces around it:
+        the licensing state moves on with each part as it is finalized,
+        and a path dies once its state is unlicensed or it ends owing a
+        piece.  A path that spells the whole word, and whose fold passes
+        the end checks, is built into its analysis only then, straight off
+        its links.
         """
         options, idents, licensing = self.options, self.idents, self.licensing
         realized, realize, width = self.realized, self._realize, self.width
-        transitions, build = self.transitions, self._analysis
-        folds, member_follows = self.folds, self.member_follows
+        transitions, build, folds = self.transitions, self._analysis, self.folds
         results, dead = [], set()
         size = len(word)
 
@@ -454,6 +468,7 @@ class _Grammar:
                 return
             produced = len(results)
             node = (link, prev, column, live)
+            code = licensing[prev]
             row = realized.get((prev, pending, final))
             if row is None:
                 row = realized.setdefault((prev, pending, final),
@@ -462,67 +477,56 @@ class _Grammar:
             end = pos + len(pending)
             if word.startswith(pending, pos):
                 # a path may end in neither licensing state that owes
-                if end == size and _licensed(owed, licensing[prev],
-                                             pending) in (_FREE, _AFTER_3P):
+                if end == size and _licensed(owed, code, pending) in (
+                        _FREE, _AFTER_3P):
                     bare = link is None and idents[prev][1] == "verb"
                     if not end_codes(folds[live], bare=bare):
                         results.append(build(word, node + (pending,)))
                 char = word[end:end + 1]
             else:
                 char = None
-            kind = "V" if alphabet.is_vowel(final) else "C"
             after = transitions[live]
-            for column, _, pieces in options(kind, char, folds[live].floor):
+            for column, pids in options(
+                    "V" if alphabet.is_vowel(final) else "C", char):
                 new = after[column]
-                if new != _DEAD:
-                    for pid, _, _ in pieces:
-                        extend(row, node, prev, pending, final, pos, pid,
-                               column, new, owed)
-
-            if member_follows[live]:
-                for pid, _, _, columns in options("R", char):
-                    for column in columns:
-                        new = after[column]
-                        if new != _DEAD:
-                            extend(row, node, prev, pending, final, pos, pid,
-                                   column, new, owed)
+                if new == _DEAD:
+                    continue
+                for pid in pids:
+                    entry = row[pid]
+                    if entry is None:
+                        entry = realize(row, prev, pending, final, pid)
+                    placed, finalized, part, new_final, initials = entry
+                    if not word.startswith(finalized, pos):
+                        continue
+                    new_pos = pos + len(finalized)
+                    # The pending part is rewritten at most once more, by
+                    # the rule at the next boundary; its initials count the
+                    # first characters that rule can give it, so this probe
+                    # never drops a path.
+                    if part and (new_pos >= size or initials is not None
+                                 and word[new_pos] not in initials):
+                        continue
+                    new_owed = _licensed(owed, code, finalized) \
+                        if owed or code else owed
+                    if new_owed == _UNLICENSED:
+                        continue
+                    if new_final is None:
+                        surface = word[:new_pos] + part
+                        new_final = alphabet.final_segment(surface) \
+                            if surface else ""
+                    step(node + (finalized,), placed, part, new_final,
+                         new_pos, column, new, new_owed)
 
             if len(results) == produced:
                 dead.add(key)
-
-        def extend(row, node, prev, pending, final, pos, pid, column, live,
-                   owed):
-            entry = row[pid]
-            if entry is None:
-                entry = realize(row, prev, pending, final, pid)
-            new, finalized, part, new_final, initials = entry
-            if not word.startswith(finalized, pos):
-                return
-            new_pos = pos + len(finalized)
-            # The pending part is rewritten at most once more, by the rule
-            # at the next boundary; its initials count the first characters
-            # that rule can give it, so this probe never drops a path.
-            if part and (new_pos >= size or initials is not None
-                         and word[new_pos] not in initials):
-                return
-            code = licensing[prev]
-            if owed or code:
-                owed = _licensed(owed, code, finalized)
-                if owed == _UNLICENSED:
-                    return
-            if new_final is None:
-                surface = word[:new_pos] + part
-                new_final = alphabet.final_segment(surface) if surface else ""
-            step(node + (finalized,), new, part, new_final, new_pos, column,
-                 live, owed)
 
         try:
             for pid, part, final, sense, live in self.firsts(word[0]):
                 step(None, pid, part, final, 0, sense, live, _FREE)
         finally:
-            # step and extend refer to each other; unbinding them frees
-            # this call's states without the cyclic collector
-            step = extend = None
+            # step refers to itself; unbinding it frees this call's states
+            # without the cyclic collector
+            step = None
         return results
 
     def _analysis(self, word: str, link) -> Analysis:

@@ -319,24 +319,3 @@ def validate_lexicon(lex: Lexicon) -> list[Diagnostic]:
                                         f"no suffix occupies mandatory slot {slot} ({name})",
                                         invariant=False))
     return found
-
-
-def _root_line(entry: RootEntry) -> str:
-    senses = "|".join(f"{s.context}:{s.gloss}" for s in entry.senses)
-    flags = "loan" if entry.loan else "-"
-    return "\t".join([entry.form, entry.category, entry.valency,
-                      senses or "-", entry.source, flags])
-
-
-def _suffix_line(entry: SuffixEntry) -> str:
-    allo = "|".join(f"{a.surface or '0'}@{a.requires}" for a in entry.allomorphs)
-    return "\t".join([entry.id, str(entry.slot), entry.tag,
-                      entry.valency_effect, entry.attach_constraint, allo])
-
-
-def dump_roots(lex: Lexicon) -> str:
-    return "\n".join(_root_line(r) for r in lex.iter_roots()) + "\n"
-
-
-def dump_suffixes(lex: Lexicon) -> str:
-    return "\n".join(_suffix_line(s) for s in lex.iter_suffixes()) + "\n"

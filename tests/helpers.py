@@ -13,9 +13,10 @@ by part as it finalizes them.
 from __future__ import annotations
 
 import itertools
+import json
 
 from mapumorph.alphabet import final_kind, final_segment
-from mapumorph.lexicon import Lexicon, SuffixEntry
+from mapumorph.lexicon import Lexicon, RootEntry, SuffixEntry
 from mapumorph.morphotactics import STEM_ZONE, RootUse, validate_plan
 from mapumorph.phonology import Piece, extend_realization
 
@@ -298,3 +299,33 @@ def classifier_corpus(lexicon, rules):
             raise AssertionError(f"no analysis of {word!r} renders {target!r}")
         corpus.append(dataclasses.replace(hits[0], source=source))
     return corpus
+
+
+def to_json_line(analysis) -> str:
+    """One line of ``analyse --format json-lines`` style JSON for an
+    analysis, keys sorted."""
+    return json.dumps(analysis.to_json(), ensure_ascii=False, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# The lexicon written back in its TSV formats.
+
+def _root_line(entry: RootEntry) -> str:
+    senses = "|".join(f"{s.context}:{s.gloss}" for s in entry.senses)
+    flags = "loan" if entry.loan else "-"
+    return "\t".join([entry.form, entry.category, entry.valency,
+                      senses or "-", entry.source, flags])
+
+
+def _suffix_line(entry: SuffixEntry) -> str:
+    allo = "|".join(f"{a.surface or '0'}@{a.requires}" for a in entry.allomorphs)
+    return "\t".join([entry.id, str(entry.slot), entry.tag,
+                      entry.valency_effect, entry.attach_constraint, allo])
+
+
+def dump_roots(lex: Lexicon) -> str:
+    return "\n".join(_root_line(r) for r in lex.iter_roots()) + "\n"
+
+
+def dump_suffixes(lex: Lexicon) -> str:
+    return "\n".join(_suffix_line(s) for s in lex.iter_suffixes()) + "\n"

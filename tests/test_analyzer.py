@@ -435,8 +435,6 @@ class TestTransitionTable:
         assert grammar.columns[:len(suffixes)] == suffixes
         assert all(isinstance(item, RootUse)
                    for item in grammar.columns[len(suffixes):])
-        assert grammar.member_follows == [follows(fold, below) is None
-                                          for fold in grammar.folds]
         # with each fold's number checked below, every fold number in a row
         # has a row of its own
         assert len(grammar.transitions) == len(grammar.folds) \
@@ -454,13 +452,20 @@ class TestTransitionTable:
                     analyzer._DEAD if codes or end_codes(moved, follow)
                     else grammar.fold_ids[settle(moved, follow,
                                                  reading_lone)]), (fid, column)
-                live += new != analyzer._DEAD
+                if new != analyzer._DEAD:
+                    # the row alone gates the search: no suffix at or above
+                    # the floor, and no member where none may follow
+                    if column < len(suffixes):
+                        assert suffixes[column].slot < fold.floor
+                    else:
+                        assert follows(fold, below) is None
+                    live += 1
         assert live > 10_000, live
 
     def test_a_suffix_folds_alike_under_every_floor_above_its_slot(
             self, lexicon):
-        # the search tries a suffix only below the floor, so folds that
-        # differ only in a floor above its slot lead to one fold
+        # the build tries a suffix only below the floor, so folds that
+        # differ only in a floor above its slot must lead to one fold
         rng = random.Random(10)
         checked = 0
         for _ in range(400):
@@ -475,6 +480,18 @@ class TestTransitionTable:
                         checked += 1
                 fold = advance(fold, item)[0]
         assert checked > 10_000
+
+    def test_options_list_each_column_once_in_order(self, warm):
+        # every character a word can hold, the end of it, and no character
+        _, grammar = warm
+        chars = sorted(SINGLE_LETTERS.union(*DIGRAPHS)) + ["", None]
+        for kind in ("V", "C"):
+            for char in chars:
+                options = grammar.options(kind, char)
+                columns = [column for column, _ in options]
+                assert columns == sorted(set(columns)), (kind, char)
+                assert all(pids and len(set(pids)) == len(pids)
+                           for _, pids in options), (kind, char)
 
     def test_a_warm_grammar_computes_no_transition(self, lexicon,
                                                    monkeypatch):

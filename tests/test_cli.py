@@ -10,7 +10,7 @@ from mapumorph.cli import run
 from mapumorph.defaults import data_path
 from mapumorph.lexicon import load_lexicon
 
-from helpers import classifier_corpus
+from helpers import classifier_corpus, to_json_line
 
 
 def invoke(argv, stdin_text=""):
@@ -165,7 +165,7 @@ class TestValidateLexicon:
 class TestClassify:
     def test_classify_pipeline(self, lexicon, rules):
         corpus = classifier_corpus(lexicon, rules)
-        lines = "\n".join(a.to_json_line() for a in corpus) + "\n"
+        lines = "\n".join(map(to_json_line, corpus)) + "\n"
         code, out, _ = invoke(["classify"], lines)
         assert code == 0
         rows = dict(line.split("\t")[:2] for line in out.splitlines())
@@ -175,7 +175,7 @@ class TestClassify:
 
     def test_threshold_flag(self, lexicon, rules):
         corpus = classifier_corpus(lexicon, rules)
-        lines = "\n".join(a.to_json_line() for a in corpus) + "\n"
+        lines = "\n".join(map(to_json_line, corpus)) + "\n"
         code, out, _ = invoke(["classify", "--threshold", "2"], lines)
         assert code == 0
         rows = dict(line.split("\t")[:2] for line in out.splitlines())
@@ -231,24 +231,36 @@ class TestClassify:
         ("span", "ab", "span must be a list of two ints, not 'ab'"),
         ("span", [0.5, None],
          "span must be a list of two ints, not [0.5, None]"),
+        ("surface", 3, "surface must be a string, not int"),
+        ("gloss", 1.5, "gloss must be a string or null, not float"),
+        ("category", 7, "category must be a string or null, not int"),
+        ("sense_context", ["IV"],
+         "sense_context must be a string or null, not list"),
+        ("effect", ["increase"], "effect must be a string or null, not list"),
+        ("slot", "x", "slot must be an int or null, not str"),
+        ("slot", True, "slot must be an int or null, not bool"),
+        ("fused_with_prev", "yes", "fused_with_prev must be a bool, not str"),
+        ("fused_with_prev", 0, "fused_with_prev must be a bool, not int"),
+        ("stem_valency", 2, "stem_valency must be a string or null, not int"),
     ], ids=["source", "morph", "tags", "trace-state-int",
             "trace-state-lowercase", "trace-step-of-three", "trace-step-str",
-            "span-str", "span-of-non-ints"])
+            "span-str", "span-of-non-ints", "surface", "gloss", "category",
+            "sense_context", "effect", "slot-str", "slot-bool",
+            "fused_with_prev-str", "fused_with_prev-int", "stem_valency"])
     def test_field_of_wrong_type_is_located(self, field, value, message):
         # next to a well-formed line: pünamün, IV.stick +CA +IND1SG
         _, line, _ = invoke(["analyse", "--format", "json-lines", "--best"],
                             "pünamün\n")
         bad = json.loads(line)["analyses"][0]
-        if field == "source":
-            bad["source"] = value
-        elif field == "morph":
-            bad["pieces"][0]["morph"] = value  # the root
+        if field in ("source", "stem_valency"):
+            bad[field] = value
         elif field == "trace":
             bad["trace"][0] = value            # the root's step
-        elif field == "span":
-            bad["pieces"][0]["span"] = value   # the root's
+        elif field in ("morph", "span", "surface", "gloss", "category",
+                       "sense_context"):
+            bad["pieces"][0][field] = value    # the root's
         else:
-            bad["pieces"][1]["tags"] = value   # the causative
+            bad["pieces"][1][field] = value    # the causative's
         code, out, err = invoke(["classify"], line + json.dumps(bad) + "\n")
         assert code == 1 and out == ""
         assert err == f"<stdin>:2: malformed analysis: {message}\n"

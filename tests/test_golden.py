@@ -13,6 +13,13 @@ after an intended output change, from the repository root in bash:
 
     cd tests/data/golden && export PYTHONPATH=../../../src && python -S -m mapumorph analyse < words.txt > analyse.txt && python -S -m mapumorph analyse --format json-lines --source kona < words.txt | tee >(sha256sum | cut -d' ' -f1 > analyse-kona.sha256) | python -S -m mapumorph classify > classify.tsv && python -S -m mapumorph generate < generate.tsv > generate.txt
 
+A wider ``analyse --format json-lines`` run is pinned by its sha256 alone:
+the words of ``sample_valid_tuples(Random(37), lexicon, 1000)`` and
+their probes ``w[:-1]``, ``w + "a"`` and ``w + "m"``, 4,000 words built
+in the test.  After an intended output change, print the new digest with
+``PYTHONPATH=src:tests python -c "import test_golden as t;
+print(t.wide_digest())"`` from the repository root and pin it.
+
 The morphotactic fold is pinned too: the sha256 of the violations
 (code, position, message) and traces ``validate_plan`` gives on 3,000
 plans from ``build_random_plan(Random(8))``, which reach every code.
@@ -27,7 +34,7 @@ import pytest
 
 from mapumorph import generate
 from mapumorph.cli import run
-from mapumorph.defaults import data_path
+from mapumorph.defaults import data_path, tables
 from mapumorph.morphotactics import VIOLATION_MESSAGES, validate_plan
 
 from conftest import DATA, load_gloss_corpus
@@ -98,6 +105,24 @@ def test_generate(lexicon):
     words = read("words.txt").split()
     assert [line.rsplit("\t", 1)[1] for line in out.splitlines()[:100]] \
         == words[-400::4]
+
+
+def wide_digest():
+    """The sha256 of ``analyse --format json-lines`` over the words of
+    1,000 valid tuples from ``Random(37)`` and their near-miss probes."""
+    lexicon, rules = tables(None, None)
+    words = []
+    for root, sense, seq in sample_valid_tuples(Random(37), lexicon, 1000):
+        word = generate(root, sense.context, seq, lexicon, rules)
+        words += [word, word[:-1], word + "a", word + "m"]
+    out = invoke(["analyse", "--format", "json-lines"],
+                 "\n".join(words) + "\n")
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_analyse_json_lines_on_4000_generated_words():
+    assert wide_digest() == (
+        "4be262c5d3f2f22d592d60dacad811f872fafd897afd1dfea6b0e5fd5896b046")
 
 
 def test_validate_plan_fold(lexicon):

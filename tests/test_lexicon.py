@@ -3,10 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mapumorph.lexicon import (Lexicon, LexiconError, RootEntry, Sense,
-                               dump_roots, dump_suffixes, load_lexicon,
-                               parse_root_line, validate_lexicon)
+                               load_lexicon, parse_root_line,
+                               validate_lexicon)
 
 from conftest import DATA
+from helpers import dump_roots, dump_suffixes
 
 
 def test_labile_root_line_parses_to_two_senses():
