@@ -25,6 +25,12 @@ and homophonous suffixes one per reading.
 
 Analyses are ranked by piece count, then lexicographically by morph ids;
 the ranking is a plumbing choice, not a linguistic claim.
+
+Generation reads the same grammar: a sequence is judged by a walk of the
+transition table from its root's start fold and the end checks, and is
+realized through the realization table, each suffix by its first
+context-matching allomorph.  The morphotactic validator runs only on a
+rejected sequence, to list its violations.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .morphotactics import (Fold, RootUse, advance, compound_valency,
                             end_codes, follows, settle, start_fold,
                             tags_below, tags_reading_lone, validate_plan,
                             validate_sequence)  # noqa: F401
-from .phonology import Piece, RuleTable, extend_realization, select_allomorph
+from .phonology import Piece, PhonologyError, RuleTable, extend_realization
 
 
 class GenerationError(ValueError):
@@ -235,16 +241,18 @@ def _licensed(owed: int, code: int, part: str) -> int:
 
 class _Grammar:
     """The search's tables for one (lexicon, rules), built once and shared
-    by every :func:`analyse` call with them: per preceding V/C, the
-    transition table's columns with the pieces that spell each one, their
-    filter by the character that follows, each root's sense choices as a
-    first step and the transition table.
+    by every :func:`analyse` and :func:`generate` call with them: per
+    preceding V/C, the transition table's columns with the pieces that
+    spell each one, their filter by the character that follows, each
+    root's sense choices as a first step and the transition table; and,
+    for generation, each suffix's column and each root's start fold per
+    sense context.
 
     Every piece gets a number when the grammar is built: each distinct
     suffix allomorph, each root, and the fused variant of each of them
-    that a fusion rule can place.  A search reads the grammar and writes
-    only to the realization table, so the pieces, their numbers and the
-    transition table never change after the build.
+    that a fusion rule can place.  A search or a generation reads the
+    grammar and writes only to the realization table, so the pieces,
+    their numbers and the transition table never change after the build.
 
     The realization table takes ``(previous piece, pending part, final
     segment)`` to a row indexed by the next piece: the arguments of the
@@ -296,10 +304,14 @@ class _Grammar:
         # the transition table's columns: one per suffix, by id, ...
         self.columns = sorted(lexicon.suffixes.values(), key=lambda s: s.id)
         n_suffixes = len(self.columns)
+        self.suffix_columns = {entry.id: column
+                               for column, entry in enumerate(self.columns)}
         # per preceding V/C, (column, the pieces that spell its item) in
         # the order they are tried, with a (piece id, rewrites_left,
-        # starts) per distinct allomorph usable there
-        self.spellings = {kind: [] for kind in ("V", "C")}
+        # starts) per distinct allomorph usable there; and, for suffixes
+        # only, after nothing (None), which only generation meets, after a
+        # surface fused away
+        self.spellings = {kind: [] for kind in ("V", "C", None)}
         for column, entry in enumerate(self.columns):
             for kind, spellings in self.spellings.items():
                 spellings.append((column, tuple(dict.fromkeys(
@@ -311,8 +323,10 @@ class _Grammar:
         # so its citation sense stands for all of them); each root's
         # distinct sense choices as the first member, by piece id, and
         # each of them as a path's first step: (piece id, part, final
-        # segment, sense index, start fold)
-        self.first_uses, self._firsts = {}, []
+        # segment, sense index, start fold); and each root as generation
+        # starts from it, by (form, category): (entry, piece id, final
+        # segment, the start fold by sense context)
+        self.first_uses, self._firsts, self.starts = {}, [], {}
         for entry in lexicon.iter_roots():
             if not entry.form:
                 continue
@@ -320,15 +334,21 @@ class _Grammar:
                                               entry.category))
             for sense in dict.fromkeys(entry.senses[:1] if entry.category
                                        == "demonstrative" else entry.senses):
-                for spellings in self.spellings.values():
-                    spellings.append((len(self.columns), (root,)))
+                for kind in ("V", "C"):
+                    self.spellings[kind].append((len(self.columns), (root,)))
                 self.columns.append(RootUse(entry, sense))
             uses = self.first_uses[root[0]] = tuple(
                 RootUse(entry, sense) for sense in dict.fromkeys(entry.senses))
-            self._firsts += [(root[0], entry.form,
-                              alphabet.final_segment(entry.form), k,
-                              self._fold_id(start_fold(use)))
-                             for k, use in enumerate(uses)]
+            final = alphabet.final_segment(entry.form)
+            firsts = [(root[0], entry.form, final, k,
+                       self._fold_id(start_fold(use)))
+                      for k, use in enumerate(uses)]
+            self._firsts += firsts
+            # a start fold reads only its sense's context
+            self.starts[entry.form, entry.category] = (
+                entry, root[0], final,
+                {use.sense.context: first[4]
+                 for use, first in zip(uses, firsts)})
         # every piece the search tries has been numbered by now; the fused
         # variants a rule can place come after them, only ever a result
         self.width = len(self.pieces)
@@ -419,6 +439,16 @@ class _Grammar:
         entry = row[pid] = (self.piece_ids[piece], finalized, part, new_final,
                             self.rules.initials(piece, part) if part else None)
         return entry
+
+    def _step(self, prev: int, pending: str, final: str, pid: int) -> tuple:
+        """The realization entry of piece *pid* after piece *prev*, whose
+        part *pending* ends a surface ending in *final*, filled on first
+        use.  The search makes the same lookup inline."""
+        row = self.realized.get((prev, pending, final))
+        if row is None:
+            row = self.realized.setdefault((prev, pending, final),
+                                           [None] * self.width)
+        return row[pid] or self._realize(row, prev, pending, final, pid)
 
     def search(self, word: str) -> list[Analysis]:
         """Depth-first enumeration of the analyses of *word*, one per path;
@@ -529,6 +559,62 @@ class _Grammar:
             step = None
         return results
 
+    def generate(self, entry: RootEntry, sense_context: str,
+                 suffix_ids) -> str:
+        """The surface of *entry* in *sense_context* with *suffix_ids*, by
+        the lookups a search step makes: the sequence is judged by a walk
+        of the transition table and the end checks, and is realized
+        through the realization table, each suffix by its first spelling
+        after the final segment so far.  Only a rejected sequence is
+        folded again, by :func:`validate_sequence`, for its
+        violations."""
+        start = self.starts.get((entry.form, entry.category))
+        if start is None or start[0] is not entry and start[0] != entry:
+            raise KeyError(
+                f"unknown root {entry.form + ':' + entry.category!r}")
+        columns = []
+        for sid in suffix_ids:
+            column = self.suffix_columns.get(sid)
+            if column is None:
+                raise KeyError(f"unknown suffix id {sid!r}")
+            columns.append(column)
+        _, prev, final, start_folds = start
+        live = start_folds.get(sense_context)
+        if live is None:
+            raise ValueError(f"root {entry.form!r} has no {sense_context} "
+                             "sense")
+        transitions = self.transitions
+        for column in columns:
+            live = transitions[live][column]
+            if live == _DEAD:
+                break
+        if live == _DEAD or end_codes(
+                self.folds[live],
+                bare=not columns and entry.category == "verb"):
+            raise GenerationError(
+                f"invalid sequence for {entry.form!r}", validate_sequence(
+                    (entry, sense_context),
+                    [self.columns[column] for column in columns],
+                    self.lexicon))
+
+        spellings = self.spellings
+        surface = pending = entry.form
+        for column in columns:
+            kind = ("V" if alphabet.is_vowel(final) else "C") if final \
+                else None
+            pieces = spellings[kind][column][1]
+            if not pieces:
+                raise PhonologyError(f"no allomorph of "
+                                     f"{self.columns[column].id} fits after "
+                                     f"{final!r}")
+            prev, finalized, part, final, _ = self._step(
+                prev, pending, final, pieces[0][0])
+            surface = surface[:len(surface) - len(pending)] + finalized + part
+            pending = part
+            if final is None:
+                final = alphabet.final_segment(surface) if surface else ""
+        return surface
+
     def _analysis(self, word: str, link) -> Analysis:
         """The analysis of *word* whose path ends in *link*, read off the
         links from the last piece back: each piece's item is its column's,
@@ -603,36 +689,18 @@ def generate(root, sense_context: str, suffix_ids,
              rules: RuleTable | None = None) -> str:
     """Surface form for a root sense plus an ordered list of suffix ids.
 
-    *root* is a :class:`RootEntry`, a form (its verb entry, if it has one)
-    or ``form:category``.  The sequence is validated first; any violations
-    are surfaced verbatim on the raised :class:`GenerationError`.
-    Deterministic: allomorphs are picked by the first context match.
+    *root* is a :class:`RootEntry` of the lexicon, a form (its verb entry,
+    if it has one) or ``form:category``; any other raises KeyError, as an
+    unknown suffix id does.  The sequence is judged first, through the
+    grammar the analyser searches (:meth:`_Grammar.generate`); any
+    violations are surfaced verbatim on the raised
+    :class:`GenerationError`.  Deterministic: allomorphs are picked by the
+    first context match.
     """
     lexicon, rules = tables(lexicon, rules)
     entry = _resolve_root(root, lexicon)
-    suffix_entries = []
-    for sid in suffix_ids:
-        if sid not in lexicon.suffixes:
-            raise KeyError(f"unknown suffix id {sid!r}")
-        suffix_entries.append(lexicon.suffixes[sid])
-    violations = validate_sequence((entry, sense_context), suffix_entries,
-                                   lexicon)
-    if violations:
-        raise GenerationError(f"invalid sequence for {entry.form!r}",
-                              violations)
-    prev = Piece(entry.form, "root", category=entry.category)
-    surface = pending = entry.form
-    final = alphabet.final_segment(surface) if surface else ""
-    for suffix in suffix_entries:
-        piece = Piece(select_allomorph(suffix, final), "suffix",
-                      suffix_id=suffix.id)
-        prev, finalized, part, final = extend_realization(
-            prev, pending, final, piece, rules, lexicon)
-        surface = surface[:len(surface) - len(pending)] + finalized + part
-        pending = part
-        if final is None:
-            final = alphabet.final_segment(surface) if surface else ""
-    return surface
+    return rules.for_lexicon(lexicon, _Grammar).generate(
+        entry, sense_context, suffix_ids)
 
 
 def gloss_render(analysis: Analysis) -> str:

@@ -147,8 +147,11 @@ def classify_corpus(corpus: list[Analysis], lexicon: Lexicon | None = None,
     Verdicts are reconciled across corpus sources in sorted source order,
     then against the lexicon's own valency assertion (labile entries with
     no corpus attestation still get a row; unknown-valency entries assert
-    nothing).
+    nothing).  A *threshold* below 1 raises ValueError, whatever the
+    corpus holds.
     """
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
     # root -> source -> its single-root analyses, grouped in one pass
     groups: dict[str, dict[str, list[Analysis]]] = {}
     for analysis in corpus:

@@ -21,12 +21,12 @@ order, and happens in one place, :func:`extend_realization`: a pure
 function of the previous piece, its pending part (the part the rule at
 the next boundary may still rewrite), the final segment of the surface
 so far and the next piece.  It never reads the surface before the
-pending part.  :func:`realize` and generation fold it over a running
-surface, and the analyser searches forward through it rather than
-undoing the rules: its grammar keeps what the step gives for each
-(previous piece, pending part, final segment, next piece) it meets, so a
-search carries no realization state.  Tables change only by filling
-their memos.
+pending part.  :func:`realize` folds it over a running surface; the
+analyser's grammar keeps what the step gives for each (previous piece,
+pending part, final segment, next piece) it meets, and generation and
+the search, which runs forward through the rules rather than undoing
+them, read it there, so neither carries realization state.  Tables
+change only by filling their memos.
 """
 
 from __future__ import annotations
@@ -360,7 +360,9 @@ def normalize_piece(item, first: bool, lexicon: Lexicon | None) -> Piece:
 
 def select_allomorph(suffix: SuffixEntry, stem_final: str) -> str:
     """The allomorph generation uses after the given stem-final segment
-    ("" when nothing is realised): the first context match."""
+    ("" when nothing is realised): the first context match.  The
+    analyser's grammar tabulates the same choice per suffix, and the
+    tests hold it to this function."""
     kind = None
     if stem_final:
         kind = "V" if alphabet.is_vowel(stem_final) else "C"

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from mapumorph import analyzer, morphotactics
+from mapumorph import analyzer, morphotactics, phonology
 from mapumorph.alphabet import (DIGRAPHS, SINGLE_LETTERS, AlphabetError,
                                 final_segment)
 from mapumorph.analyzer import (GenerationError, analyse, generate,
@@ -15,8 +15,11 @@ from mapumorph.defaults import data_path
 from mapumorph.lexicon import Lexicon, RootEntry, Sense, validate_lexicon
 from mapumorph.morphotactics import (OPEN_FLOOR, RootUse, advance, end_codes,
                                      follows, settle, start_fold, tags_below,
-                                     tags_reading_lone, validate_plan)
-from mapumorph.phonology import extend_realization, load_rules
+                                     tags_reading_lone, validate_plan,
+                                     validate_sequence)
+from mapumorph.phonology import (Piece, RuleTable, extend_realization,
+                                 load_rules, parse_rule_line, realize,
+                                 select_allomorph)
 
 import helpers
 from conftest import DATA, load_gloss_corpus
@@ -516,18 +519,30 @@ class TestTransitionTable:
     def test_threads_filling_a_cold_table_get_the_serial_results(
             self, lexicon):
         expected = [analyse(word, lexicon) for word in GOLDEN_WORDS]
+        tuples = sample_valid_tuples(random.Random(31), lexicon, 200)
+        generated = [generate(root, sense.context, seq, lexicon)
+                     for root, sense, seq in tuples]
         rules = load_rules(data_path("rules.tsv"))
-        got = {}
+        got, made = {}, {}
 
         def work(k):
+            # even threads generate first, on the cold grammar; odd ones
+            # analyse first
             shift = k * len(GOLDEN_WORDS) // 4
             words = GOLDEN_WORDS[shift:] + GOLDEN_WORDS[:shift]
-            got[k] = [analyse(word, lexicon, rules) for word in words]
+            mine = tuples[k * 50:] + tuples[:k * 50]
+            for task in (0, 1) if k % 2 else (1, 0):
+                if task:
+                    made[k] = [generate(root, sense.context, seq, lexicon,
+                                        rules) for root, sense, seq in mine]
+                else:
+                    got[k] = [analyse(word, lexicon, rules) for word in words]
 
         run_in_threads(work, 4)
         for k in range(4):
             shift = k * len(GOLDEN_WORDS) // 4
             assert got[k] == expected[shift:] + expected[:shift], k
+            assert made[k] == generated[k * 50:] + generated[:k * 50], k
         # the threads numbered no piece, and every realization row they
         # filled holds what one boundary step gives
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
@@ -734,6 +749,103 @@ class TestGenerate:
         root = lexicon.roots[("yewe", "verb")]
         word = generate(root, "IV", ["HAB.ke", "RI.fu", "AGR.fi", "IND1SG.n"])
         assert word == "yewekefwin"
+
+    def test_table_walk_gives_the_validators_verdict(self, lexicon, rules):
+        # sampled tuples and every one-edit mutation of them: one suffix
+        # dropped, two neighbours swapped, or one replaced
+        rng = random.Random(29)
+        ids = sorted(lexicon.suffixes)
+        cases = []
+        for root, sense, seq in sample_valid_tuples(rng, lexicon, 300):
+            cases.append((root, sense.context, seq))
+            for i in range(len(seq)):
+                cases.append((root, sense.context, seq[:i] + seq[i + 1:]))
+                cases.append((root, sense.context,
+                              seq[:i] + [rng.choice(ids)] + seq[i + 1:]))
+                if i + 1 < len(seq):
+                    cases.append((root, sense.context, seq[:i] + [
+                        seq[i + 1], seq[i]] + seq[i + 2:]))
+        verdicts = {True: 0, False: 0}
+        for root, context, seq in cases:
+            violations = validate_sequence((root, context), seq, lexicon)
+            verdicts[not violations] += 1
+            if violations:
+                with pytest.raises(GenerationError) as err:
+                    generate(root, context, seq, lexicon, rules)
+                assert err.value.violations == tuple(violations)
+                continue
+            # the form: each suffix by its first context match after the
+            # surface so far, the whole realized by the boundary rules
+            pieces, form = [(root.form, root.category)], root.form
+            for sid in seq:
+                pieces.append(Piece(select_allomorph(
+                    lexicon.suffixes[sid], final_segment(form)), "suffix",
+                    suffix_id=sid))
+                form = realize(pieces, lexicon, rules)
+            assert generate(root, context, seq, lexicon, rules) == form
+        assert min(verdicts.values()) > 1000, verdicts
+
+    def test_first_spelling_is_the_allomorph_select_allomorph_picks(
+            self, lexicon, rules):
+        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        for final, kind in (("a", "V"), ("f", "C"), ("", None)):
+            for sid, suffix in lexicon.suffixes.items():
+                column = grammar.suffix_columns[sid]
+                assert grammar.columns[column] is suffix
+                pid = grammar.spellings[kind][column][1][0][0]
+                assert grammar.pieces[pid] == Piece(
+                    select_allomorph(suffix, final), "suffix", suffix_id=sid)
+
+    def test_after_a_surface_fused_away_any_allomorph_fits(self, lexicon,
+                                                           rules):
+        # a fusion into nothing leaves no final segment for the next
+        # suffix to follow, so it takes its first allomorph of all: n,
+        # where after a consonant it would take ün
+        fused_away = RuleTable((parse_rule_line(
+            "x\tfusion\t=la\tsuffix:CA.m\tfuse:\t-"),) + rules.rules)
+        assert generate("la:adjective", "IV", ["CA.m", "IND1SG.n"], lexicon,
+                        fused_away) == "n"
+
+    def test_an_accepted_sequence_is_neither_validated_nor_stepped(
+            self, lexicon, rules, monkeypatch):
+        tuples = sample_valid_tuples(random.Random(30), lexicon, 200)
+        # the first pass warms the realization table
+        words = [generate(root, sense.context, seq, lexicon, rules)
+                 for root, sense, seq in tuples]
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(analyzer, "validate_sequence")
+        counting(analyzer, "extend_realization")
+        counting(phonology, "select_allomorph")
+        counting(morphotactics, "validate_plan")
+        assert [generate(root, sense.context, seq, lexicon, rules)
+                for root, sense, seq in tuples] == words
+        assert not calls
+        # a rejected sequence is folded again, for its violations
+        with pytest.raises(GenerationError):
+            generate("monge", "IV", [], lexicon, rules)
+        assert calls == ["validate_sequence", "validate_plan"]
+
+    def test_a_root_entry_the_lexicon_does_not_hold_is_unknown(self,
+                                                                lexicon):
+        foreign = RootEntry("küpal", "verb", "IV", (Sense("IV", "novel"),))
+        with pytest.raises(KeyError, match="unknown root 'küpal:verb'"):
+            generate(foreign, "IV", ["CA.l", "IND1SG.n"], lexicon)
+        held = lexicon.roots[("küpa", "verb")]
+        altered = dataclasses.replace(held, senses=(Sense("IV", "novel"),))
+        with pytest.raises(KeyError, match="unknown root 'küpa:verb'"):
+            generate(altered, "IV", ["CA.l", "IND1SG.n"], lexicon)
+        # an equal copy is the entry the lexicon holds
+        assert generate(dataclasses.replace(held), "IV",
+                        ["CA.l", "IND1SG.n"], lexicon) == "küpalün"
 
 
 class TestRoundTrip:

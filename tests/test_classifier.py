@@ -79,6 +79,13 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(evidence, threshold=0)
 
+    @pytest.mark.parametrize("with_corpus", [False, True])
+    def test_corpus_threshold_below_one_is_refused(self, lexicon, corpus,
+                                                    with_corpus):
+        with pytest.raises(ValueError, match="threshold must be >= 1"):
+            classify_corpus(corpus if with_corpus else [], lexicon,
+                            threshold=0)
+
     def test_soft_features_only_reach_the_rationale(self):
         verdict = classify(Evidence("x", kle_hits=5, ke_tv_hits=3))
         assert verdict.label == "undetermined"

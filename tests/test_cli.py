@@ -181,6 +181,11 @@ class TestClassify:
         rows = dict(line.split("\t")[:2] for line in out.splitlines())
         # a single attestation no longer counts at threshold 2
         assert rows["maychü"] == "undetermined"
+        # a threshold below 1 is refused on empty input too
+        for text in (lines, ""):
+            code, out, err = invoke(["classify", "--threshold", "0"], text)
+            assert (code, out, err) == (
+                1, "", "error: threshold must be >= 1\n")
 
     def test_accepts_analyse_json_output(self):
         _, analysed, _ = invoke(
@@ -242,11 +247,16 @@ class TestClassify:
         ("fused_with_prev", "yes", "fused_with_prev must be a bool, not str"),
         ("fused_with_prev", 0, "fused_with_prev must be a bool, not int"),
         ("stem_valency", 2, "stem_valency must be a string or null, not int"),
+        ("pieces", {"span": "ab", "surface": 3},
+         "surface must be a string, not int"),
+        ("pieces", {"tags": "CA", "kind": 1},
+         "kind must be a string, not int"),
     ], ids=["source", "morph", "tags", "trace-state-int",
             "trace-state-lowercase", "trace-step-of-three", "trace-step-str",
             "span-str", "span-of-non-ints", "surface", "gloss", "category",
             "sense_context", "effect", "slot-str", "slot-bool",
-            "fused_with_prev-str", "fused_with_prev-int", "stem_valency"])
+            "fused_with_prev-str", "fused_with_prev-int", "stem_valency",
+            "piece-wrong-twice-surface-first", "piece-wrong-twice-kind-first"])
     def test_field_of_wrong_type_is_located(self, field, value, message):
         # next to a well-formed line: pünamün, IV.stick +CA +IND1SG
         _, line, _ = invoke(["analyse", "--format", "json-lines", "--best"],
@@ -256,6 +266,8 @@ class TestClassify:
             bad[field] = value
         elif field == "trace":
             bad["trace"][0] = value            # the root's step
+        elif field == "pieces":
+            bad["pieces"][0].update(value)     # the root's, in two places
         elif field in ("morph", "span", "surface", "gloss", "category",
                        "sense_context"):
             bad["pieces"][0][field] = value    # the root's

@@ -20,6 +20,15 @@ in the test.  After an intended output change, print the new digest with
 ``PYTHONPATH=src:tests python -c "import test_golden as t;
 print(t.wide_digest())"`` from the repository root and pin it.
 
+``generate`` is pinned the same way, by the sha256 of its stdout over
+4,000 lines built in the test: the 3,000 tuples of
+``sample_valid_tuples(Random(41), lexicon, 3000)`` as ``form:category``
+lines, then 1,000 invalid variants of them, each swapping two adjacent
+suffixes of different slots, whose ``ERROR`` lines carry their
+violation JSON.  After an intended output change, print the new digest
+with ``PYTHONPATH=src:tests python -c "import test_golden as t;
+print(t.generate_digest())"`` from the repository root and pin it.
+
 The morphotactic fold is pinned too: the sha256 of the violations
 (code, position, message) and traces ``validate_plan`` gives on 3,000
 plans from ``build_random_plan(Random(8))``, which reach every code.
@@ -123,6 +132,36 @@ def wide_digest():
 def test_analyse_json_lines_on_4000_generated_words():
     assert wide_digest() == (
         "4be262c5d3f2f22d592d60dacad811f872fafd897afd1dfea6b0e5fd5896b046")
+
+
+def generate_digest():
+    """The sha256 of ``generate`` over 3,000 valid tuples from
+    ``Random(41)`` and 1,000 invalid variants of them."""
+    lexicon, _ = tables(None, None)
+    rng = Random(41)
+    tuples = sample_valid_tuples(rng, lexicon, 3000)
+    lines = [f"{root.form}:{root.category}\t{sense.context}\t{' '.join(seq)}"
+             for root, sense, seq in tuples]
+    for root, sense, seq in tuples:
+        if len(lines) == 4000:
+            break
+        pairs = [i for i in range(len(seq) - 1)
+                 if lexicon.suffixes[seq[i]].slot
+                 != lexicon.suffixes[seq[i + 1]].slot]
+        if pairs:
+            i = rng.choice(pairs)
+            seq = seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2:]
+            lines.append(f"{root.form}:{root.category}\t{sense.context}\t"
+                         f"{' '.join(seq)}")
+    assert len(lines) == 4000
+    out = invoke(["generate"], "\n".join(lines) + "\n")
+    assert out.count("\tERROR\t[{") == 1000
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_generate_on_4000_tuples():
+    assert generate_digest() == (
+        "37c28eee83cee3a4bd52fee802072abce671c795c761ef39ad5a24dab38c35d4")
 
 
 def test_validate_plan_fold(lexicon):
