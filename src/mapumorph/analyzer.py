@@ -137,12 +137,19 @@ class Analysis:
 
     @classmethod
     def from_json(cls, data: dict) -> "Analysis":
-        """Inverse of :meth:`to_json`; a field of the wrong JSON type, a
-        span that is not a list of two ints, or a trace step that is not a
-        [morph, state] pair of strings with state IV, TV or TV2, raises
-        TypeError."""
+        """Inverse of :meth:`to_json`; an analysis or piece that is no JSON
+        object, pieces that are no list, a field of the wrong JSON type, a
+        span that is not a list of two ints, a trace that is no list, or a
+        trace step that is not a [morph, state] pair of strings with state
+        IV, TV or TV2, raises TypeError.  Each piece is checked in full
+        before it is built, and equal pieces are shared: one immutable
+        :class:`AnalysisPiece` stands for each distinct piece among the
+        last few thousand decoded."""
+        if type(data) is not dict:
+            raise TypeError("analysis must be a JSON object, not "
+                            f"{type(data).__name__}")
         pieces = []
-        for p in data["pieces"]:
+        for p in json_objects(data["pieces"], "pieces"):
             values = surface, gloss, category, context, effect, slot, fused = (
                 p.get("surface", ""), p.get("gloss"), p.get("category"),
                 p.get("sense_context"), p.get("effect"), p.get("slot"),
@@ -155,15 +162,41 @@ class Analysis:
                     and type(slot) in _INT_OR_NULL and type(fused) is bool):
                 for (name, types), value in zip(_PIECE_FIELDS, values):
                     _typed(name, value, types)
-            pieces.append(AnalysisPiece(
+            pieces.append(_shared_piece(
                 *_span(p["span"]), _text(p, "kind"), _text(p, "morph"),
                 surface, _tags(p.get("tags", [])), gloss, category, context,
                 effect, slot, fused))
-        trace = tuple(_trace_step(step) for step in data.get("trace", ()))
+        trace = data.get("trace", [])
+        if type(trace) is not list:
+            raise TypeError("trace must be a list, not "
+                            f"{type(trace).__name__}")
+        trace = tuple(_trace_step(step) for step in trace)
         stem_valency, source = data.get("stem_valency"), data.get("source")
         _typed("stem_valency", stem_valency, _STR_OR_NULL)
         return cls(_text(data, "word"), tuple(pieces), trace, stem_valency,
                    None if source is None else _text(data, "source"))
+
+
+# Decoded pieces repeat: a 1,000-line corpus holds about five thousand
+# pieces but only a few hundred distinct ones.  Every field is checked
+# for its exact JSON type before the call, so equal arguments here are
+# equal pieces, and a bool never stands in for an int.
+_PIECE_CACHE_SIZE = 4096
+_shared_piece = functools.lru_cache(maxsize=_PIECE_CACHE_SIZE)(AnalysisPiece)
+
+
+def json_objects(value, name: str):
+    """The items of the list *value*, each checked to be a JSON object
+    when it is reached: TypeError if *value* is no list or an item is no
+    object."""
+    if type(value) is not list:
+        raise TypeError(f"{name} must be a list of objects, not "
+                        f"{type(value).__name__}")
+    for item in value:
+        if type(item) is not dict:
+            raise TypeError(f"{name} must be a list of objects, not a list "
+                            f"holding {type(item).__name__}")
+        yield item
 
 
 # the JSON types a piece's fields after its morph may take, exactly: a

@@ -9,13 +9,15 @@ runs on identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import unicodedata
 
 from . import defaults
 from .alphabet import AlphabetError
-from .analyzer import Analysis, GenerationError, analyse, generate, gloss_render
+from .analyzer import (Analysis, GenerationError, analyse, generate,
+                       gloss_render, json_objects)
 from .classifier import classify_corpus, render_table
 from .lexicon import LexiconError, load_lexicon, validate_lexicon
 from .phonology import load_rules
@@ -60,6 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=1,
                    help="diagnostic hits needed per class (>= 1)")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`run` reads every command line with, built once."""
+    return build_parser()
 
 
 def _load_tables(args, strict=True):
@@ -183,8 +191,9 @@ def _cmd_classify(args, stdin, stdout, stderr) -> int:
             continue
         try:
             data = json.loads(line)
-            if "analyses" in data:  # output of `analyse --format json-lines`
-                for item in data["analyses"]:
+            # output of `analyse --format json-lines`
+            if type(data) is dict and "analyses" in data:
+                for item in json_objects(data["analyses"], "analyses"):
                     item.setdefault("source", data.get("source"))
                     corpus.append(Analysis.from_json(item))
             else:
@@ -208,9 +217,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     handlers = {

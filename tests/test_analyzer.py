@@ -9,7 +9,7 @@ import pytest
 from mapumorph import analyzer, morphotactics, phonology
 from mapumorph.alphabet import (DIGRAPHS, SINGLE_LETTERS, AlphabetError,
                                 final_segment)
-from mapumorph.analyzer import (GenerationError, analyse, generate,
+from mapumorph.analyzer import (Analysis, GenerationError, analyse, generate,
                                 gloss_render, gloss_set, normalize_gloss)
 from mapumorph.defaults import data_path
 from mapumorph.lexicon import Lexicon, RootEntry, Sense, validate_lexicon
@@ -889,6 +889,45 @@ class TestRoundTrip:
             word = generate(root, sense.context, seq, lexicon)
             assert any(a.matches(root.form, sense.context, seq)
                        for a in analyse(word, lexicon)), (root.form, seq, word)
+
+
+class TestFromJson:
+    # a well-formed piece whose slot and span start are 1 and whose
+    # fused_with_prev is false, so that a bool in their place is equal,
+    # and hashes equal, to the field it replaces
+    PIECE = {"span": [1, 6], "kind": "suffix", "morph": "CA.m",
+             "surface": "m", "tags": ["CA"], "gloss": None,
+             "category": None, "sense_context": None, "effect": "increase",
+             "slot": 1, "fused_with_prev": False}
+
+    def decode(self, **changes):
+        piece = dict(self.PIECE, **changes)
+        return Analysis.from_json({"word": "pünamün", "pieces": [piece],
+                                   "trace": [["CA.m", "TV"]]})
+
+    def test_equal_pieces_are_shared(self):
+        first, second = self.decode(), self.decode()
+        assert first == second and first.pieces[0] is second.pieces[0]
+        assert self.decode(slot=2).pieces[0].slot == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("slot", True, "slot must be an int or null, not bool"),
+        ("fused_with_prev", 0, "fused_with_prev must be a bool, not int"),
+        ("span", [True, 6], "span must be a list of two ints, not [True, 6]"),
+    ])
+    def test_a_cached_equal_piece_does_not_skip_a_check(self, field, value,
+                                                        message):
+        self.decode()
+        misses = analyzer._shared_piece.cache_info().misses
+        with pytest.raises(TypeError) as err:
+            self.decode(**{field: value})
+        assert str(err.value) == message
+        assert analyzer._shared_piece.cache_info().misses == misses
+
+    def test_golden_analyses_round_trip(self, lexicon):
+        for word in GOLDEN_WORDS:
+            for a in analyse(word, lexicon):
+                assert Analysis.from_json(a.to_json()) == a, word
 
 
 class TestGlossRender:

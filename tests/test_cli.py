@@ -278,6 +278,36 @@ class TestClassify:
         assert err == f"<stdin>:2: malformed analysis: {message}\n"
 
 
+    @pytest.mark.parametrize("line, message", [
+        ("5", "analysis must be a JSON object, not int"),
+        ('["x"]', "analysis must be a JSON object, not list"),
+        ('{"analyses": 5}', "analyses must be a list of objects, not int"),
+        ('{"analyses": [5]}',
+         "analyses must be a list of objects, not a list holding int"),
+        ('{"word": "x", "pieces": {"a": 1}}',
+         "pieces must be a list of objects, not dict"),
+        ('{"word": "x", "pieces": [null]}',
+         "pieces must be a list of objects, not a list holding NoneType"),
+        ('{"word": "x", "pieces": [{"span": "ab"}, 5]}',
+         "span must be a list of two ints, not 'ab'"),
+        ('{"word": "x", "pieces": [], "trace": "ab"}',
+         "trace must be a list, not str"),
+    ], ids=["bare-int", "bare-list", "analyses-int", "analyses-of-int",
+            "pieces-dict", "pieces-of-null", "piece-checked-before-next",
+            "trace-str"])
+    def test_json_of_wrong_shape_is_located(self, line, message):
+        _, good, _ = invoke(["analyse", "--format", "json-lines"],
+                            "pünamün\n")
+        code, out, err = invoke(["classify"], good + line + "\n")
+        assert code == 1 and out == ""
+        assert err == f"<stdin>:2: malformed analysis: {message}\n"
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_slot_table_cross_check(tmp_path):
     bad = tmp_path / "slots.tsv"
     bad.write_text("CA.l\t12\n", encoding="utf-8")

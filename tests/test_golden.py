@@ -104,6 +104,18 @@ def test_classify(kona_json):
     assert invoke(["classify"], kona_json) == read("classify.tsv")
 
 
+def test_classify_counts_each_occurrence(kona_json):
+    # every analysis twice: the shared decoded pieces still count once per
+    # occurrence, so each hit count doubles and no verdict moves
+    doubled = [row.split("\t")
+               for row in invoke(["classify"], kona_json * 2).splitlines()]
+    rows = [row.split("\t") for row in read("classify.tsv").splitlines()]
+    assert doubled == [[root, label, str(2 * int(iv)), str(2 * int(tv)), disc]
+                       for root, label, iv, tv, disc in rows]
+    assert any(int(iv) and int(tv) == 0 for _, _, iv, tv, _ in rows)
+    assert any(int(tv) and int(iv) == 0 for _, _, iv, tv, _ in rows)
+
+
 def test_generate(lexicon):
     lines = read("generate.tsv").splitlines()
     assert lines[:100] == [
