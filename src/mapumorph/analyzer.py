@@ -467,8 +467,7 @@ class _Grammar:
         piece *pid* after piece *prev*, whose part *pending* ends a surface
         ending in *final*."""
         piece, finalized, part, new_final = extend_realization(
-            self.pieces[prev], pending, final, self.pieces[pid], self.rules,
-            self.lexicon)
+            self.pieces[prev], pending, final, self.pieces[pid], self.rules)
         entry = row[pid] = (self.piece_ids[piece], finalized, part, new_final,
                             self.rules.initials(piece, part) if part else None)
         return entry
@@ -518,6 +517,15 @@ class _Grammar:
         piece.  A path that spells the whole word, and whose fold passes
         the end checks, is built into its analysis only then, straight off
         its links.
+
+        A step that yields no analysis is dead, and a later step with its
+        key ``(position, pending part, last piece's identity, fold,
+        licensing state)`` is cut at once.  Nothing else decides what
+        follows: the final segment is read off the word, and the rules
+        read a piece by its identity alone, a suffix ``(id, None)`` by its
+        id and a root by its form and set category, never by the
+        allomorph that spells it.  So two spellings of one suffix lead on
+        alike, and the cut loses no analysis.
         """
         options, idents, licensing = self.options, self.idents, self.licensing
         realized, realize, width = self.realized, self._realize, self.width

@@ -86,14 +86,6 @@ class SuffixEntry:
     valency_effect: str
     attach_constraint: str
     allomorphs: tuple[Allomorph, ...]
-    # allomorphs_after's answers, by kind
-    _after: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_after", {
-            kind: tuple(a for a in self.allomorphs
-                        if kind is None or a.requires in ("any", kind))
-            for kind in (None, "V", "C")})
 
     def surfaces(self) -> tuple[str, ...]:
         return tuple(a.surface for a in self.allomorphs)
@@ -101,7 +93,8 @@ class SuffixEntry:
     def allomorphs_after(self, kind: str | None) -> tuple[Allomorph, ...]:
         """Allomorphs usable after a vowel (*kind* "V") or a consonant
         ("C"), in listed order; all of them when nothing precedes (None)."""
-        return self._after[kind]
+        return tuple(a for a in self.allomorphs
+                     if kind is None or a.requires in ("any", kind))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,13 @@ Rules live in a TSV table (``id kind left right rewrite exceptions``):
 * ``right``: same pattern language for the piece after the boundary.
 * ``rewrite``: ``&``-joined ops among ``left:append:X``, ``left:final:X``,
   ``right:prefix:X``, ``right:set:X`` and ``fuse:X`` (fusion rules
-  only); ``-`` for none.
+  only); ``-`` for none.  Each target ``X`` is empty or alphabet text.
 * ``exceptions``: comma list of lexemes (``form`` or ``form:category``)
   that never undergo the rule; ``-`` for none.
+
+A rule reads a piece by its identity alone, never by the allomorph that
+spells a suffix: ``suffix:ID`` matches a suffix piece by its id, a lexeme
+pattern or exception a root piece by its form (and category).
 
 Each line is parsed once, at load, straight into the compiled
 :class:`BoundaryRule`; a malformed line fails there with its file and
@@ -98,38 +102,27 @@ def _compile_pattern(text: str) -> tuple:
 
 def _may_be(pattern: tuple, piece: Piece) -> bool:
     """Whether *pattern* can match *piece* by the piece's identity alone:
-    a suffix pattern its suffix id (any id when the suffix piece has
-    none), a lexeme pattern its form and category.  Other patterns test
-    segments, so they pass here."""
+    a suffix pattern a suffix piece with its id, a lexeme pattern a root
+    piece with its form and category.  Other patterns test segments, so
+    they pass here."""
     kind, arg, category = pattern
     if kind == _SUFFIX:
-        if piece.suffix_id is None:
-            return piece.kind == "suffix"
-        return piece.suffix_id == arg
+        return not piece.is_root and piece.suffix_id == arg
     if kind == _LEXEME:
-        return piece.form == arg and (category is None
-                                      or piece.category == category)
+        return piece.is_root and piece.form == arg and (
+            category is None or piece.category == category)
     return True
 
 
-def _matches(pattern: tuple, piece: Piece, final: str,
-             lexicon: Lexicon | None) -> bool:
+def _matches(pattern: tuple, piece: Piece, final: str) -> bool:
     """Match a compiled pattern against a piece.
 
     ``final`` is the final segment of the surface realised so far ("" when
     nothing is), which V/C and segment-literal patterns test.
     """
     kind, arg, _ = pattern
-    if kind == _ANY:
-        return True
-    if kind in (_LEXEME, _SUFFIX):
-        if not _may_be(pattern, piece):
-            return False
-        if kind == _LEXEME or piece.suffix_id is not None:
-            return True
-        # a suffix piece without an id: its surface decides
-        entry = lexicon.suffixes.get(arg) if lexicon is not None else None
-        return entry is not None and piece.form in entry.surfaces()
+    if kind in (_ANY, _LEXEME, _SUFFIX):
+        return _may_be(pattern, piece)
     if not final:
         return False
     if kind == _VOWEL:
@@ -158,8 +151,8 @@ def _may_match_left(pattern: tuple, piece: Piece, surface: str) -> bool:
 @dataclass(frozen=True, slots=True)
 class BoundaryRule:
     """One rule as parsed: compiled patterns, its exceptions as bare
-    forms and (form, category) pairs, and the target of each rewrite op
-    (None when the rule has no such op)."""
+    root forms and (form, category) pairs, and the target of each
+    rewrite op (None when the rule has no such op)."""
 
     id: str
     left: tuple
@@ -173,8 +166,10 @@ class BoundaryRule:
     right_prefix: str | None = None
 
     def excepts(self, piece: Piece) -> bool:
-        return (piece.form in self.except_forms
-                or (piece.form, piece.category) in self.except_lexemes)
+        """Whether *piece* is a root the rule names as an exception."""
+        return piece.is_root and (
+            piece.form in self.except_forms
+            or (piece.form, piece.category) in self.except_lexemes)
 
 
 def parse_rule_line(line: str) -> BoundaryRule:
@@ -197,7 +192,11 @@ def parse_rule_line(line: str) -> BoundaryRule:
         if _REWRITES[prefix] in targets:
             raise PhonologyError(f"second {prefix!r} op {op!r}; a rule "
                                  "has at most one of each")
-        targets[_REWRITES[prefix]] = op[len(prefix):]
+        target = op[len(prefix):]
+        if not alphabet.is_valid(target):
+            raise PhonologyError(f"target {target!r} of {op!r} is outside "
+                                 "the alphabet")
+        targets[_REWRITES[prefix]] = target
     exc = [e for e in (e.strip() for e in exceptions.split(","))
            if e not in ("", "-")]
     return BoundaryRule(
@@ -221,14 +220,14 @@ def load_rules(path: str | Path) -> RuleTable:
 
 
 class RuleTable:
-    """A rule table, in table order, with its lookups memoised.
+    """A rule table, in table order.
 
     The candidates for a boundary are the rules whose right pattern can
     match the identity of the piece after it, in table order, and the
-    first one whose exceptions and patterns all pass fires.  Per-piece
-    answers depend only on the table and the piece's value, so they are
-    memoised by value; what is built from the table and a lexicon is kept
-    for the most recent lexicon object (:meth:`for_lexicon`).
+    first one whose exceptions and patterns all pass fires.  A part's
+    :meth:`initials` are memoised; what is built from the table and a
+    lexicon is kept for the most recent lexicon object
+    (:meth:`for_lexicon`).
     """
 
     def __init__(self, rules: tuple[BoundaryRule, ...] = ()):
@@ -237,8 +236,9 @@ class RuleTable:
         self._left_rewriters = [rule for rule in self.rules
                                 if rule.fuse is not None
                                 or rule.left_final is not None]
-        # memos, keyed by the piece fields the answers depend on
-        self._candidates: dict[tuple, tuple] = {}
+        # initials by the piece fields and the part they depend on; the
+        # memo also shares the sets: 16,000 words fill 10,201 realization
+        # entries holding 149 sets for 19 values, not 9,981 (about 2.1 MB)
         self._initials: dict[tuple, frozenset | None] = {}
         # (lexicon, what for_lexicon built for it), the latest lexicon's
         self._built: tuple | None = None
@@ -284,12 +284,8 @@ class RuleTable:
     def candidates(self, piece: Piece) -> tuple[BoundaryRule, ...]:
         """Rules that may fire with *piece* right of the boundary, in
         table order."""
-        key = (piece.kind, piece.suffix_id, piece.form, piece.category)
-        found = self._candidates.get(key)
-        if found is None:
-            found = self._candidates[key] = tuple(
-                rule for rule in self.rules if _may_be(rule.right, piece))
-        return found
+        return tuple(rule for rule in self.rules
+                     if _may_be(rule.right, piece))
 
     def initials(self, piece: Piece, surface: str) -> frozenset[str] | None:
         """First characters the part *surface* (non-empty) of *piece* can
@@ -330,12 +326,14 @@ class RuleTable:
         return frozenset(chars)
 
 
-def normalize_piece(item, first: bool, lexicon: Lexicon | None) -> Piece:
+def normalize_piece(item, first: bool, lexicon: Lexicon) -> Piece:
     """Coerce a str / (form, category) / Piece into a Piece.
 
-    Bare strings after the first position resolve to a suffix when they
-    match some suffix allomorph surface, otherwise to a root (compound
-    member).  ``ø`` and ``0`` denote zero-surface pieces.
+    A bare string in the first position is a root.  After it, a string
+    that spells some suffix allomorph is a suffix piece of the smallest
+    such suffix id; otherwise one that is some root's form is a root
+    (compound member); otherwise it is a suffix piece without an id,
+    which no ``suffix:ID`` pattern matches.
     """
     if isinstance(item, Piece):
         return item
@@ -343,19 +341,14 @@ def normalize_piece(item, first: bool, lexicon: Lexicon | None) -> Piece:
         form, category = item
         return Piece(form, "root", category=category)
     form = str(item)
-    if form in ("ø", "0"):
-        return Piece("", "suffix")
     if first:
         return Piece(form, "root")
-    if lexicon is not None and lexicon.suffixes:
-        owners = sorted(sid for sid, entry in lexicon.suffixes.items()
-                        if form in entry.surfaces())
-        if owners:
-            preferred = "CA.m" if "CA.m" in owners else owners[0]
-            return Piece(form, "suffix", suffix_id=preferred)
-        if any(r.form == form for r in lexicon.roots.values()):
-            return Piece(form, "root")
-    return Piece(form, "suffix")
+    owners = [sid for sid, entry in lexicon.suffixes.items()
+              if form in entry.surfaces()]
+    if owners:
+        return Piece(form, "suffix", suffix_id=min(owners))
+    return Piece(form, "root" if any(r.form == form for r in
+                                     lexicon.roots.values()) else "suffix")
 
 
 def select_allomorph(suffix: SuffixEntry, stem_final: str) -> str:
@@ -399,7 +392,7 @@ def realize(seq, lexicon: Lexicon | None = None,
                 final = alphabet.final_segment(surface) if surface else ""
             else:
                 piece, finalized, part, final = extend_realization(
-                    prev, pending, final, piece, rules, lexicon)
+                    prev, pending, final, piece, rules)
                 surface = surface[:len(surface) - len(pending)] \
                     + finalized + part
                 pending = part
@@ -412,11 +405,13 @@ def realize(seq, lexicon: Lexicon | None = None,
 
 
 def extend_realization(prev: Piece, pending: str, final: str, piece: Piece,
-                       rules: RuleTable, lexicon: Lexicon | None) -> tuple:
+                       rules: RuleTable) -> tuple:
     """The boundary step: *piece* placed after *prev*, whose part
     *pending* ends a surface whose final segment is *final*, with at most
     one rule applied at the boundary.  The one step that :func:`realize`,
-    generation and the analyser's search all take.
+    generation and the analyser's search all take.  It reads the two
+    pieces by their identity alone (kind, and suffix id or root form and
+    category), never by the allomorph that spells a suffix.
 
     Returns ``(piece as placed, finalized pending part, new part, new
     final segment)``.  While the rule appends to the pending part (or no
@@ -432,8 +427,8 @@ def extend_realization(prev: Piece, pending: str, final: str, piece: Piece,
     for rule in rules.candidates(piece):
         if rule.excepts(prev) or rule.excepts(piece):
             continue
-        if not (_matches(rule.left, prev, final, lexicon)
-                and _matches(rule.right, piece, final, lexicon)):
+        if not (_matches(rule.left, prev, final)
+                and _matches(rule.right, piece, final)):
             continue
         if rule.left_final is not None and not pending:
             continue  # no final segment to rewrite

@@ -165,7 +165,7 @@ def surface_licensing_ok(shaped: list[tuple[tuple[str, ...], str]]) -> bool:
     return True
 
 
-def _all_realizations(items, lexicon, rules):
+def _all_realizations(items, rules):
     """Every surface an item sequence can take over allomorph choices,
     each boundary taken by the boundary step with the final segment read
     off the surface so far."""
@@ -189,7 +189,7 @@ def _all_realizations(items, lexicon, rules):
         head = surface[:len(surface) - len(pending)]
         for piece in pieces:
             piece, finalized, part, _ = extend_realization(
-                prev, pending, final, piece, rules, lexicon)
+                prev, pending, final, piece, rules)
             walk(piece, head + finalized + part, part, index + 1,
                  shaped + [(tags, part)])
 
@@ -247,7 +247,7 @@ def oracle_map(lexicon: Lexicon, rules, max_pieces: int = 6) -> dict[str, set]:
             if validate_plan(items, lexicon):
                 continue
             key = sequence_key(items)
-            for surface in _all_realizations(items, lexicon, rules):
+            for surface in _all_realizations(items, rules):
                 surface_to_keys.setdefault(surface, set()).add(key)
     return surface_to_keys
 

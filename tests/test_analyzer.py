@@ -425,6 +425,21 @@ def test_every_path_built_is_an_analysis(warm, lexicon, monkeypatch):
     assert len(built) == found
 
 
+def test_pieces_of_one_identity_are_read_alike_by_every_rule(lexicon, rules):
+    """The search's dead-state key holds the last piece's identity, not
+    the piece, so every rule must read two pieces of one identity (two
+    spellings of a suffix, a piece and its fused variant) alike."""
+    grammar = analyzer._Grammar(lexicon, rules)
+    readings = {}
+    for ident, piece in zip(grammar.idents, grammar.pieces):
+        assert (ident[1] is None) != piece.is_root, piece
+        readings.setdefault(ident, set()).add(tuple(
+            (rule.excepts(piece), phonology._may_be(rule.left, piece),
+             phonology._may_be(rule.right, piece)) for rule in rules.rules))
+    assert len(readings) < len(grammar.pieces)
+    assert not [ident for ident, seen in readings.items() if len(seen) > 1]
+
+
 class TestTransitionTable:
     """The grammar's morphotactic transition table, compiled with the
     grammar."""
@@ -553,7 +568,7 @@ class TestTransitionTable:
             == len(grammar.idents) == len(grammar.licensing)
         assert all(grammar.piece_ids[piece] == pid
                    for pid, piece in enumerate(grammar.pieces))
-        entries, _, _ = check_entries(rules, grammar, lexicon)
+        entries, _, _ = check_entries(rules, grammar)
         assert entries > 3000, entries
 
 
@@ -591,7 +606,7 @@ def rewriting_path(tmp_path_factory):
     return path
 
 
-def check_entries(rules, grammar, lexicon):
+def check_entries(rules, grammar):
     """Check every filled realization entry against one direct boundary
     step, and its final segment, where it has one, against the whole
     surface after each head of the key's final segment.  Returns
@@ -609,7 +624,7 @@ def check_entries(rules, grammar, lexicon):
                 continue
             entries += 1
             piece, finalized, part, new_final = extend_realization(
-                pieces[prev], pending, final, pieces[pid], rules, lexicon)
+                pieces[prev], pending, final, pieces[pid], rules)
             assert entry == (
                 grammar.piece_ids[piece], finalized, part, new_final,
                 rules.initials(piece, part) if part else None), (
@@ -626,7 +641,7 @@ def check_entries(rules, grammar, lexicon):
     return entries, checked, head_bound
 
 
-def check_initials(rules, grammar, lexicon):
+def check_initials(rules, grammar):
     """Collect each (piece, pending part, final segment) that a filled
     realization entry leads to, with the part's initials, taking the
     finals after each head of the key's final segment where the entry has
@@ -650,8 +665,8 @@ def check_initials(rules, grammar, lexicon):
         for (new, part, final), initials in triples.items()
         for pid in range(grammar.width)
         if initials is not None and extend_realization(
-            pieces[new], part, final, pieces[pid], rules,
-            lexicon)[1][:1] not in initials]
+            pieces[new], part, final, pieces[pid],
+            rules)[1][:1] not in initials]
 
 
 class TestRealizationTable:
@@ -659,11 +674,11 @@ class TestRealizationTable:
     grammar of its own."""
 
     def test_every_filled_entry_holds_whatever_precedes_the_pending_part(
-            self, warm, lexicon):
+            self, warm):
         # The key leaves out the surface before the pending part and keeps
         # only the final segment, which may reach back into it.  Each
         # entry must be what the rules give after any head of that final.
-        entries, checked, _ = check_entries(*warm, lexicon)
+        entries, checked, _ = check_entries(*warm)
         assert entries > 3000 and checked > 50_000, (entries, checked)
 
     def test_rewriting_rules_leave_the_final_segment_to_the_word(
@@ -672,7 +687,7 @@ class TestRealizationTable:
         for word in GOLDEN_WORDS:
             analyse(word, lexicon, rules)
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
-        entries, _, head_bound = check_entries(rules, grammar, lexicon)
+        entries, _, head_bound = check_entries(rules, grammar)
         assert entries > 3000 and head_bound, (entries, head_bound)
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
@@ -700,7 +715,7 @@ class TestRealizationTable:
             analyse(word, lexicon, rewriting)
         for rules, grammar in (warm, (rewriting, rewriting.for_lexicon(
                 lexicon, analyzer._Grammar))):
-            triples, violations = check_initials(rules, grammar, lexicon)
+            triples, violations = check_initials(rules, grammar)
             assert not violations, violations[:5]
             assert triples > 100, triples
 

@@ -137,6 +137,18 @@ class TestGenerate:
             "\"ambiguous root 'kura'; pass form:category\"",
             "kura:noun\tIV\tCA.m IND1SG.n\tkuramün"]
 
+    def test_a_rule_target_outside_the_alphabet_fails_at_load(self,
+                                                              tmp_path):
+        # the surface küpahmün could never be analysed back
+        path = tmp_path / "rules.tsv"
+        path.write_text("x\tprothesis\tV\tsuffix:CA.m\tright:prefix:h\t-\n"
+                        + data_path("rules.tsv").read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        code, out, err = invoke(["generate", "--rules", str(path)],
+                                "küpa\tIV\tCA.m IND1SG.n\n")
+        assert (code, out) == (1, "")
+        assert f"{path}:1: target 'h' of 'right:prefix:h'" in err
+
     def test_an_empty_first_column_is_kept(self):
         code, out, err = invoke(["generate"], "\tIV\tIND1SG.n\r\n")
         assert code == 0

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from mapumorph.analyzer import analyse, generate
+from mapumorph.defaults import data_path
 from mapumorph.phonology import (PhonologyError, Piece, load_rules, realize,
                                  select_allomorph)
 
@@ -53,6 +54,36 @@ class TestRealize:
                         fu, fi, "n"], lexicon, rules) == "yewekefwin"
         assert realize(["aye", "nie", "a", fu, e, "y", "u"],
                        lexicon, rules) == "ayenieafeyu"
+
+    def test_suffix_patterns_read_suffix_ids_only(self, lexicon, rules):
+        # f-sandhi and ng-prothesis name CA.m; a suffix piece without an
+        # id is not CA.m, whatever it spells, and NEG.la's la is not the
+        # lexeme la
+        assert realize(["af", Piece("üm", "suffix")], lexicon,
+                       rules) == "afüm"
+        assert realize(["küpa", Piece("la", "suffix", suffix_id="NEG.la"),
+                        Piece("üm", "suffix", suffix_id="CA.m")],
+                       lexicon, rules) == "küpalaüm"
+
+    def test_a_lexeme_pattern_reads_no_suffix_spelling(self, lexicon,
+                                                       tmp_path):
+        # CA.l's l, reset to el, and its el allomorph spell one surface;
+        # a rule on the lexeme l must not tell them apart, or the search,
+        # which keys its dead states on CA.l alone, loses the reading
+        table = one_table(
+            tmp_path, "x\tsandhi\tV\tsuffix:CA.l\tright:set:el\t-",
+            "y\tepenthesis\t=l\tany\tright:prefix:ng\t-",
+            *data_path("rules.tsv").read_text(encoding="utf-8").splitlines())
+        seq = ["küpa", Piece("el", "suffix", suffix_id="CA.l"),
+               Piece("ün", "suffix", suffix_id="IND1SG.n")]
+        assert realize(seq, lexicon, table) == "küpaelün"
+        assert any(a.matches("küpa", "IV", ["CA.l", "IND1SG.n"])
+                   for a in analyse("küpaelün", lexicon, table))
+
+    def test_an_unknown_string_is_located(self, lexicon, rules):
+        with pytest.raises(PhonologyError, match=r"^boundary 1: unknown "
+                           "character 'ø'"):
+            realize(["küpa", "ø", "n"], lexicon, rules)
 
     def test_determinism(self, lexicon, rules):
         seq = ["monge", "l", "ke"]
@@ -123,9 +154,17 @@ class TestRealize:
          "empty form or category in pattern '=:verb'"),
         ("g-sandhi\tsandhi\t=nag:\tsuffix:CA.m\tleft:final:k\t-",
          "empty form or category in pattern '=nag:'"),
+        ("x\tprothesis\tV\tsuffix:CA.m\tright:prefix:h\t-",
+         "target 'h' of 'right:prefix:h' is outside the alphabet"),
+        ("x\tsandhi\tV\tsuffix:CA.m\tright:set:ü m\t-",
+         "target 'ü m' of 'right:set:ü m' is outside the alphabet"),
+        ("x\tfusion\tsuffix:RI.fu\tsuffix:AGR.fi\tfuse:X\t-",
+         "target 'X' of 'fuse:X' is outside the alphabet"),
     ], ids=["unknown-op", "fuse-outside-fusion", "unknown-pattern",
             "repeated-op", "empty-suffix-id", "empty-form",
-            "empty-form-with-category", "empty-category"])
+            "empty-form-with-category", "empty-category",
+            "prefix-outside-alphabet", "set-outside-alphabet",
+            "fuse-outside-alphabet"])
     def test_malformed_rule_line_is_located(self, tmp_path, line, message):
         path = tmp_path / "rules.tsv"
         path.write_text(f"# f hardens\n{line}\n", encoding="utf-8")
