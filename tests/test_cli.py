@@ -263,12 +263,21 @@ class TestClassify:
          "surface must be a string, not int"),
         ("pieces", {"tags": "CA", "kind": 1},
          "kind must be a string, not int"),
+        ("pieces", {"tags": "CA", "morph": 7},
+         "morph must be a string, not int"),
+        ("tags", ["CA", 1], "tags must be a list of strings, not ['CA', 1]"),
+        ("span", [1, 2, 3],
+         "span must be a list of two ints, not [1, 2, 3]"),
+        ("trace", ["püna", "TV3"],
+         "trace step must be [morph, IV|TV|TV2], not ['püna', 'TV3']"),
     ], ids=["source", "morph", "tags", "trace-state-int",
             "trace-state-lowercase", "trace-step-of-three", "trace-step-str",
             "span-str", "span-of-non-ints", "surface", "gloss", "category",
             "sense_context", "effect", "slot-str", "slot-bool",
             "fused_with_prev-str", "fused_with_prev-int", "stem_valency",
-            "piece-wrong-twice-surface-first", "piece-wrong-twice-kind-first"])
+            "piece-wrong-twice-surface-first", "piece-wrong-twice-kind-first",
+            "piece-wrong-twice-morph-first", "tags-holding-int",
+            "span-of-three", "trace-state-unknown"])
     def test_field_of_wrong_type_is_located(self, field, value, message):
         # next to a well-formed line: pünamün, IV.stick +CA +IND1SG
         _, line, _ = invoke(["analyse", "--format", "json-lines", "--best"],
@@ -304,15 +313,29 @@ class TestClassify:
          "span must be a list of two ints, not 'ab'"),
         ('{"word": "x", "pieces": [], "trace": "ab"}',
          "trace must be a list, not str"),
+        ('{"word": "x", "pieces": [{"kind": "root", "morph": "x"}]}',
+         "analysis lacks 'span'"),
+        ('{"word": "x", "pieces": [{"span": "ab", "morph": "x"}]}',
+         "span must be a list of two ints, not 'ab'"),
+        ('{"word": "x", "pieces": [{"span": "ab"}], "trace": "ab"}',
+         "span must be a list of two ints, not 'ab'"),
+        ('{"word": "x", "pieces": [], "trace": [5], "stem_valency": 2}',
+         "trace step must be [morph, IV|TV|TV2], not 5"),
+        ('{"pieces": [], "stem_valency": 2}',
+         "stem_valency must be a string or null, not int"),
     ], ids=["bare-int", "bare-list", "analyses-int", "analyses-of-int",
             "pieces-dict", "pieces-of-null", "piece-checked-before-next",
-            "trace-str"])
+            "trace-str", "piece-without-span", "span-before-missing-kind",
+            "piece-before-trace", "trace-before-stem_valency",
+            "stem_valency-before-missing-word"])
     def test_json_of_wrong_shape_is_located(self, line, message):
         _, good, _ = invoke(["analyse", "--format", "json-lines"],
                             "pünamün\n")
         code, out, err = invoke(["classify"], good + line + "\n")
         assert code == 1 and out == ""
-        assert err == f"<stdin>:2: malformed analysis: {message}\n"
+        if not message.startswith("analysis lacks "):
+            message = f"malformed analysis: {message}"
+        assert err == f"<stdin>:2: {message}\n"
 
 
 def test_parser_is_built_once_per_process():

@@ -16,9 +16,14 @@ after an intended output change, from the repository root in bash:
 A wider ``analyse --format json-lines`` run is pinned by its sha256 alone:
 the words of ``sample_valid_tuples(Random(37), lexicon, 1000)`` and
 their probes ``w[:-1]``, ``w + "a"`` and ``w + "m"``, 4,000 words built
-in the test.  After an intended output change, print the new digest with
+in the test.  The same run, its lines split by thirds over the sources
+smeets, kona and augusta as ``--source`` would mark them, is fed to
+``classify``, whose output is pinned by its sha256 too.  After an
+intended output change, print the new digests with
 ``PYTHONPATH=src:tests python -c "import test_golden as t;
-print(t.wide_digest())"`` from the repository root and pin it.
+out = t.wide_json(); print(t.wide_digest(out));
+print(t.wide_classify_digest(out))"`` from the repository root and pin
+them.
 
 ``generate`` is pinned the same way, by the sha256 of its stdout over
 4,000 lines built in the test: the 3,000 tuples of
@@ -37,6 +42,7 @@ plans from ``build_random_plan(Random(8))``, which reach every code.
 import hashlib
 import io
 import itertools
+import json
 from random import Random
 
 import pytest
@@ -128,22 +134,92 @@ def test_generate(lexicon):
         == words[-400::4]
 
 
-def wide_digest():
-    """The sha256 of ``analyse --format json-lines`` over the words of
-    1,000 valid tuples from ``Random(37)`` and their near-miss probes."""
+def wide_words():
+    """The words of 1,000 valid tuples from ``Random(37)`` and their
+    near-miss probes."""
     lexicon, rules = tables(None, None)
     words = []
     for root, sense, seq in sample_valid_tuples(Random(37), lexicon, 1000):
         word = generate(root, sense.context, seq, lexicon, rules)
         words += [word, word[:-1], word + "a", word + "m"]
-    out = invoke(["analyse", "--format", "json-lines"],
-                 "\n".join(words) + "\n")
-    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+    return words
 
 
-def test_analyse_json_lines_on_4000_generated_words():
-    assert wide_digest() == (
+def wide_json():
+    """``analyse --format json-lines`` over :func:`wide_words`."""
+    return invoke(["analyse", "--format", "json-lines"],
+                  "\n".join(wide_words()) + "\n")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def wide_digest(out):
+    """The sha256 of :func:`wide_json`'s output *out*."""
+    return sha256(out)
+
+
+WIDE_SOURCES = ("smeets", "kona", "augusta")
+
+
+def with_sources(out):
+    """The lines of *out* split by thirds over :data:`WIDE_SOURCES`,
+    each payload and analysis marked as ``analyse --source`` marks them."""
+    lines = out.splitlines()
+    payloads = []
+    for i, line in enumerate(lines):
+        payload = json.loads(line)
+        payload["source"] = WIDE_SOURCES[3 * i // len(lines)]
+        for item in payload["analyses"]:
+            item["source"] = payload["source"]
+        payloads.append(payload)
+    return payloads
+
+
+def json_lines(objects):
+    return "".join(json.dumps(o, ensure_ascii=False, sort_keys=True) + "\n"
+                   for o in objects)
+
+
+def wide_classify_digest(out):
+    """The sha256 of ``classify`` over :func:`with_sources` of *out*."""
+    return sha256(invoke(["classify"], json_lines(with_sources(out))))
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return wide_json()
+
+
+def test_analyse_json_lines_on_4000_generated_words(wide):
+    assert wide_digest(wide) == (
         "4be262c5d3f2f22d592d60dacad811f872fafd897afd1dfea6b0e5fd5896b046")
+
+
+def test_classify_on_4000_generated_words_from_three_sources(wide):
+    assert wide_classify_digest(wide) == (
+        "95286bc39ead7ad45132a582144fead5abdd1075e4f1be549c15914ae74f291b")
+
+
+def test_wide_sources_are_marked_as_the_cli_marks_them(wide):
+    payloads = with_sources(wide)
+    for i in (0, len(payloads) // 2, -1):
+        argv = ["analyse", "--format", "json-lines",
+                "--source", payloads[i]["source"]]
+        assert invoke(argv, payloads[i]["word"] + "\n") \
+            == json_lines([payloads[i]])
+    assert [sum(p["source"] == s for p in payloads)
+            for s in WIDE_SOURCES] == [1334, 1333, 1333]
+
+
+def test_bare_analyses_classify_as_their_lines(wide):
+    # one analysis per line, the shape the benchmark feeds, gives the
+    # same table as the analyse output lines that hold them
+    payloads = with_sources(wide)
+    bare = json_lines(item for p in payloads for item in p["analyses"])
+    assert invoke(["classify"], bare) == invoke(["classify"],
+                                                json_lines(payloads))
 
 
 def generate_digest():
