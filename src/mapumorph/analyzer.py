@@ -137,52 +137,103 @@ class Analysis:
 
     @classmethod
     def from_json(cls, data: dict) -> "Analysis":
-        """Inverse of :meth:`to_json`; an analysis or piece that is no JSON
-        object, pieces that are no list, a field of the wrong JSON type, a
-        span that is not a list of two ints, a trace that is no list, or a
-        trace step that is not a [morph, state] pair of strings with state
-        IV, TV or TV2, raises TypeError.  Each piece is checked in full
-        before it is built, and equal pieces are shared: one immutable
-        :class:`AnalysisPiece` stands for each distinct piece among the
-        last few thousand decoded."""
+        """Inverse of :meth:`to_json`, in one pass that checks every field
+        for its exact JSON type before it is used: an analysis or piece
+        that is no JSON object, pieces that are no list, a field of the
+        wrong JSON type, a span that is not a list of two ints, a trace
+        that is no list, or a trace step that is not a [morph, state]
+        pair of strings with state IV, TV or TV2, raises TypeError, and a
+        missing required field KeyError.  The first fault is reported, in
+        this order: each piece's optional fields, span, kind, morph and
+        tags, piece by piece; then the trace, stem_valency, word and
+        source.  Equal pieces, and equal trace steps, are shared: one
+        immutable object stands for each distinct one among the last few
+        thousand decoded."""
         if type(data) is not dict:
             raise TypeError("analysis must be a JSON object, not "
                             f"{type(data).__name__}")
-        pieces = []
-        for p in json_objects(data["pieces"], "pieces"):
-            values = surface, gloss, category, context, effect, slot, fused = (
-                p.get("surface", ""), p.get("gloss"), p.get("category"),
-                p.get("sense_context"), p.get("effect"), p.get("slot"),
-                p.get("fused_with_prev", False))
-            # _PIECE_FIELDS, spelled out: this runs once per piece read
-            if not (type(surface) is str and type(gloss) in _STR_OR_NULL
-                    and type(category) in _STR_OR_NULL
-                    and type(context) in _STR_OR_NULL
-                    and type(effect) in _STR_OR_NULL
-                    and type(slot) in _INT_OR_NULL and type(fused) is bool):
-                for (name, types), value in zip(_PIECE_FIELDS, values):
-                    _typed(name, value, types)
+        items, pieces = data["pieces"], []
+        if type(items) is not list:
+            raise _not_objects("pieces", type(items).__name__)
+        for p in items:
+            if type(p) is not dict:
+                raise _not_objects("pieces",
+                                   f"a list holding {type(p).__name__}")
+            get = p.get
+            surface = get("surface", "")
+            if type(surface) is not str:
+                raise _mistyped("surface", "a string", surface)
+            gloss = get("gloss")
+            if gloss is not None and type(gloss) is not str:
+                raise _mistyped("gloss", "a string or null", gloss)
+            category = get("category")
+            if category is not None and type(category) is not str:
+                raise _mistyped("category", "a string or null", category)
+            context = get("sense_context")
+            if context is not None and type(context) is not str:
+                raise _mistyped("sense_context", "a string or null", context)
+            effect = get("effect")
+            if effect is not None and type(effect) is not str:
+                raise _mistyped("effect", "a string or null", effect)
+            slot = get("slot")
+            if slot is not None and type(slot) is not int:
+                raise _mistyped("slot", "an int or null", slot)
+            fused = get("fused_with_prev", False)
+            if type(fused) is not bool:
+                raise _mistyped("fused_with_prev", "a bool", fused)
+            span = p["span"]
+            if not (type(span) is list and len(span) == 2
+                    and type(span[0]) is int and type(span[1]) is int):
+                raise TypeError("span must be a list of two ints, not "
+                                f"{span!r}")
+            kind = p["kind"]
+            if type(kind) is not str:
+                raise _mistyped("kind", "a string", kind)
+            morph = p["morph"]
+            if type(morph) is not str:
+                raise _mistyped("morph", "a string", morph)
+            tags = get("tags", [])
+            if type(tags) is not list or not all(map(_is_str, tags)):
+                raise TypeError("tags must be a list of strings, not "
+                                f"{tags!r}")
             pieces.append(_shared_piece(
-                *_span(p["span"]), _text(p, "kind"), _text(p, "morph"),
-                surface, _tags(p.get("tags", [])), gloss, category, context,
-                effect, slot, fused))
+                span[0], span[1], kind, morph, surface, tuple(tags), gloss,
+                category, context, effect, slot, fused))
         trace = data.get("trace", [])
         if type(trace) is not list:
             raise TypeError("trace must be a list, not "
                             f"{type(trace).__name__}")
-        trace = tuple(_trace_step(step) for step in trace)
-        stem_valency, source = data.get("stem_valency"), data.get("source")
-        _typed("stem_valency", stem_valency, _STR_OR_NULL)
-        return cls(_text(data, "word"), tuple(pieces), trace, stem_valency,
-                   None if source is None else _text(data, "source"))
+        steps = []
+        for step in trace:
+            if not (type(step) is list and len(step) == 2
+                    and type(step[0]) is str and step[1] in _STATES):
+                raise TypeError("trace step must be [morph, IV|TV|TV2], "
+                                f"not {step!r}")
+            steps.append(_shared_step(*step))
+        stem_valency = data.get("stem_valency")
+        if stem_valency is not None and type(stem_valency) is not str:
+            raise _mistyped("stem_valency", "a string or null", stem_valency)
+        word = data["word"]
+        if type(word) is not str:
+            raise _mistyped("word", "a string", word)
+        source = data.get("source")
+        if source is not None and type(source) is not str:
+            raise _mistyped("source", "a string", source)
+        return cls(word, tuple(pieces), tuple(steps), stem_valency, source)
 
 
-# Decoded pieces repeat: a 1,000-line corpus holds about five thousand
-# pieces but only a few hundred distinct ones.  Every field is checked
-# for its exact JSON type before the call, so equal arguments here are
-# equal pieces, and a bool never stands in for an int.
+# Decoded pieces and trace steps repeat: a 1,000-line corpus holds about
+# five thousand pieces but only a few hundred distinct ones, and fewer
+# distinct steps.  Every field is checked for its exact JSON type before
+# the call, so equal arguments here are equal pieces or steps, and a bool
+# never stands in for an int.
 _PIECE_CACHE_SIZE = 4096
 _shared_piece = functools.lru_cache(maxsize=_PIECE_CACHE_SIZE)(AnalysisPiece)
+
+
+@functools.lru_cache(maxsize=1024)
+def _shared_step(morph: str, state: str) -> tuple[str, str]:
+    return morph, state
 
 
 def json_objects(value, name: str):
@@ -190,62 +241,26 @@ def json_objects(value, name: str):
     when it is reached: TypeError if *value* is no list or an item is no
     object."""
     if type(value) is not list:
-        raise TypeError(f"{name} must be a list of objects, not "
-                        f"{type(value).__name__}")
+        raise _not_objects(name, type(value).__name__)
     for item in value:
         if type(item) is not dict:
-            raise TypeError(f"{name} must be a list of objects, not a list "
-                            f"holding {type(item).__name__}")
+            raise _not_objects(name, f"a list holding {type(item).__name__}")
         yield item
 
 
-# the JSON types a piece's fields after its morph may take, exactly: a
-# bool is no int here
-_STR_OR_NULL, _INT_OR_NULL = (str, type(None)), (int, type(None))
-_PIECE_FIELDS = (("surface", (str,)), ("gloss", _STR_OR_NULL),
-                 ("category", _STR_OR_NULL), ("sense_context", _STR_OR_NULL),
-                 ("effect", _STR_OR_NULL), ("slot", _INT_OR_NULL),
-                 ("fused_with_prev", (bool,)))
-_TYPE_NAMES = {str: "a string", bool: "a bool", int: "an int",
-               type(None): "null"}
+def _not_objects(name: str, found: str) -> TypeError:
+    return TypeError(f"{name} must be a list of objects, not {found}")
 
 
-def _typed(name: str, value, types: tuple) -> None:
-    """Raise TypeError unless *value* has exactly one of *types*."""
-    if type(value) not in types:
-        raise TypeError(f"{name} must be "
-                        + " or ".join(_TYPE_NAMES[t] for t in types)
-                        + f", not {type(value).__name__}")
+_STATES = ("IV", "TV", "TV2")
+# isinstance(value, str) as one C call, for map; json.loads makes no str
+# subclass, so on decoded JSON this is the exact type
+_is_str = str.__instancecheck__
 
 
-def _text(data: dict, name: str) -> str:
-    value = data[name]
-    if not isinstance(value, str):
-        raise TypeError(f"{name} must be a string, not "
-                        f"{type(value).__name__}")
-    return value
-
-
-def _span(span) -> tuple[int, int]:
-    if not (isinstance(span, list) and len(span) == 2
-            and type(span[0]) is int and type(span[1]) is int):
-        raise TypeError(f"span must be a list of two ints, not {span!r}")
-    return span[0], span[1]
-
-
-def _trace_step(step) -> tuple[str, str]:
-    if not (isinstance(step, list) and len(step) == 2
-            and isinstance(step[0], str) and step[1] in ("IV", "TV", "TV2")):
-        raise TypeError("trace step must be [morph, IV|TV|TV2], not "
-                        f"{step!r}")
-    return step[0], step[1]
-
-
-def _tags(value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(t, str)
-                                              for t in value):
-        raise TypeError(f"tags must be a list of strings, not {value!r}")
-    return tuple(value)
+def _mistyped(name: str, expected: str, value) -> TypeError:
+    return TypeError(f"{name} must be {expected}, not "
+                     f"{type(value).__name__}")
 
 
 # a transition into a dead end, or one the search never reads

@@ -48,12 +48,18 @@ class Verdict:
     discrepancy: tuple[tuple[str, str], tuple[str, str]] | None = None
 
 
-def _analysis_hits(analysis: Analysis) -> tuple[bool, bool, bool, bool]:
-    """(iv, tv, kle, ke_tv) hit flags for one single-root analysis."""
-    iv_hit = tv_hit = decided = increased = False
+def _analysis_hits(analysis: Analysis,
+                   root: str) -> tuple[bool, bool, bool, bool] | None:
+    """(iv, tv, kle, ke_tv) hit flags for an analysis whose only root
+    piece is *root*; None for any other analysis."""
+    iv_hit = tv_hit = decided = increased = rooted = False
     agreement = stative = habitual = False
     for i, piece in enumerate(analysis.pieces):
         if piece.kind != "suffix":
+            if piece.kind == "root":
+                if rooted or piece.morph != root:
+                    return None
+                rooted = True
             continue
         if i == 1 and "CA" in piece.tags:
             state_at_root = analysis.trace[0][1] if analysis.trace else "IV"
@@ -66,6 +72,8 @@ def _analysis_hits(analysis: Analysis) -> tuple[bool, bool, bool, bool]:
             increased = True
         stative = stative or "ST" in piece.tags
         habitual = habitual or "HAB" in piece.tags
+    if not rooted:
+        return None
     return (iv_hit, tv_hit, stative, agreement and habitual)
 
 
@@ -77,10 +85,10 @@ def collect_evidence(root: str, corpus: list[Analysis]) -> Evidence:
     """
     evidence = Evidence(root)
     for analysis in corpus:
-        roots = analysis.root_pieces
-        if len(roots) != 1 or roots[0].morph != root:
+        hits = _analysis_hits(analysis, root)
+        if hits is None:
             continue
-        iv_hit, tv_hit, kle_hit, ke_tv_hit = _analysis_hits(analysis)
+        iv_hit, tv_hit, kle_hit, ke_tv_hit = hits
         evidence.iv_hits += int(iv_hit)
         evidence.tv_hits += int(tv_hit)
         evidence.kle_hits += int(kle_hit)

@@ -183,6 +183,8 @@ def _cmd_validate(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_classify(args, stdin, stdout, stderr) -> int:
+    if args.threshold < 1:  # refused before any input is read
+        raise ValueError("threshold must be >= 1")
     lexicon, _ = _load_tables(args)
     corpus = []
     for lineno, raw in enumerate(stdin, 1):

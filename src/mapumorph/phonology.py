@@ -14,6 +14,11 @@ Rules live in a TSV table (``id kind left right rewrite exceptions``):
 * ``exceptions``: comma list of lexemes (``form`` or ``form:category``)
   that never undergo the rule; ``-`` for none.
 
+A lexeme's form, in a pattern or an exception, is alphabet text and its
+category one of the lexicon's categories; a ``suffix:ID`` pattern is not
+checked against a suffix inventory here, since one table serves any
+lexicon.
+
 A rule reads a piece by its identity alone, never by the allomorph that
 spells a suffix: ``suffix:ID`` matches a suffix piece by its id, a lexeme
 pattern or exception a root piece by its form (and category).
@@ -39,7 +44,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import alphabet
-from .lexicon import Lexicon, SuffixEntry
+from .lexicon import CATEGORIES, Lexicon, SuffixEntry
 
 RULE_KINDS = ("prothesis", "sandhi", "epenthesis", "fusion")
 
@@ -83,10 +88,7 @@ def _compile_pattern(text: str) -> tuple:
     if text in ("", "-", "any"):
         return (_ANY, None, None)
     if text.startswith("="):
-        form, colon, category = text[1:].partition(":")
-        if not form or (colon and not category):
-            raise PhonologyError(f"empty form or category in pattern {text!r}")
-        return (_LEXEME, form, category if colon else None)
+        return (_LEXEME, *_lexeme(text[1:], f"pattern {text!r}"))
     if text.startswith("suffix:"):
         if text == "suffix:":
             raise PhonologyError(f"empty suffix id in pattern {text!r}")
@@ -98,6 +100,22 @@ def _compile_pattern(text: str) -> tuple:
     if alphabet.is_valid(text) and len(alphabet.segments(text)) == 1:
         return (_SEGMENT, text, None)
     raise PhonologyError(f"unknown pattern {text!r}")
+
+
+def _lexeme(text: str, where: str) -> tuple[str, str | None]:
+    """(form, category or None) of the lexeme ``form`` or
+    ``form:category``: PhonologyError unless the form is alphabet text
+    and the category one of :data:`lexicon.CATEGORIES`, since a lexeme
+    that no root can be would never match."""
+    form, colon, category = text.partition(":")
+    if not form or (colon and not category):
+        raise PhonologyError(f"empty form or category in {where}")
+    if not alphabet.is_valid(form):
+        raise PhonologyError(f"form {form!r} in {where} is outside the "
+                             "alphabet")
+    if colon and category not in CATEGORIES:
+        raise PhonologyError(f"unknown category {category!r} in {where}")
+    return form, category if colon else None
 
 
 def _may_be(pattern: tuple, piece: Piece) -> bool:
@@ -197,12 +215,14 @@ def parse_rule_line(line: str) -> BoundaryRule:
             raise PhonologyError(f"target {target!r} of {op!r} is outside "
                                  "the alphabet")
         targets[_REWRITES[prefix]] = target
-    exc = [e for e in (e.strip() for e in exceptions.split(","))
+    left, right = _compile_pattern(left), _compile_pattern(right)
+    exc = [_lexeme(e, f"exception {e!r}")
+           for e in (e.strip() for e in exceptions.split(","))
            if e not in ("", "-")]
     return BoundaryRule(
-        rid, _compile_pattern(left), _compile_pattern(right),
-        frozenset(e for e in exc if ":" not in e),
-        frozenset(tuple(e.split(":", 1)) for e in exc if ":" in e),
+        rid, left, right,
+        frozenset(form for form, category in exc if category is None),
+        frozenset(lexeme for lexeme in exc if lexeme[1] is not None),
         **targets)
 
 

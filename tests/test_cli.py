@@ -149,6 +149,20 @@ class TestGenerate:
         assert (code, out) == (1, "")
         assert f"{path}:1: target 'h' of 'right:prefix:h'" in err
 
+    def test_a_lexeme_no_root_can_be_fails_at_load(self, tmp_path):
+        # a typo in a form or category would silently disable the rule:
+        # küpamün would be printed with exit 0
+        path = tmp_path / "rules.tsv"
+        path.write_text("x\tsandhi\t=Küpa\tsuffix:CA.m\tleft:final:e\t"
+                        "Küpa,la:Verb\n"
+                        + data_path("rules.tsv").read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        code, out, err = invoke(["generate", "--rules", str(path)],
+                                "küpa\tIV\tCA.m IND1SG.n\n")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}:1: form 'Küpa' in pattern '=Küpa' "
+                       "is outside the alphabet\n")
+
     def test_an_empty_first_column_is_kept(self):
         code, out, err = invoke(["generate"], "\tIV\tIND1SG.n\r\n")
         assert code == 0
@@ -193,8 +207,9 @@ class TestClassify:
         rows = dict(line.split("\t")[:2] for line in out.splitlines())
         # a single attestation no longer counts at threshold 2
         assert rows["maychü"] == "undetermined"
-        # a threshold below 1 is refused on empty input too
-        for text in (lines, ""):
+        # a threshold below 1 is refused before any input is read: on
+        # empty input too, and ahead of a malformed line
+        for text in (lines, "", lines + "{oops\n"):
             code, out, err = invoke(["classify", "--threshold", "0"], text)
             assert (code, out, err) == (
                 1, "", "error: threshold must be >= 1\n")

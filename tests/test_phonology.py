@@ -160,11 +160,26 @@ class TestRealize:
          "target 'ü m' of 'right:set:ü m' is outside the alphabet"),
         ("x\tfusion\tsuffix:RI.fu\tsuffix:AGR.fi\tfuse:X\t-",
          "target 'X' of 'fuse:X' is outside the alphabet"),
+        ("x\tsandhi\t=Küpa\tsuffix:CA.m\tleft:final:e\t-",
+         "form 'Küpa' in pattern '=Küpa' is outside the alphabet"),
+        ("x\tsandhi\t=la:Verb\tsuffix:CA.m\tleft:final:e\t-",
+         "unknown category 'Verb' in pattern '=la:Verb'"),
+        ("g-sandhi\tsandhi\tg\tsuffix:CA.m\tleft:final:k\tlleg,Nag",
+         "form 'Nag' in exception 'Nag' is outside the alphabet"),
+        ("g-sandhi\tsandhi\tg\tsuffix:CA.m\tleft:final:k\tnag:Verb",
+         "unknown category 'Verb' in exception 'nag:Verb'"),
+        ("g-sandhi\tsandhi\tg\tsuffix:CA.m\tleft:final:k\tnag:",
+         "empty form or category in exception 'nag:'"),
+        ("g-sandhi\tsandhi\tg\tsuffix:CA.m\tleft:final:k\t:verb",
+         "empty form or category in exception ':verb'"),
     ], ids=["unknown-op", "fuse-outside-fusion", "unknown-pattern",
             "repeated-op", "empty-suffix-id", "empty-form",
             "empty-form-with-category", "empty-category",
             "prefix-outside-alphabet", "set-outside-alphabet",
-            "fuse-outside-alphabet"])
+            "fuse-outside-alphabet", "lexeme-form-outside-alphabet",
+            "lexeme-category-unknown", "exception-form-outside-alphabet",
+            "exception-category-unknown", "exception-category-empty",
+            "exception-form-empty"])
     def test_malformed_rule_line_is_located(self, tmp_path, line, message):
         path = tmp_path / "rules.tsv"
         path.write_text(f"# f hardens\n{line}\n", encoding="utf-8")
