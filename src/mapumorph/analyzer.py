@@ -15,8 +15,9 @@ numbers and strings.  Folds move on through a transition table compiled
 with the grammar, and pieces are realized through a realization table
 kept per grammar and filled on first use, so each transition and each
 boundary is computed once, not once per piece tried.  Each distinct
-sense and allomorph is tried once, so no path is walked twice.  A path
-that spells the word and whose fold passes the end checks is an
+sense and allomorph is tried once, so no path is walked twice.  The end
+checks are compiled with the transition table into flags per fold, and
+a path that spells the word and whose fold's flag is set is an
 analysis, built straight off its links, traced by the folds it went
 through.  The search is the only judge: the morphotactic validator is
 the tests' oracle for it.  Ambiguity is deliberately preserved: labile
@@ -27,10 +28,12 @@ Analyses are ranked by piece count, then lexicographically by morph ids;
 the ranking is a plumbing choice, not a linguistic claim.
 
 Generation reads the same grammar: a sequence is judged by a walk of the
-transition table from its root's start fold and the end checks, and is
-realized through the realization table, each suffix by its first
-context-matching allomorph.  The morphotactic validator runs only on a
-rejected sequence, to list its violations.
+transition table from its root's start fold and the end flags, and its
+surface is read off generation rows, one per realization state, each
+suffix by its first context-matching allomorph as the realization table
+gives it.  Once the rows are filled an accepted sequence costs table
+lookups only.  The morphotactic validator runs only on a rejected
+sequence, to list its violations.
 """
 
 from __future__ import annotations
@@ -292,15 +295,16 @@ class _Grammar:
     by every :func:`analyse` and :func:`generate` call with them: per
     preceding V/C, the transition table's columns with the pieces that
     spell each one, their filter by the character that follows, each
-    root's sense choices as a first step and the transition table; and,
-    for generation, each suffix's column and each root's start fold per
-    sense context.
+    root's sense choices as a first step, the transition table and the
+    end flags; and, for generation, each suffix's column, each root's
+    start fold per sense context and the generation rows.
 
     Every piece gets a number when the grammar is built: each distinct
     suffix allomorph, each root, and the fused variant of each of them
     that a fusion rule can place.  A search or a generation reads the
-    grammar and writes only to the realization table, so the pieces,
-    their numbers and the transition table never change after the build.
+    grammar and writes only to the realization and generation rows, so
+    the pieces, their numbers, the transition table and the end flags
+    never change after the build.
 
     The realization table takes ``(previous piece, pending part, final
     segment)`` to a row indexed by the next piece: the arguments of the
@@ -325,26 +329,41 @@ class _Grammar:
     a dead end where the item raises a code or an end check is certain to
     fail.  The build moves a fold on only by the suffixes below its floor,
     and by members where one may follow: every other entry is a dead end,
-    so the row alone says what may follow the fold.
+    so the row alone says what may follow the fold.  The end checks at
+    the end of the word are compiled per settled fold too, into two
+    flags: :attr:`accepts`, ``not end_codes(fold)``, and
+    :attr:`accepts_bare`, the same for a lone verb root.  The search and
+    generation read these, and only the build and the validator run
+    :func:`end_codes`.
 
     A search step carries one fold: a root tried as a path's first step
     or as a later compound member branches once per distinct sense
     choice, so each path stands for one root-sense combination, and the
     fold is that combination's.
 
+    Generation reads its own rows, one per realization state ``(previous
+    piece, pending part, final segment)``, indexed by suffix column and
+    ending with the state itself.  An entry holds what the boundary step
+    gives for that suffix's first spelling after the state's final
+    segment: ``(finalized part, new pending part, new piece, next
+    row)``, where the next row is None when the step leaves the final
+    segment to the surface.  Entries are filled on first use through the
+    realization table, the only path that applies a rule.
+
     The realization table is bounded by the grammar, not by the words
-    analysed, and needs no lock: an entry is what one pure boundary step
-    gives, so threads that fill it race only to store equal values, and a
-    row is installed by a single ``dict.setdefault``.
+    analysed, and so are the generation rows; neither needs a lock: an
+    entry is what one pure boundary step gives, so threads that fill it
+    race only to store equal values, and a row is installed by a single
+    ``dict.setdefault``.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
         # the pieces by number, each one's rule identity (suffix id or
         # form, category) and licensing code, and the numbers by piece;
-        # the realization rows
+        # the realization rows and the generation rows
         self.pieces, self.idents, self.licensing = [], [], []
-        self.piece_ids, self.realized = {}, {}
+        self.piece_ids, self.realized, self.generated = {}, {}, {}
         self.below = tags_below(lexicon)
         self.reading_lone = tags_reading_lone(lexicon)
         # the settled folds by number and the numbers by fold
@@ -372,8 +391,8 @@ class _Grammar:
         # distinct sense choices as the first member, by piece id, and
         # each of them as a path's first step: (piece id, part, final
         # segment, sense index, start fold); and each root as generation
-        # starts from it, by (form, category): (entry, piece id, final
-        # segment, the start fold by sense context)
+        # starts from it, by (form, category): (entry, its generation row,
+        # the start fold by sense context)
         self.first_uses, self._firsts, self.starts = {}, [], {}
         for entry in lexicon.iter_roots():
             if not entry.form:
@@ -394,7 +413,7 @@ class _Grammar:
             self._firsts += firsts
             # a start fold reads only its sense's context
             self.starts[entry.form, entry.category] = (
-                entry, root[0], final,
+                entry, self._generation_row(root[0], entry.form, final),
                 {use.sense.context: first[4]
                  for use, first in zip(uses, firsts)})
         # every piece the search tries has been numbered by now; the fused
@@ -424,6 +443,12 @@ class _Grammar:
                             new, self.below)) else self._fold_id(new)
                     row[column] = met[new]
             self.transitions.append(row)
+        # the end checks per fold, for any word and for a lone verb root;
+        # a bare plan only adds a code, so it passes only where any does
+        self.accepts = tuple(not end_codes(fold) for fold in self.folds)
+        self.accepts_bare = tuple(
+            ok and not end_codes(fold, bare=True)
+            for ok, fold in zip(self.accepts, self.folds))
         self.options = functools.cache(self.options)
         self.firsts = functools.cache(self.firsts)
 
@@ -529,8 +554,8 @@ class _Grammar:
         zero-surface indicative must be licensed by the pieces around it:
         the licensing state moves on with each part as it is finalized,
         and a path dies once its state is unlicensed or it ends owing a
-        piece.  A path that spells the whole word, and whose fold passes
-        the end checks, is built into its analysis only then, straight off
+        piece.  A path that spells the whole word, and whose fold's end
+        flag is set, is built into its analysis only then, straight off
         its links.
 
         A step that yields no analysis is dead, and a later step with its
@@ -544,7 +569,8 @@ class _Grammar:
         """
         options, idents, licensing = self.options, self.idents, self.licensing
         realized, realize, width = self.realized, self._realize, self.width
-        transitions, build, folds = self.transitions, self._analysis, self.folds
+        transitions, build = self.transitions, self._analysis
+        accepts, accepts_bare = self.accepts, self.accepts_bare
         results, dead = [], set()
         size = len(word)
 
@@ -565,8 +591,8 @@ class _Grammar:
                 # a path may end in neither licensing state that owes
                 if end == size and _licensed(owed, code, pending) in (
                         _FREE, _AFTER_3P):
-                    bare = link is None and idents[prev][1] == "verb"
-                    if not end_codes(folds[live], bare=bare):
+                    if (accepts_bare if link is None and idents[prev][1]
+                            == "verb" else accepts)[live]:
                         results.append(build(word, node + (pending,)))
                 char = word[end:end + 1]
             else:
@@ -618,58 +644,86 @@ class _Grammar:
     def generate(self, entry: RootEntry, sense_context: str,
                  suffix_ids) -> str:
         """The surface of *entry* in *sense_context* with *suffix_ids*, by
-        the lookups a search step makes: the sequence is judged by a walk
-        of the transition table and the end checks, and is realized
-        through the realization table, each suffix by its first spelling
-        after the final segment so far.  Only a rejected sequence is
-        folded again, by :func:`validate_sequence`, for its
-        violations."""
+        table lookups alone once the rows are filled.  One pass resolves
+        the suffix ids and walks the transition table from the sense's
+        start fold; the fold reached is judged by the compiled end checks.
+        The surface is then read off the generation rows, from the root's
+        row on, each suffix by its first spelling after the final segment
+        so far.  The faults are reported in this order: an unknown root,
+        an unknown suffix id anywhere in the list, a missing sense, a
+        rejected sequence, then a suffix with no allomorph after the final
+        segment.  Only a rejected sequence is folded again, by
+        :func:`validate_sequence`, for its violations."""
         start = self.starts.get((entry.form, entry.category))
         if start is None or start[0] is not entry and start[0] != entry:
             raise KeyError(
                 f"unknown root {entry.form + ':' + entry.category!r}")
+        _, row, start_folds = start
+        # a missing sense walks no table, but its suffix ids are resolved
+        live = start_folds.get(sense_context, _DEAD)
+        suffix_columns, transitions = self.suffix_columns, self.transitions
         columns = []
         for sid in suffix_ids:
-            column = self.suffix_columns.get(sid)
+            column = suffix_columns.get(sid)
             if column is None:
                 raise KeyError(f"unknown suffix id {sid!r}")
             columns.append(column)
-        _, prev, final, start_folds = start
-        live = start_folds.get(sense_context)
-        if live is None:
+            if live != _DEAD:
+                live = transitions[live][column]
+        if live == _DEAD and sense_context not in start_folds:
             raise ValueError(f"root {entry.form!r} has no {sense_context} "
                              "sense")
-        transitions = self.transitions
-        for column in columns:
-            live = transitions[live][column]
-            if live == _DEAD:
-                break
-        if live == _DEAD or end_codes(
-                self.folds[live],
-                bare=not columns and entry.category == "verb"):
+        if live == _DEAD or not (
+                self.accepts_bare if not columns and entry.category == "verb"
+                else self.accepts)[live]:
             raise GenerationError(
                 f"invalid sequence for {entry.form!r}", validate_sequence(
                     (entry, sense_context),
                     [self.columns[column] for column in columns],
                     self.lexicon))
 
-        spellings = self.spellings
-        surface = pending = entry.form
+        done, part = [], entry.form
         for column in columns:
-            kind = ("V" if alphabet.is_vowel(final) else "C") if final \
-                else None
-            pieces = spellings[kind][column][1]
-            if not pieces:
-                raise PhonologyError(f"no allomorph of "
-                                     f"{self.columns[column].id} fits after "
-                                     f"{final!r}")
-            prev, finalized, part, final, _ = self._step(
-                prev, pending, final, pieces[0][0])
-            surface = surface[:len(surface) - len(pending)] + finalized + part
-            pending = part
-            if final is None:
-                final = alphabet.final_segment(surface) if surface else ""
-        return surface
+            finalized, part, placed, row = row[column] \
+                or self._generation_entry(row, column)
+            done.append(finalized)
+            if row is None:
+                surface = "".join(done) + part
+                row = self._generation_row(
+                    placed, part,
+                    alphabet.final_segment(surface) if surface else "")
+        return "".join(done) + part
+
+    def _generation_row(self, prev: int, pending: str, final: str) -> list:
+        """The generation row of the realization state (*prev*, *pending*,
+        *final*), installed on first sight: an entry per suffix column,
+        None before first use, then the state itself."""
+        row = self.generated.get((prev, pending, final))
+        if row is None:
+            row = self.generated.setdefault(
+                (prev, pending, final),
+                [None] * len(self.suffix_columns) + [(prev, pending, final)])
+        return row
+
+    def _generation_entry(self, row: list, column: int) -> tuple:
+        """Compute, store in *row* and return its entry for the suffix in
+        *column*: the realization entry of the suffix's first spelling
+        after the row's final segment, as ``(finalized part, new pending
+        part, new piece, next row)``.  The next row is None where the
+        step leaves the final segment to the surface."""
+        prev, pending, final = row[-1]
+        kind = ("V" if alphabet.is_vowel(final) else "C") if final else None
+        pieces = self.spellings[kind][column][1]
+        if not pieces:
+            raise PhonologyError(f"no allomorph of "
+                                 f"{self.columns[column].id} fits after "
+                                 f"{final!r}")
+        placed, finalized, part, new_final, _ = self._step(
+            prev, pending, final, pieces[0][0])
+        entry = row[column] = (
+            finalized, part, placed, None if new_final is None
+            else self._generation_row(placed, part, new_final))
+        return entry
 
     def _analysis(self, word: str, link) -> Analysis:
         """The analysis of *word* whose path ends in *link*, read off the
@@ -747,12 +801,16 @@ def generate(root, sense_context: str, suffix_ids,
 
     *root* is a :class:`RootEntry` of the lexicon, a form (its verb entry,
     if it has one) or ``form:category``; any other raises KeyError, as an
-    unknown suffix id does.  The sequence is judged first, through the
-    grammar the analyser searches (:meth:`_Grammar.generate`); any
-    violations are surfaced verbatim on the raised
-    :class:`GenerationError`.  Deterministic: allomorphs are picked by the
-    first context match.
+    unknown suffix id does.  *suffix_ids* is an iterable of ids; a single
+    string, which would be read character by character, raises TypeError.
+    The sequence is judged first, through the grammar the analyser
+    searches (:meth:`_Grammar.generate`); any violations are surfaced
+    verbatim on the raised :class:`GenerationError`.  Deterministic:
+    allomorphs are picked by the first context match.
     """
+    if isinstance(suffix_ids, (str, bytes)):
+        raise TypeError("suffix_ids must be an iterable of suffix ids, not "
+                        f"{type(suffix_ids).__name__}")
     lexicon, rules = tables(lexicon, rules)
     entry = _resolve_root(root, lexicon)
     return rules.for_lexicon(lexicon, _Grammar).generate(

@@ -8,7 +8,7 @@ import pytest
 
 from mapumorph import analyzer, morphotactics, phonology
 from mapumorph.alphabet import (DIGRAPHS, SINGLE_LETTERS, AlphabetError,
-                                final_segment)
+                                final_segment, is_vowel)
 from mapumorph.analyzer import (Analysis, GenerationError, analyse, generate,
                                 gloss_render, gloss_set, normalize_gloss)
 from mapumorph.defaults import data_path
@@ -480,6 +480,21 @@ class TestTransitionTable:
                     live += 1
         assert live > 10_000, live
 
+    @pytest.mark.parametrize("mini", [False, True], ids=["full", "mini"])
+    def test_the_end_flags_are_the_end_checks(self, lexicon, rules, mini):
+        # the flags the search and generation read in place of end_codes
+        if mini:
+            lexicon = build_mini_lexicon(lexicon)
+        grammar = analyzer._Grammar(lexicon, rules)
+        assert grammar.accepts == tuple(
+            not end_codes(fold) for fold in grammar.folds)
+        assert grammar.accepts_bare == tuple(
+            not end_codes(fold, bare=True) for fold in grammar.folds)
+        # both verdicts occur, and the bare flag differs somewhere
+        assert set(grammar.accepts) == set(grammar.accepts_bare) \
+            == {True, False}
+        assert grammar.accepts != grammar.accepts_bare
+
     def test_a_suffix_folds_alike_under_every_floor_above_its_slot(
             self, lexicon):
         # the build tries a suffix only below the floor, so folds that
@@ -570,6 +585,7 @@ class TestTransitionTable:
                    for pid, piece in enumerate(grammar.pieces))
         entries, _, _ = check_entries(rules, grammar)
         assert entries > 3000, entries
+        assert check_generation_rows(grammar) > 300
 
 
 # Surfaces to put before a pending part: every segment alone and after a
@@ -639,6 +655,30 @@ def check_entries(rules, grammar):
             else:
                 assert finals == {new_final}, (pending, final, pieces[pid])
     return entries, checked, head_bound
+
+
+def check_generation_rows(grammar):
+    """Check that each generation row is the one installed for its state,
+    as each root's start and each entry's next row, and that every filled
+    entry is the realization entry of its suffix's first spelling after
+    the state's final segment.  Returns the number of filled entries."""
+    generated, entries = grammar.generated, 0
+    assert all(generated[start[1][-1]] is start[1]
+               for start in grammar.starts.values())
+    for (prev, pending, final), row in generated.items():
+        assert row[-1] == (prev, pending, final)
+        assert len(row) == len(grammar.suffix_columns) + 1
+        kind = ("V" if is_vowel(final) else "C") if final else None
+        for column, entry in enumerate(row[:-1]):
+            if entry is None:
+                continue
+            entries += 1
+            placed, finalized, part, new_final, _ = grammar._step(
+                prev, pending, final, grammar.spellings[kind][column][1][0][0])
+            assert entry == (finalized, part, placed, None if new_final
+                             is None else generated[placed, part, new_final])
+            assert entry[3] is None or entry[3] is generated[entry[3][-1]]
+    return entries
 
 
 def check_initials(rules, grammar):
@@ -757,6 +797,14 @@ class TestGenerate:
         with pytest.raises(KeyError):
             generate("küpa", "IV", ["NOPE.x"])
 
+    @pytest.mark.parametrize("ids", ["IND1SG.n", b"IND1SG.n", ""],
+                             ids=["str", "bytes", "empty"])
+    def test_a_string_of_suffix_ids_is_a_type_error(self, ids):
+        # a string would be read character by character
+        with pytest.raises(TypeError, match="suffix_ids must be an iterable "
+                           f"of suffix ids, not {type(ids).__name__}$"):
+            generate("küpa", "IV", ids)
+
     def test_root_resolution_by_form(self):
         assert generate("küpa", "IV", ["CA.l", "IND1SG.n"]) == "küpalün"
 
@@ -839,6 +887,7 @@ class TestGenerate:
 
         counting(analyzer, "validate_sequence")
         counting(analyzer, "extend_realization")
+        counting(analyzer, "end_codes")
         counting(phonology, "select_allomorph")
         counting(morphotactics, "validate_plan")
         assert [generate(root, sense.context, seq, lexicon, rules)
@@ -848,6 +897,22 @@ class TestGenerate:
         with pytest.raises(GenerationError):
             generate("monge", "IV", [], lexicon, rules)
         assert calls == ["validate_sequence", "validate_plan"]
+
+    def test_a_built_grammar_runs_no_end_check(self, lexicon, monkeypatch):
+        # the search reads the end checks off the flags compiled with the
+        # grammar, as generation does
+        rules = load_rules(data_path("rules.tsv"))
+        rules.for_lexicon(lexicon, analyzer._Grammar)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return end_codes(*args, **kwargs)
+
+        monkeypatch.setattr(analyzer, "end_codes", counting)
+        assert sum(len(analyse(word, lexicon, rules))
+                   for word in GOLDEN_WORDS) == 1007
+        assert not calls
 
     def test_a_root_entry_the_lexicon_does_not_hold_is_unknown(self,
                                                                 lexicon):

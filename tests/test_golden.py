@@ -134,6 +134,15 @@ def test_generate(lexicon):
         == words[-400::4]
 
 
+def test_generate_on_filled_rows_prints_the_same_text():
+    # --rules loads a rule table of its own, so its grammar starts with no
+    # generation entry filled; the second copy of the lines reads the
+    # rows the first one filled
+    out = invoke(["generate", "--rules", str(data_path("rules.tsv"))],
+                 read("generate.tsv") * 2)
+    assert out == read("generate.txt") * 2
+
+
 def wide_words():
     """The words of 1,000 valid tuples from ``Random(37)`` and their
     near-miss probes."""
