@@ -528,20 +528,24 @@ class TestTransitionTable:
 
     def test_a_warm_grammar_computes_no_transition(self, lexicon,
                                                    monkeypatch):
-        # the table is whole once the grammar is built, before any word
+        # the table is whole once the grammar is built, before any word,
+        # and so are the end flags the search reads in place of end_codes
         rules = load_rules(data_path("rules.tsv"))
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
         folds = list(grammar.folds)
         filled = [bytes(row) for row in grammar.transitions]
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return advance(*args)
+        def counting(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(analyzer, "advance", counting)
-        for word in GOLDEN_WORDS:
-            analyse(word, lexicon, rules)
+        monkeypatch.setattr(analyzer, "advance", counting(advance))
+        monkeypatch.setattr(analyzer, "end_codes", counting(end_codes))
+        assert sum(len(analyse(word, lexicon, rules))
+                   for word in GOLDEN_WORDS) == 1007
         assert not calls
         assert grammar.folds == folds
         assert [bytes(row) for row in grammar.transitions] == filled
@@ -897,22 +901,6 @@ class TestGenerate:
         with pytest.raises(GenerationError):
             generate("monge", "IV", [], lexicon, rules)
         assert calls == ["validate_sequence", "validate_plan"]
-
-    def test_a_built_grammar_runs_no_end_check(self, lexicon, monkeypatch):
-        # the search reads the end checks off the flags compiled with the
-        # grammar, as generation does
-        rules = load_rules(data_path("rules.tsv"))
-        rules.for_lexicon(lexicon, analyzer._Grammar)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return end_codes(*args, **kwargs)
-
-        monkeypatch.setattr(analyzer, "end_codes", counting)
-        assert sum(len(analyse(word, lexicon, rules))
-                   for word in GOLDEN_WORDS) == 1007
-        assert not calls
 
     def test_a_root_entry_the_lexicon_does_not_hold_is_unknown(self,
                                                                 lexicon):
