@@ -1,39 +1,34 @@
 """Segmentation of surface verb forms into glossed analyses, and the
 inverse: generation of surface forms from a root and suffix ids.
 
-The analyser searches, depth first and with dead-state memoisation, the
-underlying morph sequences whose realization equals the input word.  A
-root, as a path's first step or as a later compound member, is tried
-once per distinct sense choice, so each path stands for one root-sense
-combination and carries the number of its morphotactic fold: a path dies
-at its first violation that no continuation can undo, so the pruning
-loses no analysis.  A zero-surface indicative is licensed by the parts
-around it as they are finalized, and a path that leaves one unlicensed
-dies there.  The grammar numbers every piece when it is built, the fused
-variants a rule can place included, and a search step holds only
-numbers and strings.  Folds move on through a transition table compiled
-with the grammar, and pieces are realized through a realization table
-kept per grammar and filled on first use, so each transition and each
-boundary is computed once, not once per piece tried.  Each distinct
-sense and allomorph is tried once, so no path is walked twice.  The end
-checks are compiled with the transition table into flags per fold, and
-a path that spells the word and whose fold's flag is set is an
-analysis, built straight off its links, traced by the folds it went
-through.  The search is the only judge: the morphotactic validator is
-the tests' oracle for it.  Ambiguity is deliberately preserved: labile
-roots contribute one analysis per sense row, homographs one per entry,
-and homophonous suffixes one per reading.
+Both directions read one grammar per (lexicon, rules): a transition
+table of morphotactic folds with end flags, compiled with it, and a
+realization table, filled on first use, whose entries link each
+realization state to the next; so each transition and each boundary is
+computed once, not once per piece tried.  The analyser searches, depth
+first and with dead-state memoisation, the underlying morph sequences
+whose realization equals the input word.  A root, as a path's first step
+or as a later compound member, is tried once per distinct sense choice,
+so each path stands for one root-sense combination and carries the
+number of its fold: a path dies at its first violation that no
+continuation can undo, so the pruning loses no analysis.  A zero-surface
+indicative is licensed by the parts around it as they are finalized, and
+a path that leaves one unlicensed dies there.  Each distinct sense and
+allomorph is tried once, so no path is walked twice.  A path that spells
+the word and whose fold's end flag is set is an analysis, built straight
+off its links, traced by the folds it went through.  The search is the
+only judge: the morphotactic validator is the tests' oracle for it.
+Ambiguity is deliberately preserved: labile roots contribute one
+analysis per sense row, homographs one per entry, and homophonous
+suffixes one per reading.  Analyses are ranked by piece count, then
+lexicographically by morph ids; the ranking is a plumbing choice, not a
+linguistic claim.
 
-Analyses are ranked by piece count, then lexicographically by morph ids;
-the ranking is a plumbing choice, not a linguistic claim.
-
-Generation reads the same grammar: a sequence is judged by a walk of the
-transition table from its root's start fold and the end flags, and its
-surface is read off generation rows, one per realization state, each
-suffix by its first context-matching allomorph as the realization table
-gives it.  Once the rows are filled an accepted sequence costs table
-lookups only.  The morphotactic validator runs only on a rejected
-sequence, to list its violations.
+Generation judges a sequence by a walk of the transition table from its
+root's start fold, and reads its surface off the realization table's
+linked rows, each suffix by its first context-matching allomorph.  Once
+the rows are filled an accepted sequence costs table lookups only; the
+validator runs only on a rejected sequence, to list its violations.
 """
 
 from __future__ import annotations
@@ -46,8 +41,8 @@ from dataclasses import dataclass, replace
 from . import alphabet, tags
 from .defaults import tables
 from .lexicon import Lexicon, RootEntry
-# validate_plan is not called here; it stays importable from this module,
-# where the benchmark's tracer counts its calls
+# validate_plan is not called here; the benchmark's tracer counts its calls
+# in this module, and tests/test_bench_contract.py guards the name
 from .morphotactics import (Fold, RootUse, advance, compound_valency,
                             end_codes, follows, settle, start_fold,
                             tags_below, tags_reading_lone, validate_plan,
@@ -291,35 +286,37 @@ def _licensed(owed: int, code: int, part: str) -> int:
 
 
 class _Grammar:
-    """The search's tables for one (lexicon, rules), built once and shared
-    by every :func:`analyse` and :func:`generate` call with them: per
-    preceding V/C, the transition table's columns with the pieces that
-    spell each one, their filter by the character that follows, each
-    root's sense choices as a first step, the transition table and the
-    end flags; and, for generation, each suffix's column, each root's
-    start fold per sense context and the generation rows.
+    """The tables of one (lexicon, rules), built once and shared by every
+    :func:`analyse` and :func:`generate` call with them: the transition
+    table with its end flags, the realization table, and what feeds them
+    (per preceding V/C, each column's spellings and their filter by the
+    character that follows; each root's first steps and its start fold
+    per sense context; each suffix's column).  Every piece gets a number
+    when the grammar is built: each distinct suffix allomorph, each root,
+    and the fused variant of each of them that a fusion rule can place.
+    A search or a generation writes only to the realization table.
 
-    Every piece gets a number when the grammar is built: each distinct
-    suffix allomorph, each root, and the fused variant of each of them
-    that a fusion rule can place.  A search or a generation reads the
-    grammar and writes only to the realization and generation rows, so
-    the pieces, their numbers, the transition table and the end flags
-    never change after the build.
-
-    The realization table takes ``(previous piece, pending part, final
-    segment)`` to a row indexed by the next piece: the arguments of the
-    boundary step :func:`~mapumorph.phonology.extend_realization`, which
-    reads nothing else.  Its entries are what the step gives on first
-    use, ``(new piece, finalized part, new pending part, new final
-    segment)``, with the
+    The realization table has a row per realization state ``(previous
+    piece, pending part, final segment)``, the arguments of the boundary
+    step :func:`~mapumorph.phonology.extend_realization`, which reads
+    nothing else.  The pending part is the last piece's part, which the
+    rule at the next boundary may still rewrite; the final segment is
+    that of the whole surface so far, which a digraph can make straddle
+    the pending part's start.  A row holds an entry per piece, None
+    before first use, then the state, then each suffix column's first
+    spelling after the state's final segment (None where no allomorph
+    fits).  An entry is what the step gives, ``(new piece, finalized
+    part, new pending part, initials, next row)``, with the
     :meth:`~mapumorph.phonology.RuleTable.initials` of the new pending
-    part (None when it is empty) appended, or None before first use.  The
-    pending part is the last piece's part, which the rule at the next
-    boundary may still rewrite; the final segment is that of the whole
-    surface so far, which a digraph can make straddle the pending part's
-    start.  After a rule that rewrites the pending part the step leaves
-    the new final segment to the caller (None), and the search reads it
-    off the word.
+    part (None when it is empty) and the row of the state it leads to.
+    Where a rule rewrites the pending part the new final segment may
+    reach back before it, and the next row is None: the search reads the
+    final segment off the word, generation off its surface.  Each root's
+    row is installed with the grammar.  The table is bounded by the
+    grammar, not by the words analysed, and needs no lock: threads that
+    fill an entry race only to store equal values, and a row is
+    installed by a single ``dict.setdefault``, so every entry links to
+    the one row of its state.
 
     The morphotactic transition table, compiled with the grammar, has a
     column per item (each suffix entry by id, then each root sense as a
@@ -335,35 +332,15 @@ class _Grammar:
     :attr:`accepts_bare`, the same for a lone verb root.  The search and
     generation read these, and only the build and the validator run
     :func:`end_codes`.
-
-    A search step carries one fold: a root tried as a path's first step
-    or as a later compound member branches once per distinct sense
-    choice, so each path stands for one root-sense combination, and the
-    fold is that combination's.
-
-    Generation reads its own rows, one per realization state ``(previous
-    piece, pending part, final segment)``, indexed by suffix column and
-    ending with the state itself.  An entry holds what the boundary step
-    gives for that suffix's first spelling after the state's final
-    segment: ``(finalized part, new pending part, new piece, next
-    row)``, where the next row is None when the step leaves the final
-    segment to the surface.  Entries are filled on first use through the
-    realization table, the only path that applies a rule.
-
-    The realization table is bounded by the grammar, not by the words
-    analysed, and so are the generation rows; neither needs a lock: an
-    entry is what one pure boundary step gives, so threads that fill it
-    race only to store equal values, and a row is installed by a single
-    ``dict.setdefault``.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable):
         self.lexicon, self.rules = lexicon, rules
         # the pieces by number, each one's rule identity (suffix id or
         # form, category) and licensing code, and the numbers by piece;
-        # the realization rows and the generation rows
+        # the realization table's rows by state
         self.pieces, self.idents, self.licensing = [], [], []
-        self.piece_ids, self.realized, self.generated = {}, {}, {}
+        self.piece_ids, self.realized = {}, {}
         self.below = tags_below(lexicon)
         self.reading_lone = tags_reading_lone(lexicon)
         # the settled folds by number and the numbers by fold
@@ -385,20 +362,28 @@ class _Grammar:
                     self._numbered(rules.morph(a.surface, "suffix",
                                                suffix_id=entry.id))
                     for a in entry.allomorphs_after(kind)))))
-        # ... then one per distinct sense choice of a root as a later
-        # member (an incorporated demonstrative is a fixed construction,
-        # so its citation sense stands for all of them); each root's
-        # distinct sense choices as the first member, by piece id, and
-        # each of them as a path's first step: (piece id, part, final
-        # segment, sense index, start fold); and each root as generation
-        # starts from it, by (form, category): (entry, its generation row,
-        # the start fold by sense context)
+        # each root's piece, after the suffixes': every piece the search
+        # tries has been numbered by now; the fused variants a rule can
+        # place come after them, only ever a result
+        roots = [(entry, self._numbered(rules.morph(entry.form, "root",
+                                                    entry.category)))
+                 for entry in lexicon.iter_roots() if entry.form]
+        self.width = len(self.pieces)
+        for piece in self.pieces[:self.width]:
+            if any(rule.fuse is not None for rule in rules.candidates(piece)):
+                self._piece_id(replace(piece, fused=True))
+        # each suffix column's first spelling per final kind, or None
+        self.trailers = {
+            kind: tuple(pieces[0][0] if pieces else None
+                        for _, pieces in spellings[:n_suffixes])
+            for kind, spellings in self.spellings.items()}
+        # the columns go on with one per distinct sense choice of a root as
+        # a later member (an incorporated demonstrative is a fixed
+        # construction, so its citation sense stands for all of them);
+        # each root's distinct sense choices as the first member, by piece
+        # id, and its row, where its paths and its generations start
         self.first_uses, self._firsts, self.starts = {}, [], {}
-        for entry in lexicon.iter_roots():
-            if not entry.form:
-                continue
-            root = self._numbered(rules.morph(entry.form, "root",
-                                              entry.category))
+        for entry, root in roots:
             for sense in dict.fromkeys(entry.senses[:1] if entry.category
                                        == "demonstrative" else entry.senses):
                 for kind in ("V", "C"):
@@ -406,22 +391,13 @@ class _Grammar:
                 self.columns.append(RootUse(entry, sense))
             uses = self.first_uses[root[0]] = tuple(
                 RootUse(entry, sense) for sense in dict.fromkeys(entry.senses))
-            final = alphabet.final_segment(entry.form)
-            firsts = [(root[0], entry.form, final, k,
-                       self._fold_id(start_fold(use)))
-                      for k, use in enumerate(uses)]
-            self._firsts += firsts
+            row = self._row(root[0], entry.form,
+                            alphabet.final_segment(entry.form))
+            folds = [self._fold_id(start_fold(use)) for use in uses]
+            self._firsts += [(row, k, fold) for k, fold in enumerate(folds)]
             # a start fold reads only its sense's context
-            self.starts[entry.form, entry.category] = (
-                entry, self._generation_row(root[0], entry.form, final),
-                {use.sense.context: first[4]
-                 for use, first in zip(uses, firsts)})
-        # every piece the search tries has been numbered by now; the fused
-        # variants a rule can place come after them, only ever a result
-        self.width = len(self.pieces)
-        for piece in self.pieces[:self.width]:
-            if any(rule.fuse is not None for rule in rules.candidates(piece)):
-                self._piece_id(replace(piece, fused=True))
+            self.starts[entry.form, entry.category] = (entry, row, {
+                use.sense.context: fold for use, fold in zip(uses, folds)})
 
         # each fold's row; the loop meets the folds it numbers as it goes,
         # and judges each fold met once.  Only the suffixes below the
@@ -491,36 +467,40 @@ class _Grammar:
                                                      or char in starts))))
 
     def firsts(self, char: str) -> tuple:
-        """The first steps of the paths for a word that starts with
-        *char*: the roots whose part can start with it once the rule at
-        the next boundary, the only one that can still rewrite it, has
-        applied.  Memoised per grammar."""
+        """The first steps ``(row, sense index, start fold)`` of the paths
+        for a word that starts with *char*: the roots whose part can start
+        with it once the rule at the next boundary, the only one that can
+        still rewrite it, has applied.  Memoised per grammar."""
         def may_start(first):
-            chars = self.rules.initials(self.pieces[first[0]], first[1])
+            prev, part, _ = first[0][self.width]
+            chars = self.rules.initials(self.pieces[prev], part)
             return chars is None or char in chars
 
         return tuple(filter(may_start, self._firsts))
 
-    def _realize(self, row: list, prev: int, pending: str, final: str,
-                 pid: int) -> tuple:
-        """Compute, store in *row* and return the realization entry of
-        piece *pid* after piece *prev*, whose part *pending* ends a surface
-        ending in *final*."""
+    def _row(self, prev: int, pending: str, final: str) -> list:
+        """The row of the realization state (*prev*, *pending*, *final*),
+        installed on first sight."""
+        state = (prev, pending, final)
+        row = self.realized.get(state)
+        if row is None:
+            kind = alphabet.final_kind(final) if final else None
+            row = self.realized.setdefault(
+                state, [None] * self.width + [state, self.trailers[kind]])
+        return row
+
+    def _fill(self, row: list, pid: int) -> tuple:
+        """Compute, store in *row* and return its entry for piece *pid*,
+        linked to the row of the state it leads to."""
+        prev, pending, final = row[self.width]
         piece, finalized, part, new_final = extend_realization(
             self.pieces[prev], pending, final, self.pieces[pid], self.rules)
-        entry = row[pid] = (self.piece_ids[piece], finalized, part, new_final,
-                            self.rules.initials(piece, part) if part else None)
+        placed = self.piece_ids[piece]
+        entry = row[pid] = (
+            placed, finalized, part,
+            self.rules.initials(piece, part) if part else None,
+            None if new_final is None else self._row(placed, part, new_final))
         return entry
-
-    def _step(self, prev: int, pending: str, final: str, pid: int) -> tuple:
-        """The realization entry of piece *pid* after piece *prev*, whose
-        part *pending* ends a surface ending in *final*, filled on first
-        use.  The search makes the same lookup inline."""
-        row = self.realized.get((prev, pending, final))
-        if row is None:
-            row = self.realized.setdefault((prev, pending, final),
-                                           [None] * self.width)
-        return row[pid] or self._realize(row, prev, pending, final, pid)
 
     def search(self, word: str) -> list[Analysis]:
         """Depth-first enumeration of the analyses of *word*, one per path;
@@ -536,21 +516,18 @@ class _Grammar:
         distinct sense choice, so no path is walked twice and a root-sense
         combination's results come out in that order.
 
-        A step holds numbers and strings only: a link to the path before
-        the last piece, the number of the last piece, its pending part, the
-        final segment, the position the pending part starts at, the
-        column that led to the last piece (its sense index for the first
-        root), the fold after it and the licensing state.  A link is
-        ``(parent link, piece number, column, fold, finalized part)``.
-        Each piece tried is realized by a lookup in the step's row of the
-        realization table, and the final segment is read off the word when
-        the entry has none.
+        A step holds the row of its realization state, numbers and
+        strings: a link to the path before the last piece, the position
+        the pending part starts at, the column that led to the last piece
+        (its sense index for the first root), the fold after it and the
+        licensing state.  A link is ``(parent link, piece number, column,
+        fold, finalized part)``.  Each piece tried is realized by its entry
+        in the step's row, and the next step takes the row the entry links
+        to, or the row of the final segment read off the word.
 
         A piece moves the fold on by the transition table before it is
-        realized, and is not realized into a dead end: the first code its
-        item raises, an end check certain to fail, a suffix at or above the
-        fold's slot floor, or a member where none may follow.  A step makes
-        one pass over the columns, and the row alone gates each one.  A
+        realized, and is not realized into a dead end; a step makes one
+        pass over the columns, and the fold's row alone gates each one.  A
         zero-surface indicative must be licensed by the pieces around it:
         the licensing state moves on with each part as it is finalized,
         and a path dies once its state is unlicensed or it ends owing a
@@ -568,23 +545,20 @@ class _Grammar:
         alike, and the cut loses no analysis.
         """
         options, idents, licensing = self.options, self.idents, self.licensing
-        realized, realize, width = self.realized, self._realize, self.width
+        width, fill, row_of = self.width, self._fill, self._row
         transitions, build = self.transitions, self._analysis
         accepts, accepts_bare = self.accepts, self.accepts_bare
         results, dead = [], set()
         size = len(word)
 
-        def step(link, prev, pending, final, pos, column, live, owed):
+        def step(link, row, pos, column, live, owed):
+            prev, pending, final = row[width]
             key = (pos, pending, idents[prev], live, owed)
             if key in dead:
                 return
             produced = len(results)
             node = (link, prev, column, live)
             code = licensing[prev]
-            row = realized.get((prev, pending, final))
-            if row is None:
-                row = realized.setdefault((prev, pending, final),
-                                          [None] * width)
 
             end = pos + len(pending)
             if word.startswith(pending, pos):
@@ -604,10 +578,8 @@ class _Grammar:
                 if new == _DEAD:
                     continue
                 for pid in pids:
-                    entry = row[pid]
-                    if entry is None:
-                        entry = realize(row, prev, pending, final, pid)
-                    placed, finalized, part, new_final, initials = entry
+                    placed, finalized, part, initials, linked = \
+                        row[pid] or fill(row, pid)
                     if not word.startswith(finalized, pos):
                         continue
                     new_pos = pos + len(finalized)
@@ -622,19 +594,19 @@ class _Grammar:
                         if owed or code else owed
                     if new_owed == _UNLICENSED:
                         continue
-                    if new_final is None:
+                    if linked is None:
                         surface = word[:new_pos] + part
-                        new_final = alphabet.final_segment(surface) \
-                            if surface else ""
-                    step(node + (finalized,), placed, part, new_final,
-                         new_pos, column, new, new_owed)
+                        linked = row_of(placed, part, alphabet.final_segment(
+                            surface) if surface else "")
+                    step(node + (finalized,), linked, new_pos, column, new,
+                         new_owed)
 
             if len(results) == produced:
                 dead.add(key)
 
         try:
-            for pid, part, final, sense, live in self.firsts(word[0]):
-                step(None, pid, part, final, 0, sense, live, _FREE)
+            for row, sense, live in self.firsts(word[0]):
+                step(None, row, 0, sense, live, _FREE)
         finally:
             # step refers to itself; unbinding it frees this call's states
             # without the cyclic collector
@@ -647,12 +619,13 @@ class _Grammar:
         table lookups alone once the rows are filled.  One pass resolves
         the suffix ids and walks the transition table from the sense's
         start fold; the fold reached is judged by the compiled end checks.
-        The surface is then read off the generation rows, from the root's
-        row on, each suffix by its first spelling after the final segment
-        so far.  The faults are reported in this order: an unknown root,
-        an unknown suffix id anywhere in the list, a missing sense, a
-        rejected sequence, then a suffix with no allomorph after the final
-        segment.  Only a rejected sequence is folded again, by
+        The surface is then read off the realization table from the root's
+        row, each suffix by the entry of the first spelling its row names,
+        which links to the next row.  The faults are reported in this
+        order: an unknown root; suffix ids that are no iterable, or an
+        unknown or mistyped id anywhere in them; a missing or mistyped
+        sense; a rejected sequence; then a suffix with no allomorph after
+        the final segment.  Only a rejected sequence is folded again, by
         :func:`validate_sequence`, for its violations."""
         start = self.starts.get((entry.form, entry.category))
         if start is None or start[0] is not entry and start[0] != entry:
@@ -660,16 +633,31 @@ class _Grammar:
                 f"unknown root {entry.form + ':' + entry.category!r}")
         _, row, start_folds = start
         # a missing sense walks no table, but its suffix ids are resolved
-        live = start_folds.get(sense_context, _DEAD)
+        try:
+            live = start_folds.get(sense_context, _DEAD)
+        except TypeError:  # unhashable, so no sense's context
+            live = _DEAD
         suffix_columns, transitions = self.suffix_columns, self.transitions
-        columns = []
-        for sid in suffix_ids:
-            column = suffix_columns.get(sid)
-            if column is None:
-                raise KeyError(f"unknown suffix id {sid!r}")
-            columns.append(column)
-            if live != _DEAD:
-                live = transitions[live][column]
+        columns, sid = [], suffix_ids
+        try:
+            for sid in suffix_ids:
+                column = suffix_columns[sid]
+                columns.append(column)
+                if live != _DEAD:
+                    live = transitions[live][column]
+        except (KeyError, TypeError):
+            # the id the lookup failed on, or suffix_ids if none was read
+            if sid is suffix_ids:
+                raise _mistyped("suffix_ids", "an iterable of suffix ids",
+                                sid) from None
+            if type(sid) is not str:
+                raise _mistyped(f"suffix id {sid!r}", "a string",
+                                sid) from None
+            if sid in suffix_columns:
+                raise  # from the iterable itself
+            raise KeyError(f"unknown suffix id {sid!r}") from None
+        if live == _DEAD and type(sense_context) is not str:
+            raise _mistyped("sense_context", "a string", sense_context)
         if live == _DEAD and sense_context not in start_folds:
             raise ValueError(f"root {entry.form!r} has no {sense_context} "
                              "sense")
@@ -682,48 +670,21 @@ class _Grammar:
                     [self.columns[column] for column in columns],
                     self.lexicon))
 
-        done, part = [], entry.form
+        # the trailer by a non-negative index: list indexing's fast path
+        done, part, trailer = "", entry.form, self.width + 1
         for column in columns:
-            finalized, part, placed, row = row[column] \
-                or self._generation_entry(row, column)
-            done.append(finalized)
+            pid = row[trailer][column]
+            if pid is None:
+                raise PhonologyError(
+                    f"no allomorph of {self.columns[column].id} fits after "
+                    f"{row[self.width][2]!r}")
+            placed, finalized, part, _, row = row[pid] or self._fill(row, pid)
+            done += finalized
             if row is None:
-                surface = "".join(done) + part
-                row = self._generation_row(
-                    placed, part,
-                    alphabet.final_segment(surface) if surface else "")
-        return "".join(done) + part
-
-    def _generation_row(self, prev: int, pending: str, final: str) -> list:
-        """The generation row of the realization state (*prev*, *pending*,
-        *final*), installed on first sight: an entry per suffix column,
-        None before first use, then the state itself."""
-        row = self.generated.get((prev, pending, final))
-        if row is None:
-            row = self.generated.setdefault(
-                (prev, pending, final),
-                [None] * len(self.suffix_columns) + [(prev, pending, final)])
-        return row
-
-    def _generation_entry(self, row: list, column: int) -> tuple:
-        """Compute, store in *row* and return its entry for the suffix in
-        *column*: the realization entry of the suffix's first spelling
-        after the row's final segment, as ``(finalized part, new pending
-        part, new piece, next row)``.  The next row is None where the
-        step leaves the final segment to the surface."""
-        prev, pending, final = row[-1]
-        kind = ("V" if alphabet.is_vowel(final) else "C") if final else None
-        pieces = self.spellings[kind][column][1]
-        if not pieces:
-            raise PhonologyError(f"no allomorph of "
-                                 f"{self.columns[column].id} fits after "
-                                 f"{final!r}")
-        placed, finalized, part, new_final, _ = self._step(
-            prev, pending, final, pieces[0][0])
-        entry = row[column] = (
-            finalized, part, placed, None if new_final is None
-            else self._generation_row(placed, part, new_final))
-        return entry
+                surface = done + part
+                row = self._row(placed, part, alphabet.final_segment(
+                    surface) if surface else "")
+        return done + part
 
     def _analysis(self, word: str, link) -> Analysis:
         """The analysis of *word* whose path ends in *link*, read off the
@@ -801,16 +762,17 @@ def generate(root, sense_context: str, suffix_ids,
 
     *root* is a :class:`RootEntry` of the lexicon, a form (its verb entry,
     if it has one) or ``form:category``; any other raises KeyError, as an
-    unknown suffix id does.  *suffix_ids* is an iterable of ids; a single
-    string, which would be read character by character, raises TypeError.
+    unknown suffix id does.  *suffix_ids* is an iterable of id strings; a
+    single string, which would be read character by character, or an
+    argument of another wrong type raises TypeError that names it.
     The sequence is judged first, through the grammar the analyser
     searches (:meth:`_Grammar.generate`); any violations are surfaced
     verbatim on the raised :class:`GenerationError`.  Deterministic:
     allomorphs are picked by the first context match.
     """
     if isinstance(suffix_ids, (str, bytes)):
-        raise TypeError("suffix_ids must be an iterable of suffix ids, not "
-                        f"{type(suffix_ids).__name__}")
+        raise _mistyped("suffix_ids", "an iterable of suffix ids",
+                        suffix_ids)
     lexicon, rules = tables(lexicon, rules)
     entry = _resolve_root(root, lexicon)
     return rules.for_lexicon(lexicon, _Grammar).generate(
@@ -827,7 +789,6 @@ def gloss_render(analysis: Analysis) -> str:
     its last member (and that member's own causative, if any).
     """
     tokens: list[str] = []
-    root_seen = False
     last_member_token = -1
     n_members = 0
     for i, piece in enumerate(analysis.pieces):
@@ -838,12 +799,11 @@ def gloss_render(analysis: Analysis) -> str:
                 body = f"{code}.{piece.gloss}"
             else:
                 code = tags.CATEGORY_CODES.get(piece.category, "NN")
-                if root_seen and code == "NN":
+                if n_members > 1 and code == "NN":
                     body = "NN"   # incorporated object noun
                 else:
                     body = f"{code}.{piece.gloss}"
-            tokens.append(body if not root_seen else f"+{body}")
-            root_seen = True
+            tokens.append(f"+{body}" if n_members > 1 else body)
             last_member_token = len(tokens) - 1
         else:
             tag = piece.tags[0]
@@ -852,8 +812,7 @@ def gloss_render(analysis: Analysis) -> str:
             else:
                 tokens.append(f"+{tag}")
             if tag == "CA" and analysis.pieces[i - 1].kind == "root":
-                if last_member_token == len(tokens) - 2:
-                    last_member_token = len(tokens) - 1
+                last_member_token = len(tokens) - 1
     if n_members >= 2 and analysis.stem_valency:
         tokens.insert(last_member_token + 1, f"-CR.{analysis.stem_valency}")
     return " ".join(tokens)

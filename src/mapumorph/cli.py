@@ -20,7 +20,7 @@ from .analyzer import (Analysis, GenerationError, analyse, generate,
                        gloss_render, json_objects)
 from .classifier import classify_corpus, render_table
 from .lexicon import LexiconError, load_lexicon, validate_lexicon
-from .phonology import load_rules
+from .phonology import PhonologyError, load_rules, rule_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -77,10 +77,25 @@ def _load_tables(args, strict=True):
         lexicon = load_lexicon(root_path, suffix_path, strict=strict)
     else:
         lexicon = defaults.default_lexicon()
-    rules = load_rules(args.rules) if args.rules else defaults.default_rules()
+    if args.rules:
+        rules = load_rules(args.rules)
+        _cross_check_rules(args.rules, rules, lexicon)
+    else:
+        rules = defaults.default_rules()
     if args.slots:
         _cross_check_slots(args.slots, lexicon)
     return lexicon, rules
+
+
+def _cross_check_rules(path, rules, lexicon):
+    """A rule whose ``suffix:ID`` pattern names no suffix of *lexicon*
+    could never fire, so it fails, located at its line."""
+    for (lineno, _), rule in zip(rule_lines(path), rules.rules):
+        for sid in rule.suffix_ids:
+            if sid not in lexicon.suffixes:
+                raise PhonologyError(f"{path}:{lineno}: pattern "
+                                     f"'suffix:{sid}' names no suffix of "
+                                     "the lexicon")
 
 
 def _cross_check_slots(path, lexicon):

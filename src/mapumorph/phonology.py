@@ -17,7 +17,8 @@ Rules live in a TSV table (``id kind left right rewrite exceptions``):
 A lexeme's form, in a pattern or an exception, is alphabet text and its
 category one of the lexicon's categories; a ``suffix:ID`` pattern is not
 checked against a suffix inventory here, since one table serves any
-lexicon.
+lexicon (the command line checks a table it is given against the
+lexicon it runs with).
 
 A rule reads a piece by its identity alone, never by the allomorph that
 spells a suffix: ``suffix:ID`` matches a suffix piece by its id, a lexeme
@@ -40,6 +41,7 @@ change only by filling their memos.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -183,6 +185,12 @@ class BoundaryRule:
     right_set: str | None = None
     right_prefix: str | None = None
 
+    @property
+    def suffix_ids(self) -> tuple[str, ...]:
+        """The suffix ids its ``suffix:ID`` patterns name, left first."""
+        return tuple(arg for kind, arg, _ in (self.left, self.right)
+                     if kind == _SUFFIX)
+
     def excepts(self, piece: Piece) -> bool:
         """Whether *piece* is a root the rule names as an exception."""
         return piece.is_root and (
@@ -226,12 +234,18 @@ def parse_rule_line(line: str) -> BoundaryRule:
         **targets)
 
 
-def load_rules(path: str | Path) -> RuleTable:
-    rules = []
+def rule_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a rule table that holds a
+    rule, in order: blank and comment lines are skipped."""
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.rstrip()
-        if not line or line.lstrip().startswith("#"):
-            continue
+        if line and not line.lstrip().startswith("#"):
+            yield lineno, line
+
+
+def load_rules(path: str | Path) -> RuleTable:
+    rules = []
+    for lineno, line in rule_lines(path):
         try:
             rules.append(parse_rule_line(line))
         except PhonologyError as err:

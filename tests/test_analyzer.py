@@ -12,14 +12,15 @@ from mapumorph.alphabet import (DIGRAPHS, SINGLE_LETTERS, AlphabetError,
 from mapumorph.analyzer import (Analysis, GenerationError, analyse, generate,
                                 gloss_render, gloss_set, normalize_gloss)
 from mapumorph.defaults import data_path
-from mapumorph.lexicon import Lexicon, RootEntry, Sense, validate_lexicon
+from mapumorph.lexicon import (Allomorph, Lexicon, RootEntry, Sense,
+                               validate_lexicon)
 from mapumorph.morphotactics import (OPEN_FLOOR, RootUse, advance, end_codes,
                                      follows, settle, start_fold, tags_below,
                                      tags_reading_lone, validate_plan,
                                      validate_sequence)
-from mapumorph.phonology import (Piece, RuleTable, extend_realization,
-                                 load_rules, parse_rule_line, realize,
-                                 select_allomorph)
+from mapumorph.phonology import (PhonologyError, Piece, RuleTable,
+                                 extend_realization, load_rules,
+                                 parse_rule_line, realize, select_allomorph)
 
 import helpers
 from conftest import DATA, load_gloss_corpus
@@ -589,7 +590,7 @@ class TestTransitionTable:
                    for pid, piece in enumerate(grammar.pieces))
         entries, _, _ = check_entries(rules, grammar)
         assert entries > 3000, entries
-        assert check_generation_rows(grammar) > 300
+        assert check_links(grammar) == entries
 
 
 # Surfaces to put before a pending part: every segment alone and after a
@@ -632,21 +633,21 @@ def check_entries(rules, grammar):
     surface after each head of the key's final segment.  Returns
     (entries, checks, entries without a final segment whose surface's
     final differs by head)."""
-    pieces = grammar.pieces
+    pieces, width = grammar.pieces, grammar.width
     entries = checked = head_bound = 0
     for (prev, pending, final), row in grammar.realized.items():
-        assert len(row) == grammar.width
+        assert len(row) == width + 2
         heads = [h for h in HEADS if h + pending
                  and final_segment(h + pending) == final]
         assert heads, (pending, final)
-        for pid, entry in enumerate(row):
+        for pid, entry in enumerate(row[:width]):
             if entry is None:
                 continue
             entries += 1
             piece, finalized, part, new_final = extend_realization(
                 pieces[prev], pending, final, pieces[pid], rules)
-            assert entry == (
-                grammar.piece_ids[piece], finalized, part, new_final,
+            assert entry[:4] == (
+                grammar.piece_ids[piece], finalized, part,
                 rules.initials(piece, part) if part else None), (
                     pending, final, pieces[pid])
             finals = set()
@@ -661,27 +662,32 @@ def check_entries(rules, grammar):
     return entries, checked, head_bound
 
 
-def check_generation_rows(grammar):
-    """Check that each generation row is the one installed for its state,
-    as each root's start and each entry's next row, and that every filled
-    entry is the realization entry of its suffix's first spelling after
-    the state's final segment.  Returns the number of filled entries."""
-    generated, entries = grammar.generated, 0
-    assert all(generated[start[1][-1]] is start[1]
-               for start in grammar.starts.values())
-    for (prev, pending, final), row in generated.items():
-        assert row[-1] == (prev, pending, final)
-        assert len(row) == len(grammar.suffix_columns) + 1
+def check_links(grammar):
+    """Check that each row is the one installed for its state, ending with
+    the state and the first spellings after its final segment, that each
+    root's first steps and generation start from its installed row, and
+    that every filled entry links to the installed row of the state it
+    leads to, or to None exactly where the boundary step leaves the final
+    segment open.  Returns the number of filled entries."""
+    realized, width, pieces = grammar.realized, grammar.width, grammar.pieces
+    assert all(realized[row[width]] is row for row, _, _ in grammar._firsts)
+    assert all(realized[row[width]] is row
+               for _, row, _ in grammar.starts.values())
+    entries = 0
+    for (prev, pending, final), row in realized.items():
         kind = ("V" if is_vowel(final) else "C") if final else None
-        for column, entry in enumerate(row[:-1]):
+        assert row[width:] == [(prev, pending, final), grammar.trailers[kind]]
+        for pid, entry in enumerate(row[:width]):
             if entry is None:
                 continue
             entries += 1
-            placed, finalized, part, new_final, _ = grammar._step(
-                prev, pending, final, grammar.spellings[kind][column][1][0][0])
-            assert entry == (finalized, part, placed, None if new_final
-                             is None else generated[placed, part, new_final])
-            assert entry[3] is None or entry[3] is generated[entry[3][-1]]
+            placed, _, part, _, linked = entry
+            new_final = extend_realization(pieces[prev], pending, final,
+                                           pieces[pid], grammar.rules)[3]
+            if new_final is None:
+                assert linked is None, (pending, final, pieces[pid])
+            else:
+                assert linked is realized[placed, part, new_final]
     return entries
 
 
@@ -696,11 +702,11 @@ def check_initials(rules, grammar):
     for (prev, pending, final), row in grammar.realized.items():
         heads = [h for h in HEADS if h + pending
                  and final_segment(h + pending) == final]
-        for entry in row:
+        for entry in row[:grammar.width]:
             if entry is None or not entry[2]:
                 continue
-            new, finalized, part, new_final, initials = entry
-            finals = {new_final} if new_final is not None else {
+            new, finalized, part, initials, linked = entry
+            finals = {linked[grammar.width][2]} if linked is not None else {
                 final_segment(head + finalized + part) for head in heads}
             for end in finals:
                 triples[new, part, end] = initials
@@ -725,6 +731,9 @@ class TestRealizationTable:
         entries, checked, _ = check_entries(*warm)
         assert entries > 3000 and checked > 50_000, (entries, checked)
 
+    def test_every_filled_entry_links_to_the_row_it_leads_to(self, warm):
+        assert check_links(warm[1]) > 3000
+
     def test_rewriting_rules_leave_the_final_segment_to_the_word(
             self, lexicon, rewriting_path):
         rules = load_rules(rewriting_path)
@@ -733,6 +742,7 @@ class TestRealizationTable:
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
         entries, _, head_bound = check_entries(rules, grammar)
         assert entries > 3000 and head_bound, (entries, head_bound)
+        assert check_links(grammar) == entries
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
     def test_a_rewritten_pending_part_takes_the_final_of_its_word(
@@ -809,6 +819,41 @@ class TestGenerate:
                            f"of suffix ids, not {type(ids).__name__}$"):
             generate("küpa", "IV", ids)
 
+    @pytest.mark.parametrize("ids", [None, 5], ids=["None", "int"])
+    def test_suffix_ids_that_are_no_iterable_are_a_type_error(self, ids):
+        with pytest.raises(TypeError, match="^suffix_ids must be an iterable "
+                           f"of suffix ids, not {type(ids).__name__}$"):
+            generate("küpa", "IV", ids)
+
+    @pytest.mark.parametrize("sense, ids, message", [
+        ("IV", [["CA.l"]], "suffix id ['CA.l'] must be a string, not list"),
+        ("IV", ["CA.l", 5], "suffix id 5 must be a string, not int"),
+        ("IV", ("CA.l", None), "suffix id None must be a string, not "
+         "NoneType"),
+        (["IV"], [], "sense_context must be a string, not list"),
+        (["IV"], ["CA.l", "IND1SG.n"], "sense_context must be a string, not "
+         "list"),
+        (None, ["CA.l"], "sense_context must be a string, not NoneType"),
+    ], ids=["unhashable-id", "int-id", "None-id", "unhashable-sense",
+            "unhashable-sense-with-ids", "None-sense"])
+    def test_a_wrongly_typed_argument_is_named(self, sense, ids, message):
+        with pytest.raises(TypeError) as err:
+            generate("küpa", sense, ids)
+        assert str(err.value) == message
+
+    def test_a_mistyped_sense_comes_after_an_unknown_suffix_id(self):
+        # the faults keep their order: suffix ids are resolved first
+        with pytest.raises(KeyError, match="unknown suffix id 'NOPE.x'"):
+            generate("küpa", ["IV"], ["CA.l", "NOPE.x"])
+
+    def test_an_error_inside_the_suffix_ids_iterable_is_its_own(self):
+        def ids():
+            yield "CA.l"
+            raise TypeError("from the iterable")
+
+        with pytest.raises(TypeError, match="^from the iterable$"):
+            generate("küpa", "IV", ids())
+
     def test_root_resolution_by_form(self):
         assert generate("küpa", "IV", ["CA.l", "IND1SG.n"]) == "küpalün"
 
@@ -856,12 +901,29 @@ class TestGenerate:
             self, lexicon, rules):
         grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
         for final, kind in (("a", "V"), ("f", "C"), ("", None)):
+            trailer = grammar.trailers[kind]
+            assert len(trailer) == len(lexicon.suffixes)
             for sid, suffix in lexicon.suffixes.items():
                 column = grammar.suffix_columns[sid]
                 assert grammar.columns[column] is suffix
                 pid = grammar.spellings[kind][column][1][0][0]
+                assert trailer[column] == pid
                 assert grammar.pieces[pid] == Piece(
                     select_allomorph(suffix, final), "suffix", suffix_id=sid)
+
+    def test_a_suffix_with_no_allomorph_after_the_final_is_an_error(
+            self, lexicon):
+        # IND1SG.n spelled only after a vowel: kon ends in a consonant
+        suffixes = dict(lexicon.suffixes)
+        suffixes["IND1SG.n"] = dataclasses.replace(
+            suffixes["IND1SG.n"], allomorphs=(Allomorph("n", "V"),))
+        vowel_only = Lexicon(lexicon.roots, suffixes)
+        rules = load_rules(data_path("rules.tsv"))
+        assert generate("küpa", "IV", ["IND1SG.n"], vowel_only,
+                        rules) == "küpan"
+        with pytest.raises(PhonologyError,
+                           match="^no allomorph of IND1SG.n fits after 'n'$"):
+            generate("kon", "IV", ["IND1SG.n"], vowel_only, rules)
 
     def test_after_a_surface_fused_away_any_allomorph_fits(self, lexicon,
                                                            rules):

@@ -163,6 +163,49 @@ class TestGenerate:
         assert err == (f"error: {path}:1: form 'Küpa' in pattern '=Küpa' "
                        "is outside the alphabet\n")
 
+    @pytest.mark.parametrize("header, left, right, line, sid", [
+        ("", "V", "suffix:CA.x", 1, "CA.x"),
+        ("# a comment\n\n", "suffix:RI.fux", "suffix:AGR.fi", 3, "RI.fux"),
+        ("", "suffix:RI.fu", "suffix:AGR.x", 1, "AGR.x"),
+    ], ids=["right", "left-after-comment", "right-after-a-known-left"])
+    def test_a_rule_naming_no_suffix_of_the_lexicon_fails_at_load(
+            self, tmp_path, header, left, right, line, sid):
+        # the rule would never fire: küpamün would be printed with exit 0
+        path = tmp_path / "rules.tsv"
+        path.write_text(f"{header}x\tsandhi\t{left}\t{right}\t"
+                        "left:final:e\t-\n"
+                        + data_path("rules.tsv").read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        code, out, err = invoke(["generate", "--rules", str(path)],
+                                "küpa\tIV\tCA.m IND1SG.n\n")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}:{line}: pattern 'suffix:{sid}' names "
+                       "no suffix of the lexicon\n")
+
+    def test_a_rule_table_is_checked_against_the_given_suffixes(
+            self, tmp_path):
+        # the shipped rules name RI.fu, which this suffix inventory lacks;
+        # only a rule table given on the command line is checked
+        shipped = data_path("rules.tsv")
+        suffixes = tmp_path / "suffixes.tsv"
+        suffixes.write_text("".join(
+            line for line in data_path("suffixes.tsv").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            if not line.startswith("RI.fu\t")), encoding="utf-8")
+        code, out, _ = invoke(["generate", "--suffixes", str(suffixes)],
+                              "küpa\tIV\tCA.m IND1SG.n\n")
+        assert (code, out) == (0, "küpa\tIV\tCA.m IND1SG.n\tküpamün\n")
+        code, out, err = invoke(["generate", "--suffixes", str(suffixes),
+                                 "--rules", str(shipped)],
+                                "küpa\tIV\tCA.m IND1SG.n\n")
+        lineno = next(
+            n for n, line in enumerate(shipped.read_text(
+                encoding="utf-8").splitlines(), 1)
+            if "suffix:RI.fu" in line)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {shipped}:{lineno}: pattern 'suffix:RI.fu' "
+                       "names no suffix of the lexicon\n")
+
     def test_an_empty_first_column_is_kept(self):
         code, out, err = invoke(["generate"], "\tIV\tIND1SG.n\r\n")
         assert code == 0
