@@ -24,11 +24,12 @@ suffixes one per reading.  Analyses are ranked by piece count, then
 lexicographically by morph ids; the ranking is a plumbing choice, not a
 linguistic claim.
 
-Generation judges a sequence by a walk of the transition table from its
-root's start fold, and reads its surface off the realization table's
-linked rows, each suffix by its first context-matching allomorph.  Once
-the rows are filled an accepted sequence costs table lookups only; the
-validator runs only on a rejected sequence, to list its violations.
+Generation looks its root up in the grammar, judges a sequence by a
+walk of the transition table from the root's start fold, and reads its
+surface off the realization table's linked rows, each suffix by its
+first context-matching allomorph.  Once the rows are filled an accepted
+sequence costs table lookups only; the validator runs only on a
+rejected sequence, to list its violations.
 """
 
 from __future__ import annotations
@@ -290,10 +291,11 @@ class _Grammar:
     :func:`analyse` and :func:`generate` call with them: the transition
     table with its end flags, the realization table, and what feeds them
     (per preceding V/C, each column's spellings and their filter by the
-    character that follows; each root's first steps and its start fold
-    per sense context; each suffix's column).  Every piece gets a number
-    when the grammar is built: each distinct suffix allomorph, each root,
-    and the fused variant of each of them that a fusion rule can place.
+    character that follows; each root's first steps, and its row and
+    start fold per sense context by every spelling :meth:`generate`
+    takes; each suffix's column).  Every piece gets a number when the
+    grammar is built: each distinct suffix allomorph, each root, and the
+    fused variant of each of them that a fusion rule can place.
     A search or a generation writes only to the realization table.
 
     The realization table has a row per realization state ``(previous
@@ -327,10 +329,10 @@ class _Grammar:
     fail.  The build moves a fold on only by the suffixes below its floor,
     and by members where one may follow: every other entry is a dead end,
     so the row alone says what may follow the fold.  The end checks at
-    the end of the word are compiled per settled fold too, into two
-    flags: :attr:`accepts`, ``not end_codes(fold)``, and
-    :attr:`accepts_bare`, the same for a lone verb root.  The search and
-    generation read these, and only the build and the validator run
+    the end of the word are compiled per settled fold too, into one flag,
+    :attr:`accepts`, ``not end_codes(fold)``; a lone verb root's start
+    fold is bare, so the fold alone decides.  The search and generation
+    read these flags, and only the build and the validator run
     :func:`end_codes`.
     """
 
@@ -380,24 +382,32 @@ class _Grammar:
         # the columns go on with one per distinct sense choice of a root as
         # a later member (an incorporated demonstrative is a fixed
         # construction, so its citation sense stands for all of them);
-        # each root's distinct sense choices as the first member, by piece
-        # id, and its row, where its paths and its generations start
-        self.first_uses, self._firsts, self.starts = {}, [], {}
+        # each root's first steps, one per distinct sense choice, and its
+        # start by form:category for generation: its row and a start fold
+        # per sense context, since a start fold reads only that context
+        self._firsts, self.starts = [], {}
         for entry, root in roots:
             for sense in dict.fromkeys(entry.senses[:1] if entry.category
                                        == "demonstrative" else entry.senses):
                 for kind in ("V", "C"):
                     self.spellings[kind].append((len(self.columns), (root,)))
                 self.columns.append(RootUse(entry, sense))
-            uses = self.first_uses[root[0]] = tuple(
-                RootUse(entry, sense) for sense in dict.fromkeys(entry.senses))
             row = self._row(root[0], entry.form,
                             alphabet.final_segment(entry.form))
-            folds = [self._fold_id(start_fold(use)) for use in uses]
-            self._firsts += [(row, k, fold) for k, fold in enumerate(folds)]
-            # a start fold reads only its sense's context
-            self.starts[entry.form, entry.category] = (entry, row, {
-                use.sense.context: fold for use, fold in zip(uses, folds)})
+            folds = {}
+            for sense in dict.fromkeys(entry.senses):
+                use = RootUse(entry, sense)
+                folds[sense.context] = self._fold_id(start_fold(use))
+                self._firsts.append((row, use, folds[sense.context]))
+            start = self.starts[f"{entry.form}:{entry.category}"] = (
+                entry, row, folds)
+            # the bare form names the verb entry, or the only one; a form
+            # of several entries and no verb is ambiguous (None)
+            if entry.category == "verb" or entry.form not in self.starts:
+                self.starts[entry.form] = start
+            elif self.starts[entry.form] is not None \
+                    and self.starts[entry.form][0].category != "verb":
+                self.starts[entry.form] = None
 
         # each fold's row; the loop meets the folds it numbers as it goes,
         # and judges each fold met once.  Only the suffixes below the
@@ -419,12 +429,8 @@ class _Grammar:
                             new, self.below)) else self._fold_id(new)
                     row[column] = met[new]
             self.transitions.append(row)
-        # the end checks per fold, for any word and for a lone verb root;
-        # a bare plan only adds a code, so it passes only where any does
+        # the end checks per fold
         self.accepts = tuple(not end_codes(fold) for fold in self.folds)
-        self.accepts_bare = tuple(
-            ok and not end_codes(fold, bare=True)
-            for ok, fold in zip(self.accepts, self.folds))
         self.options = functools.cache(self.options)
         self.firsts = functools.cache(self.firsts)
 
@@ -467,7 +473,7 @@ class _Grammar:
                                                      or char in starts))))
 
     def firsts(self, char: str) -> tuple:
-        """The first steps ``(row, sense index, start fold)`` of the paths
+        """The first steps ``(row, root use, start fold)`` of the paths
         for a word that starts with *char*: the roots whose part can start
         with it once the rule at the next boundary, the only one that can
         still rewrite it, has applied.  Memoised per grammar."""
@@ -484,7 +490,8 @@ class _Grammar:
         state = (prev, pending, final)
         row = self.realized.get(state)
         if row is None:
-            kind = alphabet.final_kind(final) if final else None
+            kind = ("V" if alphabet.is_vowel(final) else "C") \
+                if final else None
             row = self.realized.setdefault(
                 state, [None] * self.width + [state, self.trailers[kind]])
         return row
@@ -519,7 +526,7 @@ class _Grammar:
         A step holds the row of its realization state, numbers and
         strings: a link to the path before the last piece, the position
         the pending part starts at, the column that led to the last piece
-        (its sense index for the first root), the fold after it and the
+        (its root use for the first root), the fold after it and the
         licensing state.  A link is ``(parent link, piece number, column,
         fold, finalized part)``.  Each piece tried is realized by its entry
         in the step's row, and the next step takes the row the entry links
@@ -547,7 +554,7 @@ class _Grammar:
         options, idents, licensing = self.options, self.idents, self.licensing
         width, fill, row_of = self.width, self._fill, self._row
         transitions, build = self.transitions, self._analysis
-        accepts, accepts_bare = self.accepts, self.accepts_bare
+        accepts = self.accepts
         results, dead = [], set()
         size = len(word)
 
@@ -563,11 +570,9 @@ class _Grammar:
             end = pos + len(pending)
             if word.startswith(pending, pos):
                 # a path may end in neither licensing state that owes
-                if end == size and _licensed(owed, code, pending) in (
-                        _FREE, _AFTER_3P):
-                    if (accepts_bare if link is None and idents[prev][1]
-                            == "verb" else accepts)[live]:
-                        results.append(build(word, node + (pending,)))
+                if end == size and accepts[live] and _licensed(
+                        owed, code, pending) in (_FREE, _AFTER_3P):
+                    results.append(build(word, node + (pending,)))
                 char = word[end:end + 1]
             else:
                 char = None
@@ -605,33 +610,41 @@ class _Grammar:
                 dead.add(key)
 
         try:
-            for row, sense, live in self.firsts(word[0]):
-                step(None, row, 0, sense, live, _FREE)
+            for row, use, live in self.firsts(word[0]):
+                step(None, row, 0, use, live, _FREE)
         finally:
             # step refers to itself; unbinding it frees this call's states
             # without the cyclic collector
             step = None
         return results
 
-    def generate(self, entry: RootEntry, sense_context: str,
-                 suffix_ids) -> str:
-        """The surface of *entry* in *sense_context* with *suffix_ids*, by
-        table lookups alone once the rows are filled.  One pass resolves
-        the suffix ids and walks the transition table from the sense's
-        start fold; the fold reached is judged by the compiled end checks.
-        The surface is then read off the realization table from the root's
-        row, each suffix by the entry of the first spelling its row names,
-        which links to the next row.  The faults are reported in this
-        order: an unknown root; suffix ids that are no iterable, or an
-        unknown or mistyped id anywhere in them; a missing or mistyped
-        sense; a rejected sequence; then a suffix with no allomorph after
-        the final segment.  Only a rejected sequence is folded again, by
-        :func:`validate_sequence`, for its violations."""
-        start = self.starts.get((entry.form, entry.category))
-        if start is None or start[0] is not entry and start[0] != entry:
-            raise KeyError(
-                f"unknown root {entry.form + ':' + entry.category!r}")
-        _, row, start_folds = start
+    def generate(self, root, sense_context: str, suffix_ids) -> str:
+        """The surface of *root* in *sense_context* with *suffix_ids*, by
+        table lookups alone once the rows are filled.  *root* is looked up
+        in :attr:`starts`, a string as it is and a :class:`RootEntry` by
+        its ``form:category``, which must then be that entry or equal it.
+        One pass resolves the suffix ids and walks the transition table
+        from the sense's start fold; the fold reached is judged by the
+        compiled end check.  The surface is then read off the realization
+        table from the root's row, each suffix by the entry of the first
+        spelling its row names, which links to the next row.  The faults
+        are reported in this order: an unknown or ambiguous root; suffix
+        ids that are no iterable, or an unknown or mistyped id anywhere in
+        them; a missing or mistyped sense; a rejected sequence; then a
+        suffix with no allomorph after the final segment.  Only a rejected
+        sequence is folded again, by :func:`validate_sequence`, for its
+        violations."""
+        given = isinstance(root, RootEntry)
+        key = f"{root.form}:{root.category}" if given else root
+        try:
+            start = self.starts[key]
+        except (KeyError, TypeError):  # an unhashable key names no root
+            raise KeyError(f"unknown root {key!r}") from None
+        if start is None:
+            raise KeyError(f"ambiguous root {key!r}; pass form:category")
+        entry, row, start_folds = start
+        if given and entry is not root and entry != root:
+            raise KeyError(f"unknown root {key!r}")
         # a missing sense walks no table, but its suffix ids are resolved
         try:
             live = start_folds.get(sense_context, _DEAD)
@@ -661,9 +674,7 @@ class _Grammar:
         if live == _DEAD and sense_context not in start_folds:
             raise ValueError(f"root {entry.form!r} has no {sense_context} "
                              "sense")
-        if live == _DEAD or not (
-                self.accepts_bare if not columns and entry.category == "verb"
-                else self.accepts)[live]:
+        if live == _DEAD or not self.accepts[live]:
             raise GenerationError(
                 f"invalid sequence for {entry.form!r}", validate_sequence(
                     (entry, sense_context),
@@ -698,8 +709,8 @@ class _Grammar:
         while link is not None:
             link, pid, column, fid, part = link
             piece = self.pieces[pid]
-            item = self.first_uses[pid][column] if link is None \
-                else self.columns[column]
+            # the first root's link holds its RootUse in place of a column
+            item = column if link is None else self.columns[column]
             start = end - len(part)
             if piece.is_root:
                 entry, sense = item.entry, item.sense
@@ -741,28 +752,15 @@ def analyse(word: str, lexicon: Lexicon | None = None,
                   key=lambda a: a.score)
 
 
-def _resolve_root(root, lexicon: Lexicon) -> RootEntry:
-    if isinstance(root, RootEntry):
-        return root
-    form, colon, category = str(root).partition(":")
-    entries = [e for e in lexicon.roots_by_form(form)
-               if not colon or e.category == category]
-    if not entries:
-        raise KeyError(f"unknown root {root!r}")
-    verbs = [e for e in entries if e.category == "verb"]
-    if len(entries) > 1 and not verbs:
-        raise KeyError(f"ambiguous root {root!r}; pass form:category")
-    return verbs[0] if verbs else entries[0]
-
-
 def generate(root, sense_context: str, suffix_ids,
              lexicon: Lexicon | None = None,
              rules: RuleTable | None = None) -> str:
     """Surface form for a root sense plus an ordered list of suffix ids.
 
     *root* is a :class:`RootEntry` of the lexicon, a form (its verb entry,
-    if it has one) or ``form:category``; any other raises KeyError, as an
-    unknown suffix id does.  *suffix_ids* is an iterable of id strings; a
+    or its only one) or ``form:category``, each looked up once in the
+    grammar; any other raises KeyError, as an unknown suffix id does, and
+    so does a form of several entries none of which is a verb.  *suffix_ids* is an iterable of id strings; a
     single string, which would be read character by character, or an
     argument of another wrong type raises TypeError that names it.
     The sequence is judged first, through the grammar the analyser
@@ -774,9 +772,8 @@ def generate(root, sense_context: str, suffix_ids,
         raise _mistyped("suffix_ids", "an iterable of suffix ids",
                         suffix_ids)
     lexicon, rules = tables(lexicon, rules)
-    entry = _resolve_root(root, lexicon)
     return rules.for_lexicon(lexicon, _Grammar).generate(
-        entry, sense_context, suffix_ids)
+        root, sense_context, suffix_ids)
 
 
 def gloss_render(analysis: Analysis) -> str:

@@ -19,18 +19,19 @@ from .alphabet import AlphabetError
 from .analyzer import (Analysis, GenerationError, analyse, generate,
                        gloss_render, json_objects)
 from .classifier import classify_corpus, render_table
-from .lexicon import LexiconError, load_lexicon, validate_lexicon
-from .phonology import PhonologyError, load_rules, rule_lines
+from .lexicon import LexiconError, data_lines, load_lexicon, validate_lexicon
+from .phonology import PhonologyError, load_rules
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 
 
-def _add_data_flags(parser):
+def _add_data_flags(parser, rules=True):
     parser.add_argument("--lexicon", help="root inventory TSV")
     parser.add_argument("--suffixes", help="suffix inventory TSV")
-    parser.add_argument("--rules", help="boundary rule TSV")
+    if rules:
+        parser.add_argument("--rules", help="boundary rule TSV")
     parser.add_argument("--slots", help="slot table TSV (cross-check only)")
 
 
@@ -54,11 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
 
     p = sub.add_parser("validate-lexicon", help="report lexicon diagnostics")
-    _add_data_flags(p)
+    _add_data_flags(p, rules=False)
 
     p = sub.add_parser("classify",
                        help="valency table from JSON-lines analyses on stdin")
-    _add_data_flags(p)
+    _add_data_flags(p, rules=False)
     p.add_argument("--threshold", type=int, default=1,
                    help="diagnostic hits needed per class (>= 1)")
     return parser
@@ -71,17 +72,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_tables(args, strict=True):
+    """The lexicon and the rule table that ``--rules`` names (None for the
+    shipped one), each checked in that order, then the slot table."""
     if args.lexicon or args.suffixes:
         root_path = args.lexicon or defaults.data_path("roots.tsv")
         suffix_path = args.suffixes or defaults.data_path("suffixes.tsv")
         lexicon = load_lexicon(root_path, suffix_path, strict=strict)
     else:
         lexicon = defaults.default_lexicon()
-    if args.rules:
+    rules = None
+    if getattr(args, "rules", None):  # only analyse and generate take it
         rules = load_rules(args.rules)
         _cross_check_rules(args.rules, rules, lexicon)
-    else:
-        rules = defaults.default_rules()
     if args.slots:
         _cross_check_slots(args.slots, lexicon)
     return lexicon, rules
@@ -90,7 +92,7 @@ def _load_tables(args, strict=True):
 def _cross_check_rules(path, rules, lexicon):
     """A rule whose ``suffix:ID`` pattern names no suffix of *lexicon*
     could never fire, so it fails, located at its line."""
-    for (lineno, _), rule in zip(rule_lines(path), rules.rules):
+    for (lineno, _), rule in zip(data_lines(path), rules.rules):
         for sid in rule.suffix_ids:
             if sid not in lexicon.suffixes:
                 raise PhonologyError(f"{path}:{lineno}: pattern "
@@ -99,22 +101,18 @@ def _cross_check_rules(path, rules, lexicon):
 
 
 def _cross_check_slots(path, lexicon):
-    with open(path, encoding="utf-8") as lines:
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            try:
-                sid, slot = cols[0], int(cols[1])
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 "suffix-id<TAB>integer slot") from None
-            entry = lexicon.suffixes.get(sid)
-            if entry is not None and entry.slot != slot:
-                raise LexiconError(
-                    f"slot table disagrees with suffix inventory for {sid}",
-                    path, lineno)
+    for lineno, line in data_lines(path):
+        cols = line.strip().split("\t")
+        try:
+            sid, slot = cols[0], int(cols[1])
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}:{lineno}: expected "
+                             "suffix-id<TAB>integer slot") from None
+        entry = lexicon.suffixes.get(sid)
+        if entry is not None and entry.slot != slot:
+            raise LexiconError(
+                f"slot table disagrees with suffix inventory for {sid}",
+                path, lineno)
 
 
 def _cmd_analyse(args, stdin, stdout, stderr) -> int:

@@ -115,10 +115,6 @@ class Lexicon:
             object.__setattr__(self, name,
                                MappingProxyType(dict(getattr(self, name))))
 
-    def roots_by_form(self, form: str) -> list[RootEntry]:
-        return sorted((r for r in self.roots.values() if r.form == form),
-                      key=lambda r: r.category)
-
     def iter_roots(self) -> list[RootEntry]:
         return [self.roots[k] for k in sorted(self.roots)]
 
@@ -233,13 +229,13 @@ def parse_suffix_line(line: str) -> SuffixEntry:
                        attach.strip(), tuple(allomorphs))
 
 
-def _iter_data_lines(path: Path):
-    text = path.read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield lineno, line
+def data_lines(path: str | Path):
+    """(line number, line) for each line of a TSV table that holds data,
+    in order: blank lines and ``#`` comment lines are skipped."""
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
 
 
 def load_lexicon(root_path: str | Path,
@@ -255,7 +251,7 @@ def load_lexicon(root_path: str | Path,
     roots: dict[tuple[str, str], RootEntry] = {}
     suffixes: dict[str, SuffixEntry] = {}
     root_path = Path(root_path)
-    for lineno, line in _iter_data_lines(root_path):
+    for lineno, line in data_lines(root_path):
         try:
             entry = parse_root_line(line)
         except LexiconError as err:
@@ -275,7 +271,7 @@ def load_lexicon(root_path: str | Path,
         roots[key] = entry
     if suffix_path is not None:
         suffix_path = Path(suffix_path)
-        for lineno, line in _iter_data_lines(suffix_path):
+        for lineno, line in data_lines(suffix_path):
             try:
                 entry = parse_suffix_line(line)
             except LexiconError as err:

@@ -139,9 +139,10 @@ def _member_effective_valency(root: RootEntry) -> str:
 
 
 class Fold(NamedTuple):
-    """What later items and the end checks read of a plan so far, the slot
-    template's state included.  Folds are built with ``tuple.__new__``,
-    which skips the keyword handling of the NamedTuple constructor:
+    """What later items and the end checks read of a plan so far: the slot
+    template's state, and whether the plan is a lone verb root, which no
+    transition leads to.  Folds are built with ``tuple.__new__``, which
+    skips the keyword handling of the NamedTuple constructor:
     :func:`validate_plan` builds one for every item it judges.  The
     analyser compiles the transitions between settled folds
     (:func:`settle`) once per grammar."""
@@ -163,6 +164,7 @@ class Fold(NamedTuple):
     members: int            # the stem members so far
     stem_open: bool         # every suffix since the latest member is in
                             # the stem zone, so a new member may come
+    bare: bool              # the plan is a lone verb root
 
 
 # the tags the end checks read
@@ -178,14 +180,14 @@ def start_fold(first: RootUse) -> Fold:
     return tuple.__new__(Fold, (
         first.sense.context, None, None, entry.valency,
         _member_effective_valency(entry) == "IV", entry.loan, None, False,
-        frozenset(), False, OPEN_FLOOR, 1, True))
+        frozenset(), False, OPEN_FLOOR, 1, True, entry.category == "verb"))
 
 
 def advance(fold: Fold, item) -> tuple[Fold, list]:
     """The fold after *item*, a later member or a suffix, and the codes
     *item* raises, in order, the slot template's among them."""
     (state, pending, prev_ca, lone, last_iv, last_loan, mood, inflected,
-     seen, slot6, floor, members, stem_open) = fold
+     seen, slot6, floor, members, stem_open, _) = fold
     codes = []
     if isinstance(item, RootUse):
         if not stem_open:
@@ -211,7 +213,8 @@ def advance(fold: Fold, item) -> tuple[Fold, list]:
         return tuple.__new__(Fold, (
             state, pending, None, None,
             _member_effective_valency(entry) == "IV", entry.loan, mood,
-            inflected, seen, slot6, OPEN_FLOOR, members + 1, True)), codes
+            inflected, seen, slot6, OPEN_FLOOR, members + 1, True,
+            False)), codes
 
     tag, slot = item.tag, item.slot
     if pending is not None:
@@ -254,7 +257,7 @@ def advance(fold: Fold, item) -> tuple[Fold, list]:
         state, None, tag == "CA", lone, last_iv, last_loan, mood,
         inflected or slot <= INFLECTION_ZONE, seen, slot6 or slot == 6,
         next_floor(item, floor), members,
-        stem_open and slot >= STEM_ZONE)), codes
+        stem_open and slot >= STEM_ZONE, False)), codes
 
 
 def follows(fold: Fold, below: dict[int, frozenset]) -> frozenset | None:
@@ -272,14 +275,14 @@ def _settled(follow: frozenset | None, clearing) -> bool:
     return follow is not None and follow.isdisjoint(clearing)
 
 
-def end_codes(fold: Fold, follow: frozenset | None = frozenset(),
-              bare: bool = False) -> list:
+def end_codes(fold: Fold, follow: frozenset | None = frozenset()) -> list:
     """The codes the end of the word raises on *fold*, in order, that no
     continuation can clear.  *follow* holds the tags of the suffixes that
     may still come: none at the end of the word, and mid-word those that
     :func:`follows` gives (None while another compound member may come).
-    *bare* marks a plan that is a lone verb root."""
-    (_, pending, _, _, _, _, mood, inflected, seen, slot6, _, _, _) = fold
+    A bare fold lacks its mood at the end of the word."""
+    (_, pending, _, _, _, _, mood, inflected, seen, slot6, _, _, _,
+     bare) = fold
     codes = []
     nothing_follows = follow is not None and not follow
     if pending is not None and nothing_follows:
@@ -366,10 +369,10 @@ def validate_plan(items: list, lexicon: Lexicon | None = None,
                   trace: list | None = None) -> list[Violation]:
     """Validate a mixed sequence of RootUse and SuffixEntry items.
 
-    Walks *items* once, folding a :class:`Fold` with :func:`advance`,
-    then runs :func:`end_codes` at the end of the word (*lexicon* is not
-    read).  When *trace* is a list, each step's (root form or suffix id,
-    state after it) is appended to it.
+    Walks *items* once from :func:`start_fold`, folding with
+    :func:`advance`, then runs :func:`end_codes` on the last fold at the
+    end of the word (*lexicon* is not read).  When *trace* is a list,
+    each step's (root form or suffix id, state after it) is appended to it.
     """
     if not items or not isinstance(items[0], RootUse):
         raise ValueError("sequence must start with a root")
@@ -388,8 +391,7 @@ def validate_plan(items: list, lexicon: Lexicon | None = None,
                           else item.id, fold.state))
 
     end = len(items)
-    for code in end_codes(fold, bare=end == 1
-                          and first.entry.category == "verb"):
+    for code in end_codes(fold):
         violations.append(Violation(code, end, _END_MESSAGES.get(code, "")))
     return violations
 

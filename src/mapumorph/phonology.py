@@ -41,12 +41,11 @@ change only by filling their memos.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import alphabet
-from .lexicon import CATEGORIES, Lexicon, SuffixEntry
+from .lexicon import CATEGORIES, Lexicon, SuffixEntry, data_lines
 
 RULE_KINDS = ("prothesis", "sandhi", "epenthesis", "fusion")
 
@@ -234,20 +233,12 @@ def parse_rule_line(line: str) -> BoundaryRule:
         **targets)
 
 
-def rule_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of a rule table that holds a
-    rule, in order: blank and comment lines are skipped."""
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.rstrip()
-        if line and not line.lstrip().startswith("#"):
-            yield lineno, line
-
-
 def load_rules(path: str | Path) -> RuleTable:
     rules = []
-    for lineno, line in rule_lines(path):
+    for lineno, line in data_lines(path):
         try:
-            rules.append(parse_rule_line(line))
+            # trailing whitespace opens no column
+            rules.append(parse_rule_line(line.rstrip()))
         except PhonologyError as err:
             raise PhonologyError(f"{path}:{lineno}: {err}") from None
     return RuleTable(tuple(rules))

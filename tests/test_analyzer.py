@@ -489,12 +489,25 @@ class TestTransitionTable:
         grammar = analyzer._Grammar(lexicon, rules)
         assert grammar.accepts == tuple(
             not end_codes(fold) for fold in grammar.folds)
-        assert grammar.accepts_bare == tuple(
-            not end_codes(fold, bare=True) for fold in grammar.folds)
-        # both verdicts occur, and the bare flag differs somewhere
-        assert set(grammar.accepts) == set(grammar.accepts_bare) \
-            == {True, False}
-        assert grammar.accepts != grammar.accepts_bare
+        assert set(grammar.accepts) == {True, False}
+        # a bare fold, a lone verb root's, never ends a word, and only its
+        # bare field keeps some of them from it
+        bare = [fid for fid, fold in enumerate(grammar.folds) if fold.bare]
+        assert bare and not any(grammar.accepts[fid] for fid in bare)
+        assert any(not end_codes(grammar.folds[fid]._replace(bare=False))
+                   for fid in bare)
+
+    def test_a_verb_and_a_noun_start_apart_only_in_bare(self, lexicon,
+                                                         rules):
+        # küpa (verb) and che (noun) share valency and an IV sense: their
+        # settled start folds differ only in the lone-verb-root flag, and
+        # only the verb's rejects the end of the word
+        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        verb = grammar.starts["küpa:verb"][2]["IV"]
+        noun = grammar.starts["che:noun"][2]["IV"]
+        assert verb != noun
+        assert grammar.folds[verb] == grammar.folds[noun]._replace(bare=True)
+        assert not grammar.accepts[verb] and grammar.accepts[noun]
 
     def test_a_suffix_folds_alike_under_every_floor_above_its_slot(
             self, lexicon):
@@ -990,8 +1003,7 @@ class TestRoundTrip:
                             "DL.u", "A1t2.0"]),
         ]
         for form, context, seq in cases:
-            entry = next(r for r in lexicon.roots_by_form(form)
-                         if r.category == "verb")
+            entry = lexicon.roots[form, "verb"]
             sense = entry.senses_for(context)[0]
             word = generate(entry, context, seq, lexicon)
             hits = [a for a in analyse(word, lexicon)

@@ -1,6 +1,9 @@
+import argparse
 import gc
 import io
 import json
+import pathlib
+import re
 import weakref
 
 import pytest
@@ -409,6 +412,15 @@ def test_slot_table_cross_check(tmp_path):
     assert "disagrees" in err
 
 
+def test_an_indented_slot_line_is_read_stripped(tmp_path):
+    # leading whitespace opens no column, and an indented # is a comment
+    bad = tmp_path / "slots.tsv"
+    bad.write_text("  # note\n\tCA.l\t12 \n", encoding="utf-8")
+    code, _, err = invoke(["analyse", "--slots", str(bad)], "küpan\n")
+    assert code == 2
+    assert err.startswith(f"lexicon: {bad}:2: slot table disagrees")
+
+
 @pytest.mark.parametrize("text,line", [("CA.l\n", 1),
                                        ("# comment\nCA.l\tx\n", 2)])
 def test_slot_table_line_errors_are_located(tmp_path, text, line):
@@ -421,15 +433,81 @@ def test_slot_table_line_errors_are_located(tmp_path, text, line):
 
 
 def test_slot_table_file_is_closed(tmp_path, monkeypatch):
-    opened = []
-
-    def tracking_open(*args, **kwargs):
-        opened.append(open(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+    # the slot table is read by lexicon.data_lines, through Path.open
     good = tmp_path / "slots.tsv"
     good.write_text("CA.l\t34\n", encoding="utf-8")
+    opened, path_open = [], pathlib.Path.open
+
+    def tracking_open(self, *args, **kwargs):
+        file = path_open(self, *args, **kwargs)
+        if self == good:
+            opened.append(file)
+        return file
+
+    monkeypatch.setattr(pathlib.Path, "open", tracking_open)
     code, _, _ = invoke(["analyse", "--slots", str(good)], "küpan\n")
     assert code == 0
     assert len(opened) == 1 and opened[0].closed
+
+
+UNKNOWN_SUFFIX_RULE = "x\tsandhi\tV\tsuffix:CA.x\tleft:final:e\t-\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "validate-lexicon"])
+@pytest.mark.parametrize("bad", [False, True], ids=["shipped", "bad"])
+def test_only_analyse_and_generate_take_rules(tmp_path, capsys, command,
+                                              bad):
+    # neither command reads a rule, so a rule table is a usage error,
+    # whether or not it would load
+    path = data_path("rules.tsv")
+    if bad:
+        path = tmp_path / "rules.tsv"
+        path.write_text(UNKNOWN_SUFFIX_RULE, encoding="utf-8")
+    code, out, _ = invoke([command, "--rules", str(path)], "")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --rules" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command",
+                         ["analyse", "generate", "validate-lexicon",
+                          "classify"])
+def test_tables_are_checked_lexicon_then_rules_then_slots(tmp_path,
+                                                          command):
+    roots, rules, slots = (tmp_path / name for name in (
+        "roots.tsv", "rules.tsv", "slots.tsv"))
+    roots.write_text("bad-line-no-tabs\n", encoding="utf-8")
+    rules.write_text(UNKNOWN_SUFFIX_RULE, encoding="utf-8")
+    slots.write_text("CA.l\n", encoding="utf-8")
+    bad = {
+        "--lexicon": (roots, 2, f"lexicon: {roots}:1: expected at least 4 "
+                      "tab-separated columns, got 1\n"),
+        "--rules": (rules, 1, f"error: {rules}:1: pattern 'suffix:CA.x' "
+                    "names no suffix of the lexicon\n"),
+        "--slots": (slots, 1, f"error: {slots}:1: expected "
+                    "suffix-id<TAB>integer slot\n"),
+    }
+    if command not in ("analyse", "generate"):
+        del bad["--rules"]
+    # each bad table, with the ones after it, reports itself; then it goes
+    while bad:
+        argv = [command]
+        for flag, (path, _, _) in bad.items():
+            argv += [flag, str(path)]
+        flag, (_, code, err) = next(iter(bad.items()))
+        assert invoke(argv, "") == (code, "", err), flag
+        del bad[flag]
+
+
+def test_the_readme_lists_each_subcommands_flags():
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    listed = {match[1]: set(re.findall(r"`(--[a-z-]+)`", match[2]))
+              for match in re.finditer(r"^\| `([a-z-]+)` \|(.*)\|$", readme,
+                                       re.MULTILINE)}
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert listed == {
+        name: {flag for action in parser._actions
+               for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"}
+        for name, parser in sub.choices.items()}

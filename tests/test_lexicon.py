@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapumorph.lexicon import (Lexicon, LexiconError, RootEntry, Sense,
-                               load_lexicon, parse_root_line,
-                               validate_lexicon)
+from mapumorph.lexicon import (Allomorph, Lexicon, LexiconError, RootEntry,
+                               Sense, load_lexicon, parse_root_line,
+                               parse_suffix_line, validate_lexicon)
 
 from conftest import DATA
 from helpers import dump_roots, dump_suffixes
@@ -75,6 +77,72 @@ def test_unregistered_tag_diagnosed(tmp_path):
     suffixes.write_text("X.q\t4\tXYZ\tneutral\tany\tq@any\n", encoding="utf-8")
     lex = load_lexicon(roots, suffixes, strict=False)
     assert any(d.code == "unregistered_tag" for d in validate_lexicon(lex))
+
+
+ROOT_LINE = "küpa\tverb\tIV\tIV:come\n"
+SUFFIX_LINE = "X.y\t4\tIND\tneutral\tany\ty@any\n"
+
+
+@pytest.mark.parametrize("roots, suffixes, where, message", [
+    ("küpa\tverb\tIV\tIV:come\tkona\tloan,old\n", "", "roots.tsv:1",
+     "unknown flag 'old'"),
+    ("# roots\nküpa\tverb\tIV\tIV-come\n", "", "roots.tsv:2",
+     "sense 'IV-come' is not CTX:gloss"),
+    (ROOT_LINE, "# suffixes\n\nX.y\t4\tIND\n", "suffixes.tsv:3",
+     "expected 6 tab-separated columns, got 3"),
+    (ROOT_LINE, "X.y\tfour\tIND\tneutral\tany\ty@any\n", "suffixes.tsv:1",
+     "slot 'four' is not an integer"),
+    (ROOT_LINE, "X.y\t4\tIND\tneutral\tany\ty@any|k-C\n", "suffixes.tsv:1",
+     "allomorph 'k-C' is not surface@context"),
+    (ROOT_LINE, SUFFIX_LINE + "# again\n" + SUFFIX_LINE, "suffixes.tsv:3",
+     "duplicate suffix id 'X.y'"),
+    (ROOT_LINE, SUFFIX_LINE + "Y.w\t40\tIND\tneutral\tany\ty@any\n",
+     "suffixes.tsv:2",
+     "invariant violation for suffix 'Y.w': slot 40 outside 1..36"),
+], ids=["unknown-flag", "sense-without-context", "suffix-columns",
+        "suffix-slot", "allomorph-context", "duplicate-suffix",
+        "suffix-invariant"])
+def test_malformed_lexicon_line_is_located(tmp_path, roots, suffixes, where,
+                                           message):
+    (tmp_path / "roots.tsv").write_text(roots, encoding="utf-8")
+    (tmp_path / "suffixes.tsv").write_text(suffixes, encoding="utf-8")
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(tmp_path / "roots.tsv", tmp_path / "suffixes.tsv")
+    assert str(err.value) == f"{tmp_path / where}: {message}"
+
+
+ROOT = parse_root_line(ROOT_LINE)
+SUFFIX = parse_suffix_line(SUFFIX_LINE)
+
+
+@pytest.mark.parametrize("entry, code", [
+    (replace(ROOT, form="Küpa"), "bad_form"),
+    (replace(ROOT, category="Verb"), "bad_category"),
+    (replace(ROOT, valency="XV"), "bad_valency"),
+    (replace(ROOT, source="book"), "bad_source"),
+    (replace(ROOT, senses=()), "no_senses"),
+    (replace(ROOT, senses=(Sense("XV", "come"),)), "bad_sense_context"),
+    (replace(SUFFIX, slot=40), "bad_slot"),
+    (replace(SUFFIX, valency_effect="up"), "bad_effect"),
+    (replace(SUFFIX, attach_constraint="some"), "bad_attach"),
+    (replace(SUFFIX, allomorphs=()), "no_allomorphs"),
+    (replace(SUFFIX, allomorphs=(Allomorph("y", "any"),
+                                 Allomorph("k", "any"))),
+     "multiple_fallbacks"),
+    (replace(SUFFIX, allomorphs=(Allomorph("Y", "any"),)), "bad_form"),
+    (replace(SUFFIX, allomorphs=(Allomorph("y", "X"),)), "bad_context"),
+    (replace(SUFFIX, valency_effect="agreement_tv_only"), "agreement_attach"),
+], ids=["root-form", "category", "valency", "source", "no-senses",
+        "sense-context", "slot", "effect", "attach", "no-allomorphs",
+        "fallbacks", "allomorph-form", "allomorph-context", "agreement"])
+def test_each_invariant_is_diagnosed(entry, code):
+    # the entry replaces its clean counterpart; nothing else is at fault
+    root, suffix = (entry, SUFFIX) if isinstance(entry, RootEntry) \
+        else (ROOT, entry)
+    lex = Lexicon({(root.form, root.category): root}, {suffix.id: suffix})
+    found = [d for d in validate_lexicon(lex) if d.invariant]
+    subject = root.form if suffix is SUFFIX else suffix.id
+    assert [(d.code, d.subject) for d in found] == [(code, subject)]
 
 
 def test_nine_labile_fixture_is_clean_and_has_18_sense_rows():

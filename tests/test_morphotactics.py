@@ -235,6 +235,22 @@ def _search_drop(plan, below):
     return None
 
 
+def test_only_a_lone_verb_root_is_bare(lexicon):
+    """start_fold marks a verb root bare, the end of the word then lacks
+    its mood, and any later item, suffix or member, clears the mark."""
+    küpa = lexicon.roots[("küpa", "verb")]
+    che = lexicon.roots[("che", "noun")]
+    verb = start_fold(RootUse(küpa, küpa.senses[0]))
+    noun = start_fold(RootUse(che, che.senses[0]))
+    assert verb.bare and not noun.bare
+    assert end_codes(verb) == ["missing_mood"] and end_codes(noun) == []
+    # mid-word the end of a bare fold is not yet certain
+    assert end_codes(verb, None) == []
+    for item in (lexicon.suffixes["CA.l"], RootUse(che, che.senses[0])):
+        assert not advance(verb, item)[0].bare
+    assert not advance(noun, RootUse(küpa, küpa.senses[0]))[0].bare
+
+
 def test_the_fold_keeps_the_slot_template(lexicon):
     """advance raises the template's member codes itself, and follows
     leaves the suffixes open exactly while a member may still come."""
@@ -345,8 +361,7 @@ def test_settle_forgets_only_what_no_continuation_reads(lexicon, rules):
         rows.append(row)
 
     blocks = {}
-    classes = [blocks.setdefault((fold.state, not end_codes(fold),
-                                  not end_codes(fold, bare=True)),
+    classes = [blocks.setdefault((fold.state, not end_codes(fold)),
                                  len(blocks))
                for fold in folds]
     while True:

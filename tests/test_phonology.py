@@ -172,6 +172,10 @@ class TestRealize:
          "empty form or category in exception 'nag:'"),
         ("g-sandhi\tsandhi\tg\tsuffix:CA.m\tleft:final:k\t:verb",
          "empty form or category in exception ':verb'"),
+        ("f-sandhi\tsandhi\tf\tsuffix:CA.m\tleft:final:p",
+         "expected 6 tab-separated columns, got 5"),
+        ("f-sandhi\tsandhi\tf\tsuffix:CA.m\tleft:final:p\t \t",
+         "expected 6 tab-separated columns, got 5"),
     ], ids=["unknown-op", "fuse-outside-fusion", "unknown-pattern",
             "repeated-op", "empty-suffix-id", "empty-form",
             "empty-form-with-category", "empty-category",
@@ -179,7 +183,8 @@ class TestRealize:
             "fuse-outside-alphabet", "lexeme-form-outside-alphabet",
             "lexeme-category-unknown", "exception-form-outside-alphabet",
             "exception-category-unknown", "exception-category-empty",
-            "exception-form-empty"])
+            "exception-form-empty", "five-columns",
+            "trailing-whitespace-opens-no-column"])
     def test_malformed_rule_line_is_located(self, tmp_path, line, message):
         path = tmp_path / "rules.tsv"
         path.write_text(f"# f hardens\n{line}\n", encoding="utf-8")
