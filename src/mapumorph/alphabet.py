@@ -15,8 +15,6 @@ VOWELS = frozenset("aeiouü")
 
 SINGLE_LETTERS = frozenset("adefgiklmnñoprstuüwy")
 
-_DIGRAPH_INITIALS = frozenset(d[0] for d in DIGRAPHS)
-
 
 class AlphabetError(ValueError):
     """Raised when a string contains a character outside the alphabet."""
@@ -60,23 +58,10 @@ def is_vowel(segment: str) -> bool:
 
 
 def final_segment(text: str) -> str:
-    """Last segment of a non-empty surface string.
-
-    Greedy segmentation restarts cleanly after any character that begins
-    no digraph, so only the tail after the last such character is read
-    (and checked against the alphabet).
-    """
+    """Last segment of a non-empty surface string."""
     if not text:
         raise ValueError("empty surface string has no final segment")
-    start = last = len(text) - 1
-    while start > 0 and text[start - 1] in _DIGRAPH_INITIALS:
-        start -= 1
-    if start == last and text[last] in SINGLE_LETTERS:
-        return text[last]
-    try:
-        return segments(text[start:])[-1]
-    except AlphabetError as err:
-        raise AlphabetError(err.char, text) from None
+    return segments(text)[-1]
 
 
 def final_kind(text: str) -> str:

@@ -290,13 +290,14 @@ class _Grammar:
     """The tables of one (lexicon, rules), built once and shared by every
     :func:`analyse` and :func:`generate` call with them: the transition
     table with its end flags, the realization table, and what feeds them
-    (per preceding V/C, each column's spellings and their filter by the
-    character that follows; each root's first steps, and its row and
-    start fold per sense context by every spelling :meth:`generate`
-    takes; each suffix's column).  Every piece gets a number when the
-    grammar is built: each distinct suffix allomorph, each root, and the
-    fused variant of each of them that a fusion rule can place.
-    A search or a generation writes only to the realization table.
+    (per preceding V, C or nothing, each column's spellings and their
+    filter by the character that follows; each root's first steps, and
+    its row and start fold per sense context by every spelling
+    :meth:`generate` takes; each suffix's column).  Every piece gets a
+    number when the grammar is built: each distinct suffix allomorph,
+    each root, and the fused variant of each of them that a fusion rule
+    can place.  A search or a generation writes only to the realization
+    table.
 
     The realization table has a row per realization state ``(previous
     piece, pending part, final segment)``, the arguments of the boundary
@@ -305,20 +306,21 @@ class _Grammar:
     rule at the next boundary may still rewrite; the final segment is
     that of the whole surface so far, which a digraph can make straddle
     the pending part's start.  A row holds an entry per piece, None
-    before first use, then the state, then each suffix column's first
-    spelling after the state's final segment (None where no allomorph
+    before first use, then the state, what may follow its final segment
+    (V, C, or None after an empty surface, where any allomorph may), and
+    each suffix column's first spelling there (None where no allomorph
     fits).  An entry is what the step gives, ``(new piece, finalized
     part, new pending part, initials, next row)``, with the
     :meth:`~mapumorph.phonology.RuleTable.initials` of the new pending
     part (None when it is empty) and the row of the state it leads to.
     Where a rule rewrites the pending part the new final segment may
     reach back before it, and the next row is None: the search reads the
-    final segment off the word, generation off its surface.  Each root's
-    row is installed with the grammar.  The table is bounded by the
-    grammar, not by the words analysed, and needs no lock: threads that
-    fill an entry race only to store equal values, and a row is
-    installed by a single ``dict.setdefault``, so every entry links to
-    the one row of its state.
+    final segment off the word, generation off its surface, both through
+    :meth:`_surface_row`.  Each root's row is installed with the grammar.
+    The table is bounded by the grammar, not by the words analysed, and
+    needs no lock: threads that fill an entry race only to store equal
+    values, and a row is installed by a single ``dict.setdefault``, so
+    every entry links to the one row of its state.
 
     The morphotactic transition table, compiled with the grammar, has a
     column per item (each suffix entry by id, then each root sense as a
@@ -352,11 +354,10 @@ class _Grammar:
         n_suffixes = len(self.columns)
         self.suffix_columns = {entry.id: column
                                for column, entry in enumerate(self.columns)}
-        # per preceding V/C, (column, the pieces that spell its item) in
-        # the order they are tried, with a (piece id, rewrites_left,
-        # starts) per distinct allomorph usable there; and, for suffixes
-        # only, after nothing (None), which only generation meets, after a
-        # surface fused away
+        # per preceding V, C or nothing (None, after a surface rewritten
+        # away), (column, the pieces that spell its item) in the order they
+        # are tried, with a (piece id, rewrites_left, starts) per distinct
+        # allomorph usable there
         self.spellings = {kind: [] for kind in ("V", "C", None)}
         for column, entry in enumerate(self.columns):
             for kind, spellings in self.spellings.items():
@@ -389,11 +390,10 @@ class _Grammar:
         for entry, root in roots:
             for sense in dict.fromkeys(entry.senses[:1] if entry.category
                                        == "demonstrative" else entry.senses):
-                for kind in ("V", "C"):
-                    self.spellings[kind].append((len(self.columns), (root,)))
+                for spellings in self.spellings.values():
+                    spellings.append((len(self.columns), (root,)))
                 self.columns.append(RootUse(entry, sense))
-            row = self._row(root[0], entry.form,
-                            alphabet.final_segment(entry.form))
+            row = self._surface_row(root[0], entry.form, entry.form)
             folds = {}
             for sense in dict.fromkeys(entry.senses):
                 use = RootUse(entry, sense)
@@ -457,14 +457,14 @@ class _Grammar:
                 self.lexicon.suffixes[piece.suffix_id].tag, 0))
         return pid
 
-    def options(self, kind: str, char: str | None) -> tuple:
-        """The columns worth trying after a final segment of *kind* ("V"
-        or "C") when the pending part reads on and is followed by *char*
-        ("" at the end of the word), or does not read on (None): each
-        column, in the order they are tried, with the numbers of the
-        pieces that spell its item and are worth trying.  A piece whose
-        rule may rewrite the pending part is always worth trying.
-        Memoised per grammar."""
+    def options(self, kind: str | None, char: str | None) -> tuple:
+        """The columns worth trying after a final segment of *kind* (as
+        :meth:`_row` reads it) when the pending part reads on and is
+        followed by *char* ("" at the end of the word), or does not read
+        on (None): each column, in the order they are tried, with the
+        numbers of the pieces that spell its item and are worth trying.  A
+        piece whose rule may rewrite the pending part is always worth
+        trying.  Memoised per grammar."""
         return tuple(
             (column, pids) for column, pieces in self.spellings[kind]
             if (pids := tuple(
@@ -486,15 +486,23 @@ class _Grammar:
 
     def _row(self, prev: int, pending: str, final: str) -> list:
         """The row of the realization state (*prev*, *pending*, *final*),
-        installed on first sight."""
+        installed on first sight with what may follow *final*: "V", "C",
+        or None after an empty surface, where any allomorph may."""
         state = (prev, pending, final)
         row = self.realized.get(state)
         if row is None:
             kind = ("V" if alphabet.is_vowel(final) else "C") \
                 if final else None
-            row = self.realized.setdefault(
-                state, [None] * self.width + [state, self.trailers[kind]])
+            row = self.realized.setdefault(state, [None] * self.width + [
+                state, kind, self.trailers[kind]])
         return row
+
+    def _surface_row(self, prev: int, pending: str, surface: str) -> list:
+        """The row of the state whose final segment is read off the whole
+        *surface*, which ends with *pending*: a root's, or the one a step
+        leads to when its rule leaves the final segment open."""
+        return self._row(prev, pending, alphabet.final_segment(surface)
+                         if surface else "")
 
     def _fill(self, row: list, pid: int) -> tuple:
         """Compute, store in *row* and return its entry for piece *pid*,
@@ -552,14 +560,14 @@ class _Grammar:
         alike, and the cut loses no analysis.
         """
         options, idents, licensing = self.options, self.idents, self.licensing
-        width, fill, row_of = self.width, self._fill, self._row
+        width, fill, surface_row = self.width, self._fill, self._surface_row
         transitions, build = self.transitions, self._analysis
         accepts = self.accepts
         results, dead = [], set()
         size = len(word)
 
         def step(link, row, pos, column, live, owed):
-            prev, pending, final = row[width]
+            prev, pending, _ = row[width]
             key = (pos, pending, idents[prev], live, owed)
             if key in dead:
                 return
@@ -577,8 +585,7 @@ class _Grammar:
             else:
                 char = None
             after = transitions[live]
-            for column, pids in options(
-                    "V" if alphabet.is_vowel(final) else "C", char):
+            for column, pids in options(row[width + 1], char):
                 new = after[column]
                 if new == _DEAD:
                     continue
@@ -600,9 +607,8 @@ class _Grammar:
                     if new_owed == _UNLICENSED:
                         continue
                     if linked is None:
-                        surface = word[:new_pos] + part
-                        linked = row_of(placed, part, alphabet.final_segment(
-                            surface) if surface else "")
+                        linked = surface_row(placed, part,
+                                             word[:new_pos] + part)
                     step(node + (finalized,), linked, new_pos, column, new,
                          new_owed)
 
@@ -682,7 +688,7 @@ class _Grammar:
                     self.lexicon))
 
         # the trailer by a non-negative index: list indexing's fast path
-        done, part, trailer = "", entry.form, self.width + 1
+        done, part, trailer = "", entry.form, self.width + 2
         for column in columns:
             pid = row[trailer][column]
             if pid is None:
@@ -692,9 +698,7 @@ class _Grammar:
             placed, finalized, part, _, row = row[pid] or self._fill(row, pid)
             done += finalized
             if row is None:
-                surface = done + part
-                row = self._row(placed, part, alphabet.final_segment(
-                    surface) if surface else "")
+                row = self._surface_row(placed, part, done + part)
         return done + part
 
     def _analysis(self, word: str, link) -> Analysis:

@@ -109,7 +109,10 @@ def _cross_check_slots(path, lexicon):
             raise ValueError(f"{path}:{lineno}: expected "
                              "suffix-id<TAB>integer slot") from None
         entry = lexicon.suffixes.get(sid)
-        if entry is not None and entry.slot != slot:
+        if entry is None:
+            raise LexiconError(f"slot table names {sid}, which the suffix "
+                               "inventory lacks", path, lineno)
+        if entry.slot != slot:
             raise LexiconError(
                 f"slot table disagrees with suffix inventory for {sid}",
                 path, lineno)

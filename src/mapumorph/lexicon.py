@@ -231,9 +231,11 @@ def parse_suffix_line(line: str) -> SuffixEntry:
 
 def data_lines(path: str | Path):
     """(line number, line) for each line of a TSV table that holds data,
-    in order: blank lines and ``#`` comment lines are skipped."""
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
+    in order: blank lines and ``#`` comment lines are skipped.  Lines end
+    at line feeds only, each dropping one carriage return before it, so a
+    field may hold any other character, U+2028 included."""
+    text = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
+    for lineno, line in enumerate(text.split("\n"), 1):
         if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line
 

@@ -142,10 +142,10 @@ class Fold(NamedTuple):
     """What later items and the end checks read of a plan so far: the slot
     template's state, and whether the plan is a lone verb root, which no
     transition leads to.  Folds are built with ``tuple.__new__``, which
-    skips the keyword handling of the NamedTuple constructor:
-    :func:`validate_plan` builds one for every item it judges.  The
-    analyser compiles the transitions between settled folds
-    (:func:`settle`) once per grammar."""
+    skips the keyword handling of the NamedTuple constructor: the
+    analyser's grammar build calls :func:`advance` about 19,000 times on
+    the shipped tables, when it compiles the transitions between settled
+    folds (:func:`settle`) once per grammar."""
 
     state: str              # the valency: IV, TV or TV2
     pending: str | None     # the code a non-verbal member raises unless

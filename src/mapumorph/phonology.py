@@ -6,8 +6,10 @@ Rules live in a TSV table (``id kind left right rewrite exceptions``):
 * ``kind``: prothesis, sandhi, epenthesis or fusion.
 * ``left``: pattern on the piece before the boundary: ``=form`` or
   ``=form:category`` (whole-lexeme match), a single segment literal
-  (``f``, ``g``), ``V``/``C``, ``suffix:ID``, or ``any``/``-``.
-* ``right``: same pattern language for the piece after the boundary.
+  (``f``, ``g``) or ``V``/``C`` (tested on the final segment of the
+  surface so far), ``suffix:ID``, or ``any``/``-``.
+* ``right``: pattern on the piece after the boundary, which is read by
+  its identity alone: ``=form[:category]``, ``suffix:ID`` or ``any``/``-``.
 * ``rewrite``: ``&``-joined ops among ``left:append:X``, ``left:final:X``,
   ``right:prefix:X``, ``right:set:X`` and ``fuse:X`` (fusion rules
   only); ``-`` for none.  Each target ``X`` is empty or alphabet text.
@@ -22,7 +24,8 @@ lexicon it runs with).
 
 A rule reads a piece by its identity alone, never by the allomorph that
 spells a suffix: ``suffix:ID`` matches a suffix piece by its id, a lexeme
-pattern or exception a root piece by its form (and category).
+pattern or exception a root piece by its form (and category).  So the
+right pattern alone picks the candidate rules at a boundary.
 
 Each line is parsed once, at load, straight into the compiled
 :class:`BoundaryRule`; a malformed line fails there with its file and
@@ -134,7 +137,7 @@ def _may_be(pattern: tuple, piece: Piece) -> bool:
 
 
 def _matches(pattern: tuple, piece: Piece, final: str) -> bool:
-    """Match a compiled pattern against a piece.
+    """Match a compiled left pattern against the piece before a boundary.
 
     ``final`` is the final segment of the surface realised so far ("" when
     nothing is), which V/C and segment-literal patterns test.
@@ -222,12 +225,15 @@ def parse_rule_line(line: str) -> BoundaryRule:
             raise PhonologyError(f"target {target!r} of {op!r} is outside "
                                  "the alphabet")
         targets[_REWRITES[prefix]] = target
-    left, right = _compile_pattern(left), _compile_pattern(right)
+    left, pattern = _compile_pattern(left), _compile_pattern(right)
+    if pattern[0] not in (_ANY, _LEXEME, _SUFFIX):
+        raise PhonologyError(f"right pattern {right!r} is not any, "
+                             "=form[:category] or suffix:ID")
     exc = [_lexeme(e, f"exception {e!r}")
            for e in (e.strip() for e in exceptions.split(","))
            if e not in ("", "-")]
     return BoundaryRule(
-        rid, left, right,
+        rid, left, pattern,
         frozenset(form for form, category in exc if category is None),
         frozenset(lexeme for lexeme in exc if lexeme[1] is not None),
         **targets)
@@ -247,9 +253,9 @@ def load_rules(path: str | Path) -> RuleTable:
 class RuleTable:
     """A rule table, in table order.
 
-    The candidates for a boundary are the rules whose right pattern can
-    match the identity of the piece after it, in table order, and the
-    first one whose exceptions and patterns all pass fires.  A part's
+    The candidates for a boundary are the rules whose right pattern
+    matches the identity of the piece after it, in table order, and the
+    first one whose exceptions and left pattern pass fires.  A part's
     :meth:`initials` are memoised; what is built from the table and a
     lexicon is kept for the most recent lexicon object
     (:meth:`for_lexicon`).
@@ -450,10 +456,8 @@ def extend_realization(prev: Piece, pending: str, final: str, piece: Piece,
     """
     appended, part = "", piece.form
     for rule in rules.candidates(piece):
-        if rule.excepts(prev) or rule.excepts(piece):
-            continue
-        if not (_matches(rule.left, prev, final)
-                and _matches(rule.right, piece, final)):
+        if (rule.excepts(prev) or rule.excepts(piece)
+                or not _matches(rule.left, prev, final)):
             continue
         if rule.left_final is not None and not pending:
             continue  # no final segment to rewrite

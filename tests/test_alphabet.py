@@ -44,10 +44,16 @@ def test_segmentation_rejoins(seq):
                                 + ["l", "l", "n"]),
                 min_size=1, max_size=12))
 def test_final_segment_agrees_with_segmentation(seq):
-    # final_segment reads only the tail of the word; runs of l pair off
-    # from their start, so their length decides the last segment
+    # runs of l pair off from their start, so their length decides the
+    # last segment
     word = "".join(seq)
     assert final_segment(word) == segments(word)[-1]
+
+
+def test_an_empty_surface_has_no_final_segment():
+    with pytest.raises(ValueError,
+                       match="^empty surface string has no final segment$"):
+        final_segment("")
 
 
 def test_final_segment_reports_the_whole_word():

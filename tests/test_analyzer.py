@@ -532,7 +532,7 @@ class TestTransitionTable:
         # every character a word can hold, the end of it, and no character
         _, grammar = warm
         chars = sorted(SINGLE_LETTERS.union(*DIGRAPHS)) + ["", None]
-        for kind in ("V", "C"):
+        for kind in ("V", "C", None):
             for char in chars:
                 options = grammar.options(kind, char)
                 columns = [column for column, _ in options]
@@ -649,7 +649,7 @@ def check_entries(rules, grammar):
     pieces, width = grammar.pieces, grammar.width
     entries = checked = head_bound = 0
     for (prev, pending, final), row in grammar.realized.items():
-        assert len(row) == width + 2
+        assert len(row) == width + 3
         heads = [h for h in HEADS if h + pending
                  and final_segment(h + pending) == final]
         assert heads, (pending, final)
@@ -677,11 +677,11 @@ def check_entries(rules, grammar):
 
 def check_links(grammar):
     """Check that each row is the one installed for its state, ending with
-    the state and the first spellings after its final segment, that each
-    root's first steps and generation start from its installed row, and
-    that every filled entry links to the installed row of the state it
-    leads to, or to None exactly where the boundary step leaves the final
-    segment open.  Returns the number of filled entries."""
+    the state, what may follow its final segment and the first spellings
+    there, that each root's first steps and generation start from its
+    installed row, and that every filled entry links to the installed row
+    of the state it leads to, or to None exactly where the boundary step
+    leaves the final segment open.  Returns the number of filled entries."""
     realized, width, pieces = grammar.realized, grammar.width, grammar.pieces
     assert all(realized[row[width]] is row for row, _, _ in grammar._firsts)
     assert all(realized[row[width]] is row
@@ -689,7 +689,8 @@ def check_links(grammar):
     entries = 0
     for (prev, pending, final), row in realized.items():
         kind = ("V" if is_vowel(final) else "C") if final else None
-        assert row[width:] == [(prev, pending, final), grammar.trailers[kind]]
+        assert row[width:] == [(prev, pending, final), kind,
+                               grammar.trailers[kind]]
         for pid, entry in enumerate(row[:width]):
             if entry is None:
                 continue
@@ -803,6 +804,10 @@ class TestRealizationTable:
         assert not calls
         assert len(grammar.pieces) == n_pieces
         assert grammar.realized == filled
+
+
+# a fusion into nothing, which leaves no final segment for the next piece
+FUSED_AWAY = parse_rule_line("x\tfusion\t=la\tsuffix:CA.m\tfuse:\t-")
 
 
 class TestGenerate:
@@ -943,10 +948,19 @@ class TestGenerate:
         # a fusion into nothing leaves no final segment for the next
         # suffix to follow, so it takes its first allomorph of all: n,
         # where after a consonant it would take ün
-        fused_away = RuleTable((parse_rule_line(
-            "x\tfusion\t=la\tsuffix:CA.m\tfuse:\t-"),) + rules.rules)
+        fused_away = RuleTable((FUSED_AWAY,) + rules.rules)
         assert generate("la:adjective", "IV", ["CA.m", "IND1SG.n"], lexicon,
                         fused_away) == "n"
+
+    def test_after_a_surface_fused_away_the_search_tries_any_allomorph(
+            self, lexicon, rules):
+        # the search reads an empty surface as generation does, and a
+        # compound member may follow it too
+        fused_away = RuleTable((FUSED_AWAY,) + rules.rules)
+        found = analyse("n", lexicon, fused_away)
+        assert any(a.matches("la", "IV", ["CA.m", "IND1SG.n"])
+                   for a in found)
+        assert any(len(a.root_pieces) == 2 for a in found)
 
     def test_an_accepted_sequence_is_neither_validated_nor_stepped(
             self, lexicon, rules, monkeypatch):

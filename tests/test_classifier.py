@@ -165,6 +165,14 @@ class TestClassifyCorpus:
         verdict = classify(collect_evidence("püna", e8))
         assert verdict.label == "IV"
 
+    def test_a_discrepancy_is_rendered_by_its_sources(self):
+        table = {"aye": (Verdict("IV"), Evidence("aye", 1)),
+                 "küpa": (reconcile(("smeets", Verdict("TV")),
+                                    ("kona", Verdict("IV"))),
+                          Evidence("küpa", 2, 3))}
+        assert render_table(table) == ("aye\tIV\t1\t0\t-\n"
+                                       "küpa\tIV\t2\t3\tsmeets:TV|kona:IV\n")
+
     def test_render_table_is_deterministic(self, corpus, lexicon):
         first = render_table(classify_corpus(corpus, lexicon))
         second = render_table(classify_corpus(corpus, lexicon))

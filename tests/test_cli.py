@@ -412,6 +412,15 @@ def test_slot_table_cross_check(tmp_path):
     assert "disagrees" in err
 
 
+def test_a_slot_line_naming_no_suffix_is_located(tmp_path):
+    bad = tmp_path / "slots.tsv"
+    bad.write_text("CA.l\t34\nCA.x\t34\n", encoding="utf-8")
+    code, out, err = invoke(["analyse", "--slots", str(bad)], "küpan\n")
+    assert (code, out) == (2, "")
+    assert err == (f"lexicon: {bad}:2: slot table names CA.x, which the "
+                   "suffix inventory lacks\n")
+
+
 def test_an_indented_slot_line_is_read_stripped(tmp_path):
     # leading whitespace opens no column, and an indented # is a comment
     bad = tmp_path / "slots.tsv"

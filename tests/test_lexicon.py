@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mapumorph.defaults import data_path
 from mapumorph.lexicon import (Allomorph, Lexicon, LexiconError, RootEntry,
-                               Sense, load_lexicon, parse_root_line,
-                               parse_suffix_line, validate_lexicon)
+                               Sense, data_lines, load_lexicon,
+                               parse_root_line, parse_suffix_line,
+                               validate_lexicon)
 
 from conftest import DATA
 from helpers import dump_roots, dump_suffixes
@@ -57,6 +59,33 @@ def test_parse_error_reports_line(tmp_path):
     with pytest.raises(LexiconError) as err:
         load_lexicon(path)
     assert ":2:" in str(err.value)
+
+
+def test_a_gloss_holding_a_line_separator_loads_intact(tmp_path):
+    # lines end at line feeds only
+    path = tmp_path / "roots.tsv"
+    path.write_text("küpa\tverb\tIV\tIV:come\u2028here\n", encoding="utf-8")
+    assert load_lexicon(path).roots["küpa", "verb"].senses == (
+        Sense("IV", "come\u2028here"),)
+
+
+def test_a_crlf_root_file_reads_as_its_lf_copy(tmp_path, lexicon):
+    crlf = tmp_path / "roots.tsv"
+    crlf.write_bytes(data_path("roots.tsv").read_bytes().replace(b"\n",
+                                                                 b"\r\n"))
+    assert load_lexicon(crlf, data_path("suffixes.tsv")) == lexicon
+    crlf.write_bytes(b"good\tverb\tIV\tIV:fine\r\nbad-line-no-tabs\r\n")
+    with pytest.raises(LexiconError, match=r"roots\.tsv:2: expected"):
+        load_lexicon(crlf)
+
+
+def test_the_shipped_slot_table_lists_each_suffix_once_with_its_slot(
+        lexicon):
+    slots = [line.split("\t") for _, line in data_lines(
+        data_path("slots.tsv"))]
+    assert sorted(sid for sid, _ in slots) == sorted(lexicon.suffixes)
+    assert all(int(slot) == lexicon.suffixes[sid].slot
+               for sid, slot in slots)
 
 
 def test_labile_invariant_enforced_on_strict_load(tmp_path):

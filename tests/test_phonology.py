@@ -176,6 +176,12 @@ class TestRealize:
          "expected 6 tab-separated columns, got 5"),
         ("f-sandhi\tsandhi\tf\tsuffix:CA.m\tleft:final:p\t \t",
          "expected 6 tab-separated columns, got 5"),
+        ("x\tepenthesis\tany\tV\tright:prefix:y\t-",
+         "right pattern 'V' is not any, =form[:category] or suffix:ID"),
+        ("x\tepenthesis\tany\tC\tright:prefix:y\t-",
+         "right pattern 'C' is not any, =form[:category] or suffix:ID"),
+        ("f-sandhi\tsandhi\tany\tf\tleft:final:p\t-",
+         "right pattern 'f' is not any, =form[:category] or suffix:ID"),
     ], ids=["unknown-op", "fuse-outside-fusion", "unknown-pattern",
             "repeated-op", "empty-suffix-id", "empty-form",
             "empty-form-with-category", "empty-category",
@@ -184,13 +190,23 @@ class TestRealize:
             "lexeme-category-unknown", "exception-form-outside-alphabet",
             "exception-category-unknown", "exception-category-empty",
             "exception-form-empty", "five-columns",
-            "trailing-whitespace-opens-no-column"])
+            "trailing-whitespace-opens-no-column", "right-vowel",
+            "right-consonant", "right-segment"])
     def test_malformed_rule_line_is_located(self, tmp_path, line, message):
         path = tmp_path / "rules.tsv"
         path.write_text(f"# f hardens\n{line}\n", encoding="utf-8")
         with pytest.raises(PhonologyError,
                            match=r"rules\.tsv:2: " + re.escape(message)):
             load_rules(path)
+
+    def test_a_left_consonant_pattern_reads_the_final_segment(
+            self, lexicon, tmp_path):
+        table = one_table(tmp_path, "x\tepenthesis\tC\tsuffix:IND1SG.n\t"
+                          "right:prefix:ü\t-")
+        assert generate("küpa", "IV", ["IND1SG.n"], lexicon, table) == "küpan"
+        assert generate("kon", "IV", ["IND1SG.n"], lexicon, table) == "konüün"
+        assert any(a.matches("kon", "IV", ["IND1SG.n"])
+                   for a in analyse("konüün", lexicon, table))
 
     def test_empty_targets_and_fuseless_fusion_load(self, lexicon, tmp_path):
         fuseless = "x\tfusion\tV\tsuffix:IND1SG.n\t-\t-"
