@@ -14,7 +14,7 @@ from .lexicon import (Allomorph, Diagnostic, Lexicon, LexiconError, RootEntry,
 from .morphotactics import (RootUse, Violation, compound_valency,
                             valency_step, validate_sequence)
 from .phonology import (BoundaryRule, PhonologyError, Piece, RuleTable,
-                        load_rules, realize, select_allomorph)
+                        load_rules, realize)
 
 __version__ = "0.1.0"
 
@@ -30,5 +30,5 @@ __all__ = [
     "RootUse", "Violation", "compound_valency", "valency_step",
     "validate_sequence",
     "BoundaryRule", "PhonologyError", "Piece", "RuleTable", "load_rules",
-    "realize", "select_allomorph",
+    "realize",
 ]

@@ -62,8 +62,3 @@ def final_segment(text: str) -> str:
     if not text:
         raise ValueError("empty surface string has no final segment")
     return segments(text)[-1]
-
-
-def final_kind(text: str) -> str:
-    """'V' or 'C' according to the final segment of *text*."""
-    return "V" if is_vowel(final_segment(text)) else "C"

@@ -291,8 +291,9 @@ class _Grammar:
     :func:`analyse` and :func:`generate` call with them: the transition
     table with its end flags, the realization table, and what feeds them
     (per preceding V, C or nothing, each column's spellings and their
-    filter by the character that follows; each root's first steps, and
-    its row and start fold per sense context by every spelling
+    filter by the character that follows; each root's first steps with
+    its spelling's starts, and its row and start fold per sense context by
+    every spelling
     :meth:`generate` takes; each suffix's column).  Every piece gets a
     number when the grammar is built: each distinct suffix allomorph,
     each root, and the fused variant of each of them that a fusion rule
@@ -383,9 +384,10 @@ class _Grammar:
         # the columns go on with one per distinct sense choice of a root as
         # a later member (an incorporated demonstrative is a fixed
         # construction, so its citation sense stands for all of them);
-        # each root's first steps, one per distinct sense choice, and its
-        # start by form:category for generation: its row and a start fold
-        # per sense context, since a start fold reads only that context
+        # each root's first steps, one per distinct sense choice, with its
+        # spelling's starts, and its start by form:category for generation:
+        # its row and a start fold per sense context, since a start fold
+        # reads only that context
         self._firsts, self.starts = [], {}
         for entry, root in roots:
             for sense in dict.fromkeys(entry.senses[:1] if entry.category
@@ -398,7 +400,8 @@ class _Grammar:
             for sense in dict.fromkeys(entry.senses):
                 use = RootUse(entry, sense)
                 folds[sense.context] = self._fold_id(start_fold(use))
-                self._firsts.append((row, use, folds[sense.context]))
+                self._firsts.append((row, use, folds[sense.context],
+                                     root[2]))
             start = self.starts[f"{entry.form}:{entry.category}"] = (
                 entry, row, folds)
             # the bare form names the verb entry, or the only one; a form
@@ -432,7 +435,6 @@ class _Grammar:
         # the end checks per fold
         self.accepts = tuple(not end_codes(fold) for fold in self.folds)
         self.options = functools.cache(self.options)
-        self.firsts = functools.cache(self.firsts)
 
     def _fold_id(self, fold: Fold) -> int:
         """The number of *fold* settled, given on first sight."""
@@ -472,22 +474,11 @@ class _Grammar:
                 if rewrites or char is not None and (starts is None
                                                      or char in starts))))
 
-    def firsts(self, char: str) -> tuple:
-        """The first steps ``(row, root use, start fold)`` of the paths
-        for a word that starts with *char*: the roots whose part can start
-        with it once the rule at the next boundary, the only one that can
-        still rewrite it, has applied.  Memoised per grammar."""
-        def may_start(first):
-            prev, part, _ = first[0][self.width]
-            chars = self.rules.initials(self.pieces[prev], part)
-            return chars is None or char in chars
-
-        return tuple(filter(may_start, self._firsts))
-
     def _row(self, prev: int, pending: str, final: str) -> list:
         """The row of the realization state (*prev*, *pending*, *final*),
         installed on first sight with what may follow *final*: "V", "C",
-        or None after an empty surface, where any allomorph may."""
+        or None after an empty surface, where any allomorph may: the
+        package's one V/C reading of a final segment."""
         state = (prev, pending, final)
         row = self.realized.get(state)
         if row is None:
@@ -521,15 +512,17 @@ class _Grammar:
         """Depth-first enumeration of the analyses of *word*, one per path;
         the results and dead states belong to this call alone.
 
-        A path extends only with pieces that can still spell the word.  A
-        piece whose boundary rule may rewrite the pending part is always
-        tried; any other leaves that part as it is, so it is tried only
-        when the part reads on in the word and the piece's own part can
-        start at the character that follows.  Pieces are tried in the
-        order of an unpruned search, by column (suffixes by id, then
-        roots), each distinct allomorph once and each root once per
-        distinct sense choice, so no path is walked twice and a root-sense
-        combination's results come out in that order.
+        A path starts only with a root whose spelling's starts
+        (:meth:`RuleTable.morph`), which hold its part's initials, hold the
+        word's first character, and extends only with pieces that can still
+        spell the word.  A piece whose boundary rule may rewrite the pending
+        part is always tried; any other leaves that part as it is, so it is
+        tried only when the part reads on in the word and the piece's own part
+        can start at the character that follows.  Pieces are tried in the order
+        of an unpruned search, by column (suffixes by id, then roots), each
+        distinct allomorph once and each root once per distinct sense choice,
+        so no path is walked twice and a root-sense combination's results come
+        out in that order.
 
         A step holds the row of its realization state, numbers and
         strings: a link to the path before the last piece, the position
@@ -615,9 +608,11 @@ class _Grammar:
             if len(results) == produced:
                 dead.add(key)
 
+        first = word[0]
         try:
-            for row, use, live in self.firsts(word[0]):
-                step(None, row, 0, use, live, _FREE)
+            for row, use, live, starts in self._firsts:
+                if starts is None or first in starts:
+                    step(None, row, 0, use, live, _FREE)
         finally:
             # step refers to itself; unbinding it frees this call's states
             # without the cyclic collector

@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 import unicodedata
+from contextlib import redirect_stderr, redirect_stdout
 
 from . import defaults
 from .alphabet import AlphabetError
@@ -236,7 +237,8 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     handlers = {

@@ -233,8 +233,15 @@ def data_lines(path: str | Path):
     """(line number, line) for each line of a TSV table that holds data,
     in order: blank lines and ``#`` comment lines are skipped.  Lines end
     at line feeds only, each dropping one carriage return before it, so a
-    field may hold any other character, U+2028 included."""
-    text = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
+    field may hold any other character, U+2028 included.  A byte that is
+    not UTF-8 fails with a ValueError located at its line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8").replace("\r\n", "\n")
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8: byte "
+                         f"0x{raw[err.start]:02x} ({err.reason})") from None
     for lineno, line in enumerate(text.split("\n"), 1):
         if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line

@@ -6,8 +6,8 @@ word; a new compound member reopens the slot range.  Validation walks the
 sequence once, folding a small :class:`Fold` with :func:`advance` and
 running :func:`end_codes` at the end of the word, and collects
 :class:`Violation` records; an empty list means the sequence is well
-formed.  The fold holds the slot template too (the floor, the members so
-far, whether the stem is open), so it is the whole morphotactic state.
+formed.  The fold holds the slot template too (the floor and the members
+so far), so it is the whole morphotactic state.
 The analyser's search folds each prefix the same way and runs the end
 checks under the suffixes that may still follow (:func:`follows`), so it
 drops a sequence at its first violation that no continuation can undo.
@@ -77,8 +77,8 @@ class RootUse:
 
 
 # The slot template, stated here alone.  Suffix slots fall from OPEN_FLOOR;
-# a new member (at most MAX_MEMBERS) reopens them while every suffix since
-# the last one is in the stem zone (slot >= STEM_ZONE); a suffix in slot
+# a new member (at most MAX_MEMBERS) reopens them while the floor is in the
+# stem zone (floor >= STEM_ZONE; IND1SG counts as slot 3); a suffix in slot
 # INFLECTION_ZONE or below inflects the form, which then needs a mood.
 OPEN_FLOOR = 37
 STEM_ZONE = 33
@@ -140,12 +140,13 @@ def _member_effective_valency(root: RootEntry) -> str:
 
 class Fold(NamedTuple):
     """What later items and the end checks read of a plan so far: the slot
-    template's state, and whether the plan is a lone verb root, which no
-    transition leads to.  Folds are built with ``tuple.__new__``, which
-    skips the keyword handling of the NamedTuple constructor: the
-    analyser's grammar build calls :func:`advance` about 19,000 times on
-    the shipped tables, when it compiles the transitions between settled
-    folds (:func:`settle`) once per grammar."""
+    template's state, whose floor also says whether a member may come, and
+    whether the plan is a lone verb root, which no transition leads to.
+    Folds are built with ``tuple.__new__``, which skips the keyword
+    handling of the NamedTuple constructor: the analyser's grammar build
+    calls :func:`advance` about 19,000 times on the shipped tables, when it
+    compiles the transitions between settled folds (:func:`settle`) once
+    per grammar."""
 
     state: str              # the valency: IV, TV or TV2
     pending: str | None     # the code a non-verbal member raises unless
@@ -160,10 +161,9 @@ class Fold(NamedTuple):
     inflected: bool         # a suffix sits in slot <= INFLECTION_ZONE
     seen: frozenset         # the tags seen that the end checks read
     slot6: bool             # a suffix sits in slot 6
-    floor: int              # the next suffix's slot must be below it
+    floor: int              # the next suffix's slot must be below it; at
+                            # STEM_ZONE or above, a new member may come
     members: int            # the stem members so far
-    stem_open: bool         # every suffix since the latest member is in
-                            # the stem zone, so a new member may come
     bare: bool              # the plan is a lone verb root
 
 
@@ -180,17 +180,17 @@ def start_fold(first: RootUse) -> Fold:
     return tuple.__new__(Fold, (
         first.sense.context, None, None, entry.valency,
         _member_effective_valency(entry) == "IV", entry.loan, None, False,
-        frozenset(), False, OPEN_FLOOR, 1, True, entry.category == "verb"))
+        frozenset(), False, OPEN_FLOOR, 1, entry.category == "verb"))
 
 
 def advance(fold: Fold, item) -> tuple[Fold, list]:
     """The fold after *item*, a later member or a suffix, and the codes
     *item* raises, in order, the slot template's among them."""
     (state, pending, prev_ca, lone, last_iv, last_loan, mood, inflected,
-     seen, slot6, floor, members, stem_open, _) = fold
+     seen, slot6, floor, members, _) = fold
     codes = []
     if isinstance(item, RootUse):
-        if not stem_open:
+        if floor < STEM_ZONE:
             codes.append("member_position")
         if members >= MAX_MEMBERS:
             codes.append("compound_depth")
@@ -213,8 +213,7 @@ def advance(fold: Fold, item) -> tuple[Fold, list]:
         return tuple.__new__(Fold, (
             state, pending, None, None,
             _member_effective_valency(entry) == "IV", entry.loan, mood,
-            inflected, seen, slot6, OPEN_FLOOR, members + 1, True,
-            False)), codes
+            inflected, seen, slot6, OPEN_FLOOR, members + 1, False)), codes
 
     tag, slot = item.tag, item.slot
     if pending is not None:
@@ -256,8 +255,7 @@ def advance(fold: Fold, item) -> tuple[Fold, list]:
     return tuple.__new__(Fold, (
         state, None, tag == "CA", lone, last_iv, last_loan, mood,
         inflected or slot <= INFLECTION_ZONE, seen, slot6 or slot == 6,
-        next_floor(item, floor), members,
-        stem_open and slot >= STEM_ZONE, False)), codes
+        next_floor(item, floor), members, False)), codes
 
 
 def follows(fold: Fold, below: dict[int, frozenset]) -> frozenset | None:
@@ -265,7 +263,7 @@ def follows(fold: Fold, below: dict[int, frozenset]) -> frozenset | None:
     while another compound member may come, which reopens every slot,
     else the tags in *below* (:func:`tags_below`) under the fold's
     floor."""
-    if fold.stem_open and fold.members < MAX_MEMBERS:
+    if fold.floor >= STEM_ZONE and fold.members < MAX_MEMBERS:
         return None
     return below[fold.floor]
 
@@ -281,7 +279,7 @@ def end_codes(fold: Fold, follow: frozenset | None = frozenset()) -> list:
     may still come: none at the end of the word, and mid-word those that
     :func:`follows` gives (None while another compound member may come).
     A bare fold lacks its mood at the end of the word."""
-    (_, pending, _, _, _, _, mood, inflected, seen, slot6, _, _, _,
+    (_, pending, _, _, _, _, mood, inflected, seen, slot6, _, _,
      bare) = fold
     codes = []
     nothing_follows = follow is not None and not follow
@@ -361,8 +359,7 @@ def settle(fold: Fold, follow: frozenset | None,
         and lone is None,
         last_loan=fold.last_loan and causative,
         slot6=fold.slot6 and (member or "ST" in fold.seen or "ST" in follow),
-        members=fold.members if member else MAX_MEMBERS,
-        stem_open=fold.stem_open and member)
+        members=fold.members if member else MAX_MEMBERS)
 
 
 def validate_plan(items: list, lexicon: Lexicon | None = None,

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import alphabet
-from .lexicon import CATEGORIES, Lexicon, SuffixEntry, data_lines
+from .lexicon import CATEGORIES, Lexicon, data_lines
 
 RULE_KINDS = ("prothesis", "sandhi", "epenthesis", "fusion")
 
@@ -193,6 +193,12 @@ class BoundaryRule:
         return tuple(arg for kind, arg, _ in (self.left, self.right)
                      if kind == _SUFFIX)
 
+    def part(self, form: str) -> str:
+        """The part spelled *form* after the boundary once the rule has
+        applied: ``right:set``, then ``right:prefix``."""
+        part = form if self.right_set is None else self.right_set
+        return part if self.right_prefix is None else self.right_prefix + part
+
     def excepts(self, piece: Piece) -> bool:
         """Whether *piece* is a root the rule names as an exception."""
         return piece.is_root and (
@@ -291,17 +297,10 @@ class RuleTable:
             if (rule.fuse is not None or rule.left_append is not None
                     or rule.left_final is not None):
                 rewrites_left = True
-            surface = form if rule.right_set is None else rule.right_set
-            if rule.right_prefix is not None:
-                surface = rule.right_prefix + surface
-            surfaces.add(surface)
-        starts = frozenset()
-        for surface in surfaces:
-            chars = self.initials(piece, surface) if surface else None
-            if chars is None:
-                starts = None
-                break
-            starts |= chars
+            surfaces.add(rule.part(form))
+        chars = [self.initials(piece, surface) if surface else None
+                 for surface in surfaces]
+        starts = None if None in chars else frozenset().union(*chars)
         return piece, rewrites_left, starts
 
     def for_lexicon(self, lexicon: Lexicon, build):
@@ -382,21 +381,6 @@ def normalize_piece(item, first: bool, lexicon: Lexicon) -> Piece:
                                      lexicon.roots.values()) else "suffix")
 
 
-def select_allomorph(suffix: SuffixEntry, stem_final: str) -> str:
-    """The allomorph generation uses after the given stem-final segment
-    ("" when nothing is realised): the first context match.  The
-    analyser's grammar tabulates the same choice per suffix, and the
-    tests hold it to this function."""
-    kind = None
-    if stem_final:
-        kind = "V" if alphabet.is_vowel(stem_final) else "C"
-    fitting = suffix.allomorphs_after(kind)
-    if not fitting:
-        raise PhonologyError(
-            f"no allomorph of {suffix.id} fits after {stem_final!r}")
-    return fitting[0].surface
-
-
 def realize(seq, lexicon: Lexicon | None = None,
             rules: RuleTable | None = None) -> str:
     """Surface form of an underlying morph sequence.
@@ -463,10 +447,7 @@ def extend_realization(prev: Piece, pending: str, final: str, piece: Piece,
             continue  # no final segment to rewrite
         if rule.fuse is not None:
             return replace(piece, fused=True), rule.fuse, "", None
-        if rule.right_set is not None:
-            part = rule.right_set
-        if rule.right_prefix is not None:
-            part = rule.right_prefix + part
+        part = rule.part(piece.form)
         appended = rule.left_append or ""
         if rule.left_final is not None:
             return (piece, replace_final(pending + appended, rule.left_final),

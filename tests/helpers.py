@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from mapumorph.alphabet import final_kind, final_segment
+from mapumorph.alphabet import final_segment, is_vowel
 from mapumorph.lexicon import Lexicon, RootEntry, SuffixEntry
 from mapumorph.morphotactics import STEM_ZONE, RootUse, validate_plan
 from mapumorph.phonology import Piece, extend_realization
@@ -135,6 +135,12 @@ def sequence_key(items):
         else:
             out.append(("S", item.id))
     return tuple(out)
+
+
+def final_kind(text: str) -> str:
+    """'V' or 'C' according to the final segment of *text*, the oracle's
+    own reading (the analyser's grammar reads it in ``_Grammar._row``)."""
+    return "V" if is_vowel(final_segment(text)) else "C"
 
 
 def matching_allomorphs(suffix: SuffixEntry,

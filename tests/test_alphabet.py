@@ -3,8 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mapumorph.alphabet import (AlphabetError, DIGRAPHS, SINGLE_LETTERS,
-                                final_kind, final_segment, is_valid, is_vowel,
-                                segments)
+                                final_segment, is_valid, is_vowel, segments)
 
 
 def test_digraphs_are_single_segments():
@@ -26,9 +25,10 @@ def test_unknown_character_reports_offender():
 
 
 def test_final_kind():
-    assert final_kind("küpa") == "V"
-    assert final_kind("reng") == "C"
-    assert final_kind("watrokaw") == "C"
+    # a final digraph is one consonant segment
+    assert is_vowel(final_segment("küpa"))
+    assert final_segment("reng") == "ng" and not is_vowel("ng")
+    assert not is_vowel(final_segment("watrokaw"))
     assert is_vowel("ü")
 
 

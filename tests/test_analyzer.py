@@ -20,7 +20,7 @@ from mapumorph.morphotactics import (OPEN_FLOOR, RootUse, advance, end_codes,
                                      validate_sequence)
 from mapumorph.phonology import (PhonologyError, Piece, RuleTable,
                                  extend_realization, load_rules,
-                                 parse_rule_line, realize, select_allomorph)
+                                 parse_rule_line, realize)
 
 import helpers
 from conftest import DATA, load_gloss_corpus
@@ -631,13 +631,30 @@ REWRITTEN = [("elu", "TV", ["RI.fu", "AGR.fi", "IND1SG.n"]),
              ("kon", "IV", ["SJI.l", "P1.i", "DL.u"])]
 
 
-@pytest.fixture(scope="module")
-def rewriting_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("rules") / "rules.tsv"
-    path.write_text("\n".join(REWRITING_RULES) + "\n"
+# Rules put before the shipped ones that rewrite the pending part only after
+# a final vowel, or a final consonant: a part's initials then depend on how
+# the part ends.
+VOWEL_CONSONANT_RULES = (
+    "vf\tfusion\tV\tsuffix:P1.i\tfuse:e\t-",
+    "ca\tsandhi\tC\tsuffix:DL.u\tleft:final:a\t-")
+
+
+def before_the_shipped_rules(factory, lines):
+    path = factory.mktemp("rules") / "rules.tsv"
+    path.write_text("\n".join(lines) + "\n"
                     + data_path("rules.tsv").read_text(encoding="utf-8"),
                     encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="module")
+def rewriting_path(tmp_path_factory):
+    return before_the_shipped_rules(tmp_path_factory, REWRITING_RULES)
+
+
+@pytest.fixture(scope="module")
+def vowel_consonant_path(tmp_path_factory):
+    return before_the_shipped_rules(tmp_path_factory, VOWEL_CONSONANT_RULES)
 
 
 def check_entries(rules, grammar):
@@ -679,11 +696,17 @@ def check_links(grammar):
     """Check that each row is the one installed for its state, ending with
     the state, what may follow its final segment and the first spellings
     there, that each root's first steps and generation start from its
-    installed row, and that every filled entry links to the installed row
+    installed row, each first step with starts that hold its part's
+    initials, and that every filled entry links to the installed row
     of the state it leads to, or to None exactly where the boundary step
     leaves the final segment open.  Returns the number of filled entries."""
     realized, width, pieces = grammar.realized, grammar.width, grammar.pieces
-    assert all(realized[row[width]] is row for row, _, _ in grammar._firsts)
+    for row, _, _, starts in grammar._firsts:
+        assert realized[row[width]] is row
+        # the search's first-step filter must pass every first character
+        prev, part, _ = row[width]
+        chars = grammar.rules.initials(pieces[prev], part)
+        assert starts is None or chars is not None and chars <= starts
     assert all(realized[row[width]] is row
                for _, row, _ in grammar.starts.values())
     entries = 0
@@ -774,18 +797,29 @@ class TestRealizationTable:
         assert sorted(words) == ["anelün", "elun", "kongu", "küpagüu"]
 
     def test_the_next_step_keeps_a_pending_part_within_its_initials(
-            self, warm, lexicon, rewriting_path):
+            self, warm, lexicon, rewriting_path, vowel_consonant_path):
         # The search drops a path whose pending part, once finalized, could
         # not start at the next character of the word; the initials it
         # probes must hold every first character the part can take.
-        rewriting = load_rules(rewriting_path)
-        for word in GOLDEN_WORDS:
-            analyse(word, lexicon, rewriting)
-        for rules, grammar in (warm, (rewriting, rewriting.for_lexicon(
-                lexicon, analyzer._Grammar))):
+        tables = [warm]
+        for path in (rewriting_path, vowel_consonant_path):
+            rules = load_rules(path)
+            for word in GOLDEN_WORDS:
+                analyse(word, lexicon, rules)
+            tables.append((rules, rules.for_lexicon(lexicon,
+                                                    analyzer._Grammar)))
+        for rules, grammar in tables:
             triples, violations = check_initials(rules, grammar)
             assert not violations, violations[:5]
             assert triples > 100, triples
+        # the V and C rules each rewrote some pending part
+        rules, grammar = tables[-1]
+        entries, _, _ = check_entries(rules, grammar)
+        rewritten = {grammar.pieces[pid].suffix_id
+                     for (_, pending, _), row in grammar.realized.items()
+                     for pid, entry in enumerate(row[:grammar.width])
+                     if entry is not None and entry[1] != pending}
+        assert {"P1.i", "DL.u"} <= rewritten and entries > 3000
 
     def test_a_warm_grammar_realizes_nothing(self, warm, lexicon,
                                              monkeypatch):
@@ -908,8 +942,8 @@ class TestGenerate:
             # surface so far, the whole realized by the boundary rules
             pieces, form = [(root.form, root.category)], root.form
             for sid in seq:
-                pieces.append(Piece(select_allomorph(
-                    lexicon.suffixes[sid], final_segment(form)), "suffix",
+                pieces.append(Piece(helpers.matching_allomorphs(
+                    lexicon.suffixes[sid], form)[0], "suffix",
                     suffix_id=sid))
                 form = realize(pieces, lexicon, rules)
             assert generate(root, context, seq, lexicon, rules) == form
@@ -927,7 +961,8 @@ class TestGenerate:
                 pid = grammar.spellings[kind][column][1][0][0]
                 assert trailer[column] == pid
                 assert grammar.pieces[pid] == Piece(
-                    select_allomorph(suffix, final), "suffix", suffix_id=sid)
+                    helpers.matching_allomorphs(suffix, final)[0], "suffix",
+                    suffix_id=sid)
 
     def test_a_suffix_with_no_allomorph_after_the_final_is_an_error(
             self, lexicon):
@@ -981,7 +1016,6 @@ class TestGenerate:
         counting(analyzer, "validate_sequence")
         counting(analyzer, "extend_realization")
         counting(analyzer, "end_codes")
-        counting(phonology, "select_allomorph")
         counting(morphotactics, "validate_plan")
         assert [generate(root, sense.context, seq, lexicon, rules)
                 for root, sense, seq in tuples] == words

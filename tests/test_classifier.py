@@ -42,6 +42,14 @@ class TestCollectEvidence:
             evidence = collect_evidence(root, corpus)
             assert (evidence.iv_hits, evidence.tv_hits) == (0, 0)
 
+    def test_an_analysis_without_a_root_is_no_evidence(self, corpus):
+        rooted = [a for a in corpus if len(a.root_pieces) == 1
+                  and a.root_pieces[0].morph == "püna"]
+        assert collect_evidence("püna", rooted).iv_hits >= 1
+        rootless = [dataclasses.replace(a, pieces=tuple(
+            p for p in a.pieces if p.kind != "root")) for a in rooted]
+        assert collect_evidence("püna", rootless) == Evidence("püna")
+
     def test_agreement_after_increase_is_not_evidence(self, corpus):
         # the third-person patient in the causativised form proves
         # nothing about the root itself

@@ -30,6 +30,11 @@ class TestAnalyse:
         assert code == 0
         assert "küpalün\tIV.come +CA +IND1SG" in out.splitlines()
 
+    def test_a_blank_line_is_skipped(self):
+        code, out, _ = invoke(["analyse"], "küpalün\n \t\n\nkkkk\n")
+        assert (code, out) == invoke(["analyse"], "küpalün\nkkkk\n")[:2]
+        assert out.endswith("\nkkkk\tNO-PARSE\n")
+
     def test_no_parse_keeps_exit_zero(self):
         code, out, _ = invoke(["analyse"], "kkkk\n")
         assert code == 0
@@ -464,17 +469,48 @@ UNKNOWN_SUFFIX_RULE = "x\tsandhi\tV\tsuffix:CA.x\tleft:final:e\t-\n"
 
 @pytest.mark.parametrize("command", ["classify", "validate-lexicon"])
 @pytest.mark.parametrize("bad", [False, True], ids=["shipped", "bad"])
-def test_only_analyse_and_generate_take_rules(tmp_path, capsys, command,
-                                              bad):
+def test_only_analyse_and_generate_take_rules(tmp_path, command, bad):
     # neither command reads a rule, so a rule table is a usage error,
     # whether or not it would load
     path = data_path("rules.tsv")
     if bad:
         path = tmp_path / "rules.tsv"
         path.write_text(UNKNOWN_SUFFIX_RULE, encoding="utf-8")
-    code, out, _ = invoke([command, "--rules", str(path)], "")
+    code, out, err = invoke([command, "--rules", str(path)], "")
     assert (code, out) == (1, "")
-    assert "unrecognized arguments: --rules" in capsys.readouterr().err
+    assert "unrecognized arguments: --rules" in err
+
+
+def test_usage_errors_go_to_the_given_stderr(capsys):
+    code, out, err = invoke(["classify", "--threshold", "abc"], "")
+    assert (code, out) == (1, "")
+    assert err.endswith("mapumorph classify: error: argument --threshold: "
+                        "invalid int value: 'abc'\n")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = invoke(["--help"], "")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: mapumorph ")
+    assert capsys.readouterr() == ("", "")
+
+
+NOT_UTF8 = b"x\tprothesis\tany\tany\t-\t-\ny\xff\tsandhi\tany\tany\t-\t-\n"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("analyse", "--rules"), ("analyse", "--lexicon"),
+    ("analyse", "--suffixes"), ("analyse", "--slots"),
+    ("validate-lexicon", "--lexicon"), ("validate-lexicon", "--suffixes")])
+def test_a_table_that_is_not_utf8_is_located(tmp_path, command, flag):
+    # the bad byte is on the second line, after a well-formed first one
+    bad = tmp_path / "table.tsv"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = invoke([command, flag, str(bad)], "küpan\n")
+    assert (code, out) == (1, "")
+    assert err == (f"error: {bad}:2: not UTF-8: byte 0xff (invalid start "
+                   "byte)\n")
 
 
 @pytest.mark.parametrize("command",

@@ -140,6 +140,11 @@ class TestValidateSequence:
         found = validate_sequence((root, "TV"), ["IND.y", "P3.ng", "A3.ew"])
         assert "agent_requires_inverse" in codes(found)
 
+    def test_a_sense_the_root_lacks_raises(self, lexicon):
+        root = lexicon.roots[("küpa", "verb")]
+        with pytest.raises(ValueError, match="^root 'küpa' has no TV sense$"):
+            validate_sequence((root, "TV"), ["IND1SG.n"])
+
     def test_unknown_suffix_id_raises(self, lexicon):
         root = lexicon.roots[("küpa", "verb")]
         with pytest.raises(KeyError):
@@ -264,10 +269,10 @@ def test_the_fold_keeps_the_slot_template(lexicon):
     ca, hab = lexicon.suffixes["CA.l"], lexicon.suffixes["HAB.ke"]
     assert ca.slot >= STEM_ZONE > hab.slot
     stem = advance(fold, ca)[0]
-    assert stem.stem_open and follows(stem, below) is None
+    assert stem.floor >= STEM_ZONE and follows(stem, below) is None
     assert advance(stem, member)[1] == []
     closed = advance(fold, hab)[0]
-    assert not closed.stem_open
+    assert closed.floor < STEM_ZONE
     assert follows(closed, below) == below[hab.slot]
     assert advance(closed, member)[1] == ["member_position"]
     # the third member closes the compound, and a fourth is too deep
@@ -279,6 +284,31 @@ def test_the_fold_keeps_the_slot_template(lexicon):
     assert advance(fold, member)[1] == ["compound_depth"]
     assert advance(closed._replace(members=MAX_MEMBERS), member)[1] == [
         "member_position", "compound_depth"]
+
+
+def test_the_floor_says_whether_the_stem_is_open(lexicon):
+    """Over random plans, a prefix's floor is in the stem zone exactly when
+    every suffix since its latest member is, so the floor alone says
+    whether a new member may come."""
+    rng = Random(29)
+    prefixes = 0
+    for _ in range(3000):
+        plan = build_random_plan(rng, lexicon)
+        fold, open_stem = start_fold(plan[0]), True
+        for item in plan[1:]:
+            fold = advance(fold, item)[0]
+            open_stem = isinstance(item, RootUse) or (
+                open_stem and item.slot >= STEM_ZONE)
+            assert (fold.floor >= STEM_ZONE) == open_stem, plan
+            prefixes += 1
+    assert prefixes > 10_000, prefixes
+
+
+def test_a_plan_must_start_with_a_root(lexicon):
+    for plan in ([], [lexicon.suffixes["CA.l"]]):
+        with pytest.raises(ValueError,
+                           match="^sequence must start with a root$"):
+            validate_plan(plan)
 
 
 def _in_slot_order(plan):

@@ -2,10 +2,9 @@ import re
 
 import pytest
 
-from mapumorph.analyzer import analyse, generate
+from mapumorph.analyzer import _Grammar, analyse, generate
 from mapumorph.defaults import data_path
-from mapumorph.phonology import (PhonologyError, Piece, load_rules, realize,
-                                 select_allomorph)
+from mapumorph.phonology import PhonologyError, Piece, load_rules, realize
 
 
 def one_table(tmp_path, *lines):
@@ -243,6 +242,10 @@ class TestRealize:
                      for a in analyse(surface, lexicon, table)}
             assert morphs in found, (lines, surface)
 
+    def test_an_empty_sequence_raises(self, lexicon, rules):
+        with pytest.raises(PhonologyError, match="^empty morph sequence$"):
+            realize([], lexicon, rules)
+
     def test_must_start_with_root(self, lexicon, rules):
         with pytest.raises(PhonologyError):
             realize([Piece("nie", "suffix", suffix_id="PRPS.nie"), "y"],
@@ -250,22 +253,38 @@ class TestRealize:
 
 
 class TestSelectAllomorph:
-    def test_stative_after_consonant(self, lexicon):
-        assert select_allomorph(lexicon.suffixes["ST.le"], "f") == "küle"
+    """Generation's allomorph choice, the grammar's trailers: after a
+    final vowel, a final consonant or nothing, each suffix's first
+    context-matching allomorph."""
 
-    def test_stative_after_vowel(self, lexicon):
-        assert select_allomorph(lexicon.suffixes["ST.le"], "a") == "le"
+    @staticmethod
+    def trailer(lexicon, rules, sid, kind):
+        grammar = rules.for_lexicon(lexicon, _Grammar)
+        pid = grammar.trailers[kind][grammar.suffix_columns[sid]]
+        return None if pid is None else grammar.pieces[pid].form
 
-    def test_m_causative_after_vowel(self, lexicon):
-        assert select_allomorph(lexicon.suffixes["CA.m"], "ü") == "m"
+    def test_stative_after_consonant(self, lexicon, rules):
+        assert self.trailer(lexicon, rules, "ST.le", "C") == "küle"
+        assert generate("af", "IV", ["ST.le"], lexicon, rules) == "afküle"
 
-    def test_first_allomorph_after_nothing(self, lexicon):
-        assert select_allomorph(lexicon.suffixes["ST.le"], "") == "le"
-        assert select_allomorph(lexicon.suffixes["PL.un"], "") == "ün"
+    def test_stative_after_vowel(self, lexicon, rules):
+        assert self.trailer(lexicon, rules, "ST.le", "V") == "le"
+
+    def test_m_causative_after_vowel(self, lexicon, rules):
+        assert self.trailer(lexicon, rules, "CA.m", "V") == "m"
+
+    def test_first_allomorph_after_nothing(self, lexicon, rules):
+        assert self.trailer(lexicon, rules, "ST.le", None) == "le"
+        assert self.trailer(lexicon, rules, "PL.un", None) == "ün"
 
     def test_no_match_raises(self, lexicon):
-        from mapumorph.lexicon import Allomorph, SuffixEntry
+        from mapumorph.lexicon import Allomorph, Lexicon, SuffixEntry
         only_c = SuffixEntry("X.t", 10, "NEG", "neutral", "any",
                              (Allomorph("t", "C"),))
-        with pytest.raises(PhonologyError):
-            select_allomorph(only_c, "a")
+        with_x = Lexicon(lexicon.roots, {**lexicon.suffixes, "X.t": only_c})
+        rules = load_rules(data_path("rules.tsv"))
+        assert self.trailer(with_x, rules, "X.t", "V") is None
+        assert self.trailer(with_x, rules, "X.t", "C") == "t"
+        with pytest.raises(PhonologyError,
+                           match="^no allomorph of X.t fits after 'a'$"):
+            generate("küpa", "IV", ["X.t", "IND1SG.n"], with_x, rules)
