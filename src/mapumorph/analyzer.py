@@ -28,8 +28,9 @@ Generation looks its root up in the grammar, judges a sequence by a
 walk of the transition table from the root's start fold, and reads its
 surface off the realization table's linked rows, each suffix by its
 first context-matching allomorph.  Once the rows are filled an accepted
-sequence costs table lookups only; the validator runs only on a
-rejected sequence, to list its violations.
+sequence costs table lookups only; only a rejected sequence is folded
+by the validator, :func:`validate_plan` over the grammar's own root use
+and suffix entries, to list its violations.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ from dataclasses import dataclass, replace
 from . import alphabet, tags
 from .defaults import tables
 from .lexicon import Lexicon, RootEntry
-# validate_plan is not called here; the benchmark's tracer counts its calls
-# in this module, and tests/test_bench_contract.py guards the name
 from .morphotactics import (Fold, RootUse, advance, compound_valency,
                             end_codes, follows, settle, start_fold,
-                            tags_below, tags_reading_lone, validate_plan,
-                            validate_sequence)  # noqa: F401
+                            tags_below, tags_reading_lone, validate_plan)
+# validate_sequence is not called here; the benchmark's tracer counts its
+# calls in this module, and tests/test_bench_contract.py guards the name
+from .morphotactics import validate_sequence  # noqa: F401
 from .phonology import Piece, PhonologyError, RuleTable, extend_realization
 
 
@@ -387,8 +388,10 @@ class _Grammar:
         # each root's first steps, one per distinct sense choice, with its
         # spelling's starts, and its start by form:category for generation:
         # its row and a start fold per sense context, since a start fold
-        # reads only that context
-        self._firsts, self.starts = [], {}
+        # reads only that context; and by (form:category, context) the use
+        # of the context's first sense, which a rejected sequence is
+        # folded from
+        self._firsts, self.starts, self.first_uses = [], {}, {}
         for entry, root in roots:
             for sense in dict.fromkeys(entry.senses[:1] if entry.category
                                        == "demonstrative" else entry.senses):
@@ -396,14 +399,14 @@ class _Grammar:
                     spellings.append((len(self.columns), (root,)))
                 self.columns.append(RootUse(entry, sense))
             row = self._surface_row(root[0], entry.form, entry.form)
-            folds = {}
+            key, folds = f"{entry.form}:{entry.category}", {}
             for sense in dict.fromkeys(entry.senses):
                 use = RootUse(entry, sense)
                 folds[sense.context] = self._fold_id(start_fold(use))
+                self.first_uses.setdefault((key, sense.context), use)
                 self._firsts.append((row, use, folds[sense.context],
                                      root[2]))
-            start = self.starts[f"{entry.form}:{entry.category}"] = (
-                entry, row, folds)
+            start = self.starts[key] = (entry, row, folds)
             # the bare form names the verb entry, or the only one; a form
             # of several entries and no verb is ambiguous (None)
             if entry.category == "verb" or entry.form not in self.starts:
@@ -633,8 +636,9 @@ class _Grammar:
         ids that are no iterable, or an unknown or mistyped id anywhere in
         them; a missing or mistyped sense; a rejected sequence; then a
         suffix with no allomorph after the final segment.  Only a rejected
-        sequence is folded again, by :func:`validate_sequence`, for its
-        violations."""
+        sequence is folded again, by :func:`validate_plan` over the use of
+        the context's first sense and the suffix entries already resolved,
+        for its violations."""
         given = isinstance(root, RootEntry)
         key = f"{root.form}:{root.category}" if given else root
         try:
@@ -676,11 +680,11 @@ class _Grammar:
             raise ValueError(f"root {entry.form!r} has no {sense_context} "
                              "sense")
         if live == _DEAD or not self.accepts[live]:
+            use = self.first_uses[f"{entry.form}:{entry.category}",
+                                  sense_context]
             raise GenerationError(
-                f"invalid sequence for {entry.form!r}", validate_sequence(
-                    (entry, sense_context),
-                    [self.columns[column] for column in columns],
-                    self.lexicon))
+                f"invalid sequence for {entry.form!r}", validate_plan(
+                    [use, *[self.columns[column] for column in columns]]))
 
         # the trailer by a non-negative index: list indexing's fast path
         done, part, trailer = "", entry.form, self.width + 2

@@ -997,6 +997,58 @@ class TestGenerate:
                    for a in found)
         assert any(len(a.root_pieces) == 2 for a in found)
 
+    def test_a_rejected_sequence_keeps_the_validators_violations(
+            self, lexicon, rules):
+        # three kinds of rejected tuple: two adjacent suffixes of different
+        # slots swapped, as the benchmark builds them; a causative on a TV
+        # sense; and a labile root, in each of its contexts, with one
+        # suffix inserted anywhere
+        rng = random.Random(30)
+        suffixes = lexicon.suffixes
+        ids = sorted(suffixes)
+        causatives = [sid for sid in ids
+                      if suffixes[sid].attach_constraint == "iv_stem_only"]
+        labile = [root for root in lexicon.iter_roots()
+                  if len({sense.context for sense in root.senses}) > 1]
+        kinds = {"swapped": [], "valency": [], "labile": []}
+        for root, sense, seq in sample_valid_tuples(rng, lexicon, 700):
+            pairs = [i for i in range(len(seq) - 1)
+                     if suffixes[seq[i]].slot != suffixes[seq[i + 1]].slot]
+            if pairs:
+                i = rng.choice(pairs)
+                kinds["swapped"].append((root, sense.context, seq[:i] + [
+                    seq[i + 1], seq[i]] + seq[i + 2:]))
+            tv = [s for s in root.senses if s.context == "TV"]
+            if tv:
+                kinds["valency"].append(
+                    (root, "TV", [rng.choice(causatives)] + seq))
+            member = rng.choice(labile)
+            i = rng.randrange(len(seq) + 1)
+            for context in sorted({s.context for s in member.senses}):
+                kinds["labile"].append(
+                    (member, context, seq[:i] + [rng.choice(ids)] + seq[i:]))
+        checked = {kind: 0 for kind in kinds}
+        contexts = set()
+        for kind, cases in kinds.items():
+            for root, context, seq in cases:
+                expected = validate_sequence((root, context), seq, lexicon)
+                if not expected:
+                    assert kind == "labile", (root.form, context, seq)
+                    continue
+                given = rng.choice((root, f"{root.form}:{root.category}"))
+                with pytest.raises(GenerationError) as err:
+                    generate(given, context, seq, lexicon, rules)
+                assert err.value.violations == tuple(expected)
+                assert str(err.value) == (
+                    f"invalid sequence for {root.form!r}: "
+                    + "; ".join(f"{v.code}@{v.at}" for v in expected))
+                checked[kind] += 1
+                if kind == "labile":
+                    contexts.add(context)
+        assert sum(checked.values()) >= 1000, checked
+        assert min(checked.values()) >= 100, checked
+        assert contexts == {"IV", "TV"}
+
     def test_an_accepted_sequence_is_neither_validated_nor_stepped(
             self, lexicon, rules, monkeypatch):
         tuples = sample_valid_tuples(random.Random(30), lexicon, 200)
@@ -1013,17 +1065,18 @@ class TestGenerate:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
+        counting(analyzer, "validate_plan")
         counting(analyzer, "validate_sequence")
         counting(analyzer, "extend_realization")
         counting(analyzer, "end_codes")
-        counting(morphotactics, "validate_plan")
         assert [generate(root, sense.context, seq, lexicon, rules)
                 for root, sense, seq in tuples] == words
         assert not calls
-        # a rejected sequence is folded again, for its violations
+        # a rejected sequence is folded once more, over the grammar's own
+        # root use and suffix entries, for its violations
         with pytest.raises(GenerationError):
             generate("monge", "IV", [], lexicon, rules)
-        assert calls == ["validate_sequence", "validate_plan"]
+        assert calls == ["validate_plan"]
 
     def test_a_root_entry_the_lexicon_does_not_hold_is_unknown(self,
                                                                 lexicon):

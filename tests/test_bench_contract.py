@@ -36,8 +36,8 @@ def test_every_span_a_layer_metric_needs_has_its_call_site():
 
 
 def test_a_dropped_call_site_is_found(monkeypatch):
-    # generation calls validate_sequence only for a rejected sequence; the
-    # name must stay in the analyzer module, where the tracer patches it
+    # the analyzer module imports validate_sequence without calling it, so
+    # that the tracer, which patches the name there, still finds it
     from mapumorph import analyzer
     monkeypatch.delattr(analyzer, "validate_sequence")
     assert "morphotactics.validate_sequence" in absent_call_sites()
