@@ -1,7 +1,8 @@
 """Segmentation of surface verb forms into glossed analyses, and the
 inverse: generation of surface forms from a root and suffix ids.
 
-Both directions read one grammar per (lexicon, rules): a transition
+Both directions read one grammar per (lexicon, rules), kept on the rule
+table for the latest lexicon it served (:func:`_grammar`): a transition
 table of morphotactic folds with end flags, compiled with it, and a
 realization table, filled on first use, whose entries link each
 realization state to the next; so each transition and each boundary is
@@ -736,6 +737,19 @@ class _Grammar:
                         stem_valency)
 
 
+def _grammar(lexicon: Lexicon | None = None,
+             rules: RuleTable | None = None) -> _Grammar:
+    """The grammar of *lexicon* and *rules*, with the shipped table in place
+    of each that is None.  It is kept on the rule table until the table
+    is used with another lexicon object: a process serves one lexicon at
+    a time, and a build is not cheap."""
+    lexicon, rules = tables(lexicon, rules)
+    grammar = getattr(rules, "_grammar", None)
+    if grammar is None or grammar.lexicon is not lexicon:
+        grammar = rules._grammar = _Grammar(lexicon, rules)
+    return grammar
+
+
 def analyse(word: str, lexicon: Lexicon | None = None,
             rules: RuleTable | None = None) -> list[Analysis]:
     """All licit glossed analyses of a surface word, best ranked first.
@@ -749,9 +763,7 @@ def analyse(word: str, lexicon: Lexicon | None = None,
         raise ValueError("word must be non-empty")
     word = unicodedata.normalize("NFC", word)
     alphabet.segments(word)
-    lexicon, rules = tables(lexicon, rules)
-
-    return sorted(rules.for_lexicon(lexicon, _Grammar).search(word),
+    return sorted(_grammar(lexicon, rules).search(word),
                   key=lambda a: a.score)
 
 
@@ -774,9 +786,8 @@ def generate(root, sense_context: str, suffix_ids,
     if isinstance(suffix_ids, (str, bytes)):
         raise _mistyped("suffix_ids", "an iterable of suffix ids",
                         suffix_ids)
-    lexicon, rules = tables(lexicon, rules)
-    return rules.for_lexicon(lexicon, _Grammar).generate(
-        root, sense_context, suffix_ids)
+    return _grammar(lexicon, rules).generate(root, sense_context,
+                                             suffix_ids)
 
 
 def gloss_render(analysis: Analysis) -> str:

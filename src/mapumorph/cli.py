@@ -21,7 +21,7 @@ from .analyzer import (Analysis, GenerationError, analyse, generate,
                        gloss_render, json_objects)
 from .classifier import classify_corpus, render_table
 from .lexicon import LexiconError, data_lines, load_lexicon, validate_lexicon
-from .phonology import PhonologyError, load_rules
+from .phonology import load_rules
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -74,7 +74,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load_tables(args, strict=True):
     """The lexicon and the rule table that ``--rules`` names (None for the
-    shipped one), each checked in that order, then the slot table."""
+    shipped one), each checked in that order, the rule table against the
+    lexicon's suffix ids, then the slot table."""
     if args.lexicon or args.suffixes:
         root_path = args.lexicon or defaults.data_path("roots.tsv")
         suffix_path = args.suffixes or defaults.data_path("suffixes.tsv")
@@ -83,22 +84,10 @@ def _load_tables(args, strict=True):
         lexicon = defaults.default_lexicon()
     rules = None
     if getattr(args, "rules", None):  # only analyse and generate take it
-        rules = load_rules(args.rules)
-        _cross_check_rules(args.rules, rules, lexicon)
+        rules = load_rules(args.rules, lexicon.suffixes)
     if args.slots:
         _cross_check_slots(args.slots, lexicon)
     return lexicon, rules
-
-
-def _cross_check_rules(path, rules, lexicon):
-    """A rule whose ``suffix:ID`` pattern names no suffix of *lexicon*
-    could never fire, so it fails, located at its line."""
-    for (lineno, _), rule in zip(data_lines(path), rules.rules):
-        for sid in rule.suffix_ids:
-            if sid not in lexicon.suffixes:
-                raise PhonologyError(f"{path}:{lineno}: pattern "
-                                     f"'suffix:{sid}' names no suffix of "
-                                     "the lexicon")
 
 
 def _cross_check_slots(path, lexicon):

@@ -17,10 +17,10 @@ Rules live in a TSV table (``id kind left right rewrite exceptions``):
   that never undergo the rule; ``-`` for none.
 
 A lexeme's form, in a pattern or an exception, is alphabet text and its
-category one of the lexicon's categories; a ``suffix:ID`` pattern is not
-checked against a suffix inventory here, since one table serves any
-lexicon (the command line checks a table it is given against the
-lexicon it runs with).
+category one of the lexicon's categories.  A ``suffix:ID`` pattern is
+checked only against the suffix ids :func:`load_rules` is given (the
+command line gives those of the lexicon it runs with), since one table
+serves any lexicon.
 
 A rule reads a piece by its identity alone, never by the allomorph that
 spells a suffix: ``suffix:ID`` matches a suffix piece by its id, a lexeme
@@ -44,6 +44,7 @@ change only by filling their memos.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -245,12 +246,21 @@ def parse_rule_line(line: str) -> BoundaryRule:
         **targets)
 
 
-def load_rules(path: str | Path) -> RuleTable:
+def load_rules(path: str | Path,
+               suffixes: Container[str] | None = None) -> RuleTable:
+    """The rule table at *path*.  Given *suffixes*, the suffix ids of a
+    lexicon, a rule whose ``suffix:ID`` pattern names none of them fails
+    at its line, since it could never fire with that lexicon."""
     rules = []
     for lineno, line in data_lines(path):
         try:
             # trailing whitespace opens no column
-            rules.append(parse_rule_line(line.rstrip()))
+            rule = parse_rule_line(line.rstrip())
+            for sid in rule.suffix_ids:
+                if suffixes is not None and sid not in suffixes:
+                    raise PhonologyError(f"pattern 'suffix:{sid}' names no "
+                                         "suffix of the lexicon")
+            rules.append(rule)
         except PhonologyError as err:
             raise PhonologyError(f"{path}:{lineno}: {err}") from None
     return RuleTable(tuple(rules))
@@ -262,9 +272,7 @@ class RuleTable:
     The candidates for a boundary are the rules whose right pattern
     matches the identity of the piece after it, in table order, and the
     first one whose exceptions and left pattern pass fires.  A part's
-    :meth:`initials` are memoised; what is built from the table and a
-    lexicon is kept for the most recent lexicon object
-    (:meth:`for_lexicon`).
+    :meth:`initials` are memoised.
     """
 
     def __init__(self, rules: tuple[BoundaryRule, ...] = ()):
@@ -277,8 +285,6 @@ class RuleTable:
         # memo also shares the sets: 16,000 words fill 10,201 realization
         # entries holding 149 sets for 19 values, not 9,981 (about 2.1 MB)
         self._initials: dict[tuple, frozenset | None] = {}
-        # (lexicon, what for_lexicon built for it), the latest lexicon's
-        self._built: tuple | None = None
 
     def morph(self, form: str, kind: str, category: str | None = None,
               suffix_id: str | None = None):
@@ -302,14 +308,6 @@ class RuleTable:
                  for surface in surfaces]
         starts = None if None in chars else frozenset().union(*chars)
         return piece, rewrites_left, starts
-
-    def for_lexicon(self, lexicon: Lexicon, build):
-        """``build(lexicon, self)``, kept until another lexicon object asks;
-        a process serves one lexicon at a time, and a build is not cheap."""
-        built = self._built
-        if built is None or built[0] is not lexicon:
-            built = self._built = (lexicon, build(lexicon, self))
-        return built[1]
 
     def candidates(self, piece: Piece) -> tuple[BoundaryRule, ...]:
         """Rules that may fire with *piece* right of the boundary, in

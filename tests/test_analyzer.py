@@ -162,7 +162,7 @@ class TestAmbiguity:
         doubled = Lexicon(roots, suffixes)
         assert validate_lexicon(doubled) == validate_lexicon(lexicon) == []
         rules = load_rules(data_path("rules.tsv"))
-        grammar = rules.for_lexicon(doubled, analyzer._Grammar)
+        grammar = analyzer._grammar(doubled, rules)
         assert len(grammar.search("küpan")) == 2
         assert [a.to_json() for a in analyse("küpan", doubled, rules)] == [
             a.to_json() for a in analyse("küpan", lexicon)]
@@ -405,7 +405,7 @@ def warm(lexicon):
     rules = load_rules(data_path("rules.tsv"))
     for word in GOLDEN_WORDS:
         analyse(word, lexicon, rules)
-    return rules, rules.for_lexicon(lexicon, analyzer._Grammar)
+    return rules, analyzer._grammar(lexicon, rules)
 
 
 def test_every_path_built_is_an_analysis(warm, lexicon, monkeypatch):
@@ -502,7 +502,7 @@ class TestTransitionTable:
         # küpa (verb) and che (noun) share valency and an IV sense: their
         # settled start folds differ only in the lone-verb-root flag, and
         # only the verb's rejects the end of the word
-        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        grammar = analyzer._grammar(lexicon, rules)
         verb = grammar.starts["küpa:verb"][2]["IV"]
         noun = grammar.starts["che:noun"][2]["IV"]
         assert verb != noun
@@ -545,7 +545,7 @@ class TestTransitionTable:
         # the table is whole once the grammar is built, before any word,
         # and so are the end flags the search reads in place of end_codes
         rules = load_rules(data_path("rules.tsv"))
-        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        grammar = analyzer._grammar(lexicon, rules)
         folds = list(grammar.folds)
         filled = [bytes(row) for row in grammar.transitions]
         calls = []
@@ -593,7 +593,7 @@ class TestTransitionTable:
             assert made[k] == generated[k * 50:] + generated[:k * 50], k
         # the threads numbered no piece, and every realization row they
         # filled holds what one boundary step gives
-        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        grammar = analyzer._grammar(lexicon, rules)
         fresh = analyzer._Grammar(lexicon, rules)
         assert grammar.pieces == fresh.pieces
         assert grammar.piece_ids == fresh.piece_ids
@@ -776,7 +776,7 @@ class TestRealizationTable:
         rules = load_rules(rewriting_path)
         for word in GOLDEN_WORDS:
             analyse(word, lexicon, rules)
-        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        grammar = analyzer._grammar(lexicon, rules)
         entries, _, head_bound = check_entries(rules, grammar)
         assert entries > 3000 and head_bound, (entries, head_bound)
         assert check_links(grammar) == entries
@@ -806,8 +806,7 @@ class TestRealizationTable:
             rules = load_rules(path)
             for word in GOLDEN_WORDS:
                 analyse(word, lexicon, rules)
-            tables.append((rules, rules.for_lexicon(lexicon,
-                                                    analyzer._Grammar)))
+            tables.append((rules, analyzer._grammar(lexicon, rules)))
         for rules, grammar in tables:
             triples, violations = check_initials(rules, grammar)
             assert not violations, violations[:5]
@@ -951,7 +950,7 @@ class TestGenerate:
 
     def test_first_spelling_is_the_allomorph_select_allomorph_picks(
             self, lexicon, rules):
-        grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+        grammar = analyzer._grammar(lexicon, rules)
         for final, kind in (("a", "V"), ("f", "C"), ("", None)):
             trailer = grammar.trailers[kind]
             assert len(trailer) == len(lexicon.suffixes)

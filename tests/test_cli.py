@@ -87,7 +87,12 @@ class TestAnalyse:
         assert lines[1].startswith("küpan\t")
 
 
-    def test_runs_keep_at_most_one_loaded_lexicon(self, monkeypatch):
+    @pytest.mark.parametrize("command, line", [
+        ("analyse", "küpalün\n"),
+        ("generate", "küpa\tIV\tCA.m IND1SG.n\n"),
+    ], ids=["analyse", "generate"])
+    def test_runs_keep_at_most_one_loaded_lexicon(self, monkeypatch, command,
+                                                  line):
         loaded = []
 
         def tracking_load(*args, **kwargs):
@@ -98,8 +103,7 @@ class TestAnalyse:
         monkeypatch.setattr(cli, "load_lexicon", tracking_load)
         for _ in range(3):
             code, _, _ = invoke(
-                ["analyse", "--lexicon", str(data_path("roots.tsv"))],
-                "küpalün\n")
+                [command, "--lexicon", str(data_path("roots.tsv"))], line)
             assert code == 0
         gc.collect()
         assert len(loaded) == 3
@@ -189,6 +193,18 @@ class TestGenerate:
         assert (code, out) == (1, "")
         assert err == (f"error: {path}:{line}: pattern 'suffix:{sid}' names "
                        "no suffix of the lexicon\n")
+
+    def test_the_first_fault_of_a_rule_table_is_reported(self, tmp_path):
+        # line 1 names no suffix of the lexicon and line 2 is malformed:
+        # line 1 is reported, as for any other two faults of a table
+        path = tmp_path / "rules.tsv"
+        path.write_text("x\tsandhi\tV\tsuffix:CA.x\tleft:final:e\t-\n"
+                        "malformed\n", encoding="utf-8")
+        code, out, err = invoke(["generate", "--rules", str(path)],
+                                "küpa\tIV\tCA.m IND1SG.n\n")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}:1: pattern 'suffix:CA.x' names no "
+                       "suffix of the lexicon\n")
 
     def test_a_rule_table_is_checked_against_the_given_suffixes(
             self, tmp_path):
@@ -462,6 +478,24 @@ def test_slot_table_file_is_closed(tmp_path, monkeypatch):
     code, _, _ = invoke(["analyse", "--slots", str(good)], "küpan\n")
     assert code == 0
     assert len(opened) == 1 and opened[0].closed
+
+
+def test_a_rule_table_is_read_once(tmp_path, monkeypatch):
+    # the rule table is read by lexicon.data_lines, through Path.read_bytes
+    table = tmp_path / "rules.tsv"
+    table.write_bytes(data_path("rules.tsv").read_bytes())
+    read, path_read_bytes = [], pathlib.Path.read_bytes
+
+    def tracking_read_bytes(self):
+        if self == table:
+            read.append(self)
+        return path_read_bytes(self)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", tracking_read_bytes)
+    code, out, _ = invoke(["generate", "--rules", str(table)],
+                          "küpa\tIV\tCA.m IND1SG.n\n")
+    assert (code, out) == (0, "küpa\tIV\tCA.m IND1SG.n\tküpamün\n")
+    assert len(read) == 1
 
 
 UNKNOWN_SUFFIX_RULE = "x\tsandhi\tV\tsuffix:CA.x\tleft:final:e\t-\n"

@@ -410,5 +410,5 @@ def test_settle_forgets_only_what_no_continuation_reads(lexicon, rules):
     assert all(len(found) == 1 for found in settled.values())
     assert len(folds) > 5000 and len(set(classes)) < len(settled) < 1000, (
         len(folds), len(set(classes)), len(settled))
-    grammar = rules.for_lexicon(lexicon, analyzer._Grammar)
+    grammar = analyzer._grammar(lexicon, rules)
     assert set(grammar.folds) == set(settled)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from mapumorph.analyzer import _Grammar, analyse, generate
+from mapumorph.analyzer import _grammar, analyse, generate
 from mapumorph.defaults import data_path
 from mapumorph.phonology import PhonologyError, Piece, load_rules, realize
 
@@ -198,6 +198,18 @@ class TestRealize:
                            match=r"rules\.tsv:2: " + re.escape(message)):
             load_rules(path)
 
+    def test_a_rule_is_checked_only_against_the_given_suffix_ids(
+            self, lexicon, tmp_path):
+        # one table serves any lexicon, so without ids it loads as it is
+        path = tmp_path / "rules.tsv"
+        path.write_text("x\tsandhi\tV\tsuffix:CA.x\tleft:final:e\t-\n",
+                        encoding="utf-8")
+        with pytest.raises(PhonologyError, match="^" + re.escape(
+                f"{path}:1: pattern 'suffix:CA.x' names no suffix of the "
+                "lexicon") + "$"):
+            load_rules(path, lexicon.suffixes)
+        assert [rule.id for rule in load_rules(path).rules] == ["x"]
+
     def test_a_left_consonant_pattern_reads_the_final_segment(
             self, lexicon, tmp_path):
         table = one_table(tmp_path, "x\tepenthesis\tC\tsuffix:IND1SG.n\t"
@@ -259,7 +271,7 @@ class TestSelectAllomorph:
 
     @staticmethod
     def trailer(lexicon, rules, sid, kind):
-        grammar = rules.for_lexicon(lexicon, _Grammar)
+        grammar = _grammar(lexicon, rules)
         pid = grammar.trailers[kind][grammar.suffix_columns[sid]]
         return None if pid is None else grammar.pieces[pid].form
 
