@@ -30,8 +30,9 @@ walk of the transition table from the root's start fold, and reads its
 surface off the realization table's linked rows, each suffix by its
 first context-matching allomorph.  Once the rows are filled an accepted
 sequence costs table lookups only; only a rejected sequence is folded
-by the validator, :func:`validate_plan` over the grammar's own root use
-and suffix entries, to list its violations.
+by the validator, :func:`validate_plan` over the use of the root's first
+sense in the context and the grammar's suffix entries, to list its
+violations.
 """
 
 from __future__ import annotations
@@ -153,13 +154,8 @@ class Analysis:
         if type(data) is not dict:
             raise TypeError("analysis must be a JSON object, not "
                             f"{type(data).__name__}")
-        items, pieces = data["pieces"], []
-        if type(items) is not list:
-            raise _not_objects("pieces", type(items).__name__)
-        for p in items:
-            if type(p) is not dict:
-                raise _not_objects("pieces",
-                                   f"a list holding {type(p).__name__}")
+        pieces = []
+        for p in json_objects(data["pieces"], "pieces"):
             get = p.get
             surface = get("surface", "")
             if type(surface) is not str:
@@ -242,15 +238,13 @@ def json_objects(value, name: str):
     when it is reached: TypeError if *value* is no list or an item is no
     object."""
     if type(value) is not list:
-        raise _not_objects(name, type(value).__name__)
+        raise TypeError(f"{name} must be a list of objects, not "
+                        f"{type(value).__name__}")
     for item in value:
         if type(item) is not dict:
-            raise _not_objects(name, f"a list holding {type(item).__name__}")
+            raise TypeError(f"{name} must be a list of objects, not a list "
+                            f"holding {type(item).__name__}")
         yield item
-
-
-def _not_objects(name: str, found: str) -> TypeError:
-    return TypeError(f"{name} must be a list of objects, not {found}")
 
 
 _STATES = ("IV", "TV", "TV2")
@@ -313,13 +307,12 @@ class _Grammar:
     (V, C, or None after an empty surface, where any allomorph may), and
     each suffix column's first spelling there (None where no allomorph
     fits).  An entry is what the step gives, ``(new piece, finalized
-    part, new pending part, initials, next row)``, with the
-    :meth:`~mapumorph.phonology.RuleTable.initials` of the new pending
-    part (None when it is empty) and the row of the state it leads to.
-    Where a rule rewrites the pending part the new final segment may
-    reach back before it, and the next row is None: the search reads the
-    final segment off the word, generation off its surface, both through
-    :meth:`_surface_row`.  Each root's row is installed with the grammar.
+    part, new pending part, next row)``, the last the row of the state it
+    leads to.  Where a rule rewrites the pending part the new final
+    segment may reach back before it, and the next row is None: the
+    search reads the final segment off the word, generation off its
+    surface, both through :meth:`_surface_row`.  Each root's row is
+    installed with the grammar.
     The table is bounded by the grammar, not by the words analysed, and
     needs no lock: threads that fill an entry race only to store equal
     values, and a row is installed by a single ``dict.setdefault``, so
@@ -389,10 +382,8 @@ class _Grammar:
         # each root's first steps, one per distinct sense choice, with its
         # spelling's starts, and its start by form:category for generation:
         # its row and a start fold per sense context, since a start fold
-        # reads only that context; and by (form:category, context) the use
-        # of the context's first sense, which a rejected sequence is
-        # folded from
-        self._firsts, self.starts, self.first_uses = [], {}, {}
+        # reads only that context
+        self._firsts, self.starts = [], {}
         for entry, root in roots:
             for sense in dict.fromkeys(entry.senses[:1] if entry.category
                                        == "demonstrative" else entry.senses):
@@ -404,7 +395,6 @@ class _Grammar:
             for sense in dict.fromkeys(entry.senses):
                 use = RootUse(entry, sense)
                 folds[sense.context] = self._fold_id(start_fold(use))
-                self.first_uses.setdefault((key, sense.context), use)
                 self._firsts.append((row, use, folds[sense.context],
                                      root[2]))
             start = self.starts[key] = (entry, row, folds)
@@ -501,14 +491,15 @@ class _Grammar:
 
     def _fill(self, row: list, pid: int) -> tuple:
         """Compute, store in *row* and return its entry for piece *pid*,
-        linked to the row of the state it leads to."""
+        ``(placed piece, finalized part, new pending part, next row)``,
+        linked to the row of the state it leads to, or None where the
+        final segment is left to the caller."""
         prev, pending, final = row[self.width]
         piece, finalized, part, new_final = extend_realization(
             self.pieces[prev], pending, final, self.pieces[pid], self.rules)
         placed = self.piece_ids[piece]
         entry = row[pid] = (
             placed, finalized, part,
-            self.rules.initials(piece, part) if part else None,
             None if new_final is None else self._row(placed, part, new_final))
         return entry
 
@@ -521,12 +512,14 @@ class _Grammar:
         word's first character, and extends only with pieces that can still
         spell the word.  A piece whose boundary rule may rewrite the pending
         part is always tried; any other leaves that part as it is, so it is
-        tried only when the part reads on in the word and the piece's own part
-        can start at the character that follows.  Pieces are tried in the order
-        of an unpruned search, by column (suffixes by id, then roots), each
-        distinct allomorph once and each root once per distinct sense choice,
-        so no path is walked twice and a root-sense combination's results come
-        out in that order.
+        tried only when the part reads on in the word and the piece's own
+        part can start at the character that follows (:meth:`options`).
+        These are the search's one first-character filter: once realized, a
+        piece is kept if its finalized part spells the word on.  Pieces are
+        tried in the order of an unpruned search, by column (suffixes by id,
+        then roots), each distinct allomorph once and each root once per
+        distinct sense choice, so no path is walked twice and a root-sense
+        combination's results come out in that order.
 
         A step holds the row of its realization state, numbers and
         strings: a link to the path before the last piece, the position
@@ -587,18 +580,11 @@ class _Grammar:
                 if new == _DEAD:
                     continue
                 for pid in pids:
-                    placed, finalized, part, initials, linked = \
+                    placed, finalized, part, linked = \
                         row[pid] or fill(row, pid)
                     if not word.startswith(finalized, pos):
                         continue
                     new_pos = pos + len(finalized)
-                    # The pending part is rewritten at most once more, by
-                    # the rule at the next boundary; its initials count the
-                    # first characters that rule can give it, so this probe
-                    # never drops a path.
-                    if part and (new_pos >= size or initials is not None
-                                 and word[new_pos] not in initials):
-                        continue
                     new_owed = _licensed(owed, code, finalized) \
                         if owed or code else owed
                     if new_owed == _UNLICENSED:
@@ -681,8 +667,7 @@ class _Grammar:
             raise ValueError(f"root {entry.form!r} has no {sense_context} "
                              "sense")
         if live == _DEAD or not self.accepts[live]:
-            use = self.first_uses[f"{entry.form}:{entry.category}",
-                                  sense_context]
+            use = RootUse(entry, entry.senses_for(sense_context)[0])
             raise GenerationError(
                 f"invalid sequence for {entry.form!r}", validate_plan(
                     [use, *[self.columns[column] for column in columns]]))
@@ -695,7 +680,7 @@ class _Grammar:
                 raise PhonologyError(
                     f"no allomorph of {self.columns[column].id} fits after "
                     f"{row[self.width][2]!r}")
-            placed, finalized, part, _, row = row[pid] or self._fill(row, pid)
+            placed, finalized, part, row = row[pid] or self._fill(row, pid)
             done += finalized
             if row is None:
                 row = self._surface_row(placed, part, done + part)

@@ -233,9 +233,12 @@ def data_lines(path: str | Path):
     """(line number, line) for each line of a TSV table that holds data,
     in order: blank lines and ``#`` comment lines are skipped.  Lines end
     at line feeds only, each dropping one carriage return before it, so a
-    field may hold any other character, U+2028 included.  A byte that is
-    not UTF-8 fails with a ValueError located at its line."""
-    raw = Path(path).read_bytes()
+    field may hold any other character, U+2028 included.  One leading
+    UTF-8 byte order mark is dropped.  A byte that is not UTF-8 fails with
+    a ValueError located at its line."""
+    # dropped from the bytes, not by the utf-8-sig codec, so that an
+    # error's offset still names the byte at fault
+    raw = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         text = raw.decode("utf-8").replace("\r\n", "\n")
     except UnicodeDecodeError as err:

@@ -38,8 +38,9 @@ pending part.  :func:`realize` folds it over a running surface; the
 analyser's grammar keeps what the step gives for each (previous piece,
 pending part, final segment, next piece) it meets, and generation and
 the search, which runs forward through the rules rather than undoing
-them, read it there, so neither carries realization state.  Tables
-change only by filling their memos.
+them, read it there, so neither carries realization state.  A rule
+table holds no memo, and changes only when the analyser keeps its latest
+grammar on it.
 """
 
 from __future__ import annotations
@@ -271,8 +272,7 @@ class RuleTable:
 
     The candidates for a boundary are the rules whose right pattern
     matches the identity of the piece after it, in table order, and the
-    first one whose exceptions and left pattern pass fires.  A part's
-    :meth:`initials` are memoised.
+    first one whose exceptions and left pattern pass fires.
     """
 
     def __init__(self, rules: tuple[BoundaryRule, ...] = ()):
@@ -281,10 +281,6 @@ class RuleTable:
         self._left_rewriters = [rule for rule in self.rules
                                 if rule.fuse is not None
                                 or rule.left_final is not None]
-        # initials by the piece fields and the part they depend on; the
-        # memo also shares the sets: 16,000 words fill 10,201 realization
-        # entries holding 149 sets for 19 values, not 9,981 (about 2.1 MB)
-        self._initials: dict[tuple, frozenset | None] = {}
 
     def morph(self, form: str, kind: str, category: str | None = None,
               suffix_id: str | None = None):
@@ -324,17 +320,9 @@ class RuleTable:
         whole, and a final-segment rewrite replaces the first character
         of a one-segment part, so their targets are counted too.  A
         target that empties the part lets the next part's first
-        character through, so then any character goes.
+        character through, so then any character goes.  Called by
+        :meth:`morph` alone, while a grammar is built.
         """
-        key = (piece.kind, piece.suffix_id, piece.form, piece.category,
-               surface)
-        chars = self._initials.get(key, False)
-        if chars is False:
-            chars = self._rewritten_initials(piece, surface)
-            self._initials[key] = chars
-        return chars
-
-    def _rewritten_initials(self, piece: Piece, surface: str):
         chars = {surface[0]}
         one_segment = None
         for rule in self._left_rewriters:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import random
@@ -606,6 +607,52 @@ class TestTransitionTable:
         assert check_links(grammar) == entries
 
 
+def test_the_classifiers_diagnostics_read_off_the_transition_table(lexicon):
+    # A verb root reads IV where a causative can follow it at once, and TV
+    # where an agreement (3P or INV) can follow it with no causative or
+    # valency-increasing suffix before it; each with an accepting fold
+    # reachable by suffixes after it.  That is how the classifier reads
+    # analyses, and it gives back each declared valency; an unknown root
+    # may take both.
+    grammar = analyzer._grammar(lexicon)
+    transitions = grammar.transitions
+    suffixes = list(enumerate(grammar.columns[:len(grammar.suffix_columns)]))
+    causative = [column for column, entry in suffixes if entry.tag == "CA"]
+    agreement = [column for column, entry in suffixes
+                 if entry.tag in ("3P", "INV")]
+    plain = [column for column, entry in suffixes if entry.tag != "CA"
+             and entry.valency_effect != "increase"]
+
+    def reached(folds, columns):
+        seen, todo = set(folds), list(folds)
+        while todo:
+            fold = todo.pop()
+            for column in columns:
+                new = transitions[fold][column]
+                if new != analyzer._DEAD and new not in seen:
+                    seen.add(new)
+                    todo.append(new)
+        return seen
+
+    def attested(folds, columns):
+        after = {transitions[fold][column] for fold in folds
+                 for column in columns} - {analyzer._DEAD}
+        return any(grammar.accepts[fold]
+                   for fold in reached(after, range(len(suffixes))))
+
+    labels = {(True, True): "labile", (True, False): "IV",
+              (False, True): "TV", (False, False): None}
+    read = collections.Counter()
+    for entry in lexicon.iter_roots():
+        if entry.category == "verb":
+            starts = set(grammar.starts[f"{entry.form}:verb"][2].values())
+            read[entry.valency, labels[
+                attested(starts, causative),
+                attested(reached(starts, plain), agreement)]] += 1
+    assert read == {("IV", "IV"): 27, ("TV", "TV"): 16,
+                    ("labile", "labile"): 9, ("unknown", "labile"): 2}
+
+
 # Surfaces to put before a pending part: every segment alone and after a
 # vowel, and runs of the letters that begin a digraph, which
 # final_segment reads back through.
@@ -676,10 +723,8 @@ def check_entries(rules, grammar):
             entries += 1
             piece, finalized, part, new_final = extend_realization(
                 pieces[prev], pending, final, pieces[pid], rules)
-            assert entry[:4] == (
-                grammar.piece_ids[piece], finalized, part,
-                rules.initials(piece, part) if part else None), (
-                    pending, final, pieces[pid])
+            assert entry[:3] == (grammar.piece_ids[piece], finalized,
+                                 part), (pending, final, pieces[pid])
             finals = set()
             for head in heads:
                 surface = head + finalized + part
@@ -718,7 +763,7 @@ def check_links(grammar):
             if entry is None:
                 continue
             entries += 1
-            placed, _, part, _, linked = entry
+            placed, _, part, linked = entry
             new_final = extend_realization(pieces[prev], pending, final,
                                            pieces[pid], grammar.rules)[3]
             if new_final is None:
@@ -730,11 +775,13 @@ def check_links(grammar):
 
 def check_initials(rules, grammar):
     """Collect each (piece, pending part, final segment) that a filled
-    realization entry leads to, with the part's initials, taking the
-    finals after each head of the key's final segment where the entry has
-    none.  Returns (the number of these triples, those whose part the
-    boundary step before some next piece finalizes to a string that does
-    not start with one of its initials)."""
+    realization entry leads to, with the part's
+    :meth:`~mapumorph.phonology.RuleTable.initials`, which the starts of
+    the search's column options are built from, taking the finals after
+    each head of the key's final segment where the entry has none.
+    Returns (the number of these triples, those whose part the boundary
+    step before some next piece finalizes to a string that does not start
+    with one of its initials)."""
     pieces, triples = grammar.pieces, {}
     for (prev, pending, final), row in grammar.realized.items():
         heads = [h for h in HEADS if h + pending
@@ -742,11 +789,11 @@ def check_initials(rules, grammar):
         for entry in row[:grammar.width]:
             if entry is None or not entry[2]:
                 continue
-            new, finalized, part, initials, linked = entry
+            new, finalized, part, linked = entry
             finals = {linked[grammar.width][2]} if linked is not None else {
                 final_segment(head + finalized + part) for head in heads}
             for end in finals:
-                triples[new, part, end] = initials
+                triples[new, part, end] = rules.initials(pieces[new], part)
     return len(triples), [
         (pieces[new], part, final, pieces[pid])
         for (new, part, final), initials in triples.items()
@@ -798,9 +845,10 @@ class TestRealizationTable:
 
     def test_the_next_step_keeps_a_pending_part_within_its_initials(
             self, warm, lexicon, rewriting_path, vowel_consonant_path):
-        # The search drops a path whose pending part, once finalized, could
-        # not start at the next character of the word; the initials it
-        # probes must hold every first character the part can take.
+        # The search tries a piece that leaves the pending part as it is
+        # only where the piece's starts hold the next character of the
+        # word; the initials those starts are built from must hold every
+        # first character a part can take once the next rule has applied.
         tables = [warm]
         for path in (rewriting_path, vowel_consonant_path):
             rules = load_rules(path)

@@ -547,6 +547,35 @@ def test_a_table_that_is_not_utf8_is_located(tmp_path, command, flag):
                    "byte)\n")
 
 
+def test_a_table_with_a_byte_order_mark_reads_as_its_plain_copy(tmp_path):
+    # one UTF-8 byte order mark before the first line, a comment or data,
+    # is dropped; the lines after it keep their numbers
+    words = (pathlib.Path(__file__).resolve().parent / "data" / "golden"
+             / "words.txt").read_text(encoding="utf-8").splitlines()[::10]
+    stdin = "\n".join(words) + "\n"
+    roots = data_path("roots.tsv").read_bytes()
+    tables = [("--lexicon", roots),
+              ("--lexicon", b"".join(line for line in roots.splitlines(True)
+                                     if not line.startswith(b"#"))),
+              ("--rules", data_path("rules.tsv").read_bytes()),
+              ("--slots", data_path("slots.tsv").read_bytes())]
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    shipped = invoke(["analyse"], stdin)
+    assert shipped[0] == 0 and shipped[1].count("\n") >= len(words)
+    for flag, text in tables:
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert invoke(["analyse", flag, str(marked)], stdin) == shipped, flag
+        if flag != "--rules":
+            assert invoke(["validate-lexicon", flag, str(marked)]) == \
+                invoke(["validate-lexicon", flag, str(plain)]) == (0, "", "")
+    # an error's byte and line are those of the file after the mark
+    marked.write_bytes(b"\xef\xbb\xbf" + NOT_UTF8)
+    assert invoke(["analyse", "--rules", str(marked)], "küpan\n") == (
+        1, "", f"error: {marked}:2: not UTF-8: byte 0xff (invalid start "
+        "byte)\n")
+
+
 @pytest.mark.parametrize("command",
                          ["analyse", "generate", "validate-lexicon",
                           "classify"])
